@@ -8,7 +8,6 @@
      reqisc_cli serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE]
                       [--workers N] [--capacity N] [--max-conns N]
                       [--max-queue N] [--idle-timeout S] [--max-line BYTES]
-                      [--no-coalesce]
      reqisc_cli client --connect tcp:HOST:PORT|unix:PATH [--retries N]
                        [--backoff S] [--jitter J] [--frames json|binary]
                        [--timeout S] [REQUEST...]
@@ -30,7 +29,8 @@
    REQISC_TRACE=FILE does the same for a plain invocation.
 
    Exit codes: 0 success, 2 usage error, 3 parse error, 4 solver error.
-   `--help` on any subcommand prints its synopsis and exits 0.
+   `--help` on any subcommand prints its synopsis and exits 0; any other
+   `--x` token not in that synopsis is a usage error.
    Structured errors go to stderr as "error[kind] stage: detail". *)
 
 let exit_usage = 2
@@ -52,7 +52,7 @@ let subcommands =
       "synthesize one pulse (GATE in cnot|cz|iswap|sqisw|b|swap)" );
     ("qasm", "qasm FILE [--pulses]", "parse a REQASM file and report metrics");
     ( "serve",
-      "serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE] [--workers N] [--capacity N] [--max-conns N] [--max-queue N] [--idle-timeout S] [--max-line BYTES] [--no-coalesce]",
+      "serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE] [--workers N] [--capacity N] [--max-conns N] [--max-queue N] [--idle-timeout S] [--max-line BYTES]",
       "serve the JSON protocol on stdin/stdout, or on a socket with --listen" );
     ( "client",
       "client --connect tcp:HOST:PORT|unix:PATH [--retries N] [--backoff S] [--jitter J] [--frames json|binary] [--timeout S] [REQUEST...]",
@@ -87,6 +87,19 @@ let usage_error fmt =
       Printf.eprintf "error[usage]: %s\n(run `reqisc_cli --help` for usage)\n" msg;
       exit exit_usage)
     fmt
+
+(* a subcommand accepts exactly the [--x] tokens of its synopsis, so a
+   misspelled or retired flag stops the run instead of being ignored *)
+let check_flags cmd args =
+  match List.find_opt (fun (n, _, _) -> n = cmd) subcommands with
+  | None -> () (* unknown subcommand: dispatch reports it *)
+  | Some (_, syn, _) ->
+    let known = String.split_on_char ' ' (String.map (function '[' | ']' -> ' ' | ch -> ch) syn) in
+    List.iter
+      (fun a ->
+        if String.starts_with ~prefix:"--" a && not (List.mem a known) then
+          usage_error "%s: unknown flag %s (usage: reqisc_cli %s)" cmd a syn)
+      args
 
 let parse_error (e : Qasm.parse_error) =
   Printf.eprintf "error[parse]: %s\n" (Qasm.parse_error_to_string e);
@@ -428,7 +441,6 @@ let cmd_serve args =
       Serve.Server.cache_path = flag_value args "--cache";
       workers = int_flag args "--workers" 0;
       cache_capacity = int_flag args "--capacity" 4096;
-      coalesce = not (List.mem "--no-coalesce" args);
     }
   in
   let workers_str =
@@ -582,7 +594,12 @@ let cmd_cache_compact args =
 
 (* ---------------------------------------------------------- dispatch *)
 
-let rec dispatch = function
+let rec dispatch args =
+  (match args with
+  | "trace" :: _ -> () (* checks its own flags, then dispatches the wrapped command *)
+  | cmd :: rest when not (help_requested rest) -> check_flags cmd rest
+  | _ -> ());
+  match args with
   | cmd :: rest when help_requested rest -> print_subcommand_help cmd
   | "list" :: _ -> cmd_list ()
   | "compile" :: name :: rest -> cmd_compile name rest
@@ -610,7 +627,9 @@ and cmd_trace args =
     | "--out" :: path :: rest -> parse (Some path) prom rest
     | "--prom" :: path :: rest -> parse out (Some path) rest
     | [] -> usage_error "trace needs a subcommand to run"
-    | rest -> (out, prom, rest)
+    | first :: _ as rest ->
+      check_flags "trace" [ first ];
+      (out, prom, rest)
   in
   let out, prom, rest = parse None None args in
   (* with neither flag given, default to a Chrome trace next to the cwd *)

@@ -18,9 +18,6 @@ type t = {
   cache : Cache.t option;
   queue : job Jobq.t;
   coalesce : bool;
-  pace_us : int;
-  pace_lock : Mutex.t;
-  mutable pace_next : float;  (* earliest start for the next paced op *)
   flight_lock : Mutex.t;
   flights : (string, waiter list ref) Hashtbl.t;
   served : int Atomic.t;
@@ -418,30 +415,7 @@ let respond_counted t ~respond (response : Json.t) =
     Robust.Counters.incr ~stage "response_undeliverable";
     ignore (Printexc.to_string e)
 
-(* Capacity pacing: with [pace_us > 0] every heavy op (compile / pulses /
-   batch — the same set admission control guards) reserves a slot on a
-   shared pacing clock before executing, so the engine completes at most
-   one heavy op per [pace_us] microseconds regardless of worker count.
-   This models a calibrated per-instance service rate: cluster benches
-   compare 1 vs N paced shards on one box, where aggregate throughput
-   scales with shard count instead of being bounded by the host's cores.
-   Control ops ([stats]/[shutdown]) and the deadline check are never
-   paced, and a coalesced flight costs one slot for all its waiters. *)
-let pace t (b : Protocol.body) =
-  if t.pace_us > 0 then
-    match b.op with
-    | Protocol.Stats | Protocol.Shutdown -> ()
-    | Protocol.Compile _ | Protocol.Pulses _ | Protocol.Batch _ ->
-      let interval = float_of_int t.pace_us *. 1e-6 in
-      Mutex.lock t.pace_lock;
-      let now = Unix.gettimeofday () in
-      let start = Float.max now t.pace_next in
-      t.pace_next <- start +. interval;
-      Mutex.unlock t.pace_lock;
-      if start > now then Unix.sleepf (start -. now)
-
 let exec_item ?remaining_s t body =
-  pace t body;
   let name = "exec." ^ Protocol.op_name body.Protocol.op in
   Obs.Span.with_ ~stage ~name (fun () -> exec_guarded ?remaining_s t body)
 
@@ -557,7 +531,7 @@ let worker t () =
 
 (* ---------------------------------------------------------- lifecycle *)
 
-let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
+let create ?(workers = 0) ?(coalesce = true) ?cache ~seed () =
   (* the engine observes itself: if the embedding process has not
      installed a sink, record into our own ring so the [stats] op (and
      its "obs" block) always has live span/metric data to report *)
@@ -572,9 +546,6 @@ let create ?(workers = 0) ?(coalesce = true) ?(pace_us = 0) ?cache ~seed () =
       cache;
       queue = Jobq.create ();
       coalesce;
-      pace_us;
-      pace_lock = Mutex.create ();
-      pace_next = 0.0;
       flight_lock = Mutex.create ();
       flights = Hashtbl.create 64;
       served = Atomic.make 0;

@@ -39,27 +39,16 @@
 
 type t
 
-(** [create ?workers ?coalesce ?pace_us ?cache ~seed ()] spawns the
+(** [create ?workers ?coalesce ?cache ~seed ()] spawns the
     worker domains ([workers = 0] or omitted:
     {!Numerics.Par.default_domains}) and, when [cache] is given, installs
     it as the process-global pulse-synthesis cache shared by all workers
     (and hence all connections). [coalesce = false] disables
     single-flight admission (every request executes independently — the
-    differential baseline).
-
-    [pace_us > 0] enforces a minimum interval of that many microseconds
-    between heavy-op executions ([compile]/[pulses]/[batch]) across all
-    workers — an explicit per-instance capacity model: the engine serves
-    at most [1e6 / pace_us] heavy ops per second. Control ops
-    ([stats]/[shutdown]) are never paced, a coalesced flight costs one
-    slot for all its waiters, and the pacing wait is not charged against
-    a request's deadline (the deadline verdict happens first). [0]
-    (default) disables pacing. Cluster benches use this to compare 1 vs
-    N shards at a calibrated per-shard service rate on one host. *)
+    differential baseline). *)
 val create :
   ?workers:int ->
   ?coalesce:bool ->
-  ?pace_us:int ->
   ?cache:Cache.t ->
   seed:int64 ->
   unit ->

@@ -297,6 +297,4 @@ let with_id ~id = function
   | Json.Obj members -> Json.Obj (("id", id) :: members)
   | v -> v
 
-let ok_response ~id ~op result = with_id ~id (ok_item ~op result)
 let error_response ~id ~kind ~stage message = with_id ~id (error_item ~kind ~stage message)
-let err_response ~id e = with_id ~id (err_item e)

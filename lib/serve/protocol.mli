@@ -94,14 +94,12 @@ val op_name : op -> string
     the key only when present, each under its own marker (legacy keys
     are unchanged; distinct plans or targets never mix — and a plan can
     never collide with an ISA, because the markers differ).
-    [stats]/[shutdown]/[batch] return [None]. *)
+    [shutdown]/[batch] return [None]. *)
 val body_key : body -> string option
 
 (** {1 Response builders} *)
 
-val ok_response : id:Json.t -> op:string -> Json.t -> Json.t
 val error_response : id:Json.t -> kind:string -> stage:string -> string -> Json.t
-val err_response : id:Json.t -> Robust.Err.t -> Json.t
 
 (** Embedded (id-less) forms for batch result arrays. *)
 val ok_item : op:string -> Json.t -> Json.t

@@ -3,8 +3,6 @@ type config = {
   cache_path : string option;
   cache_capacity : int;
   seed : int64;
-  coalesce : bool;
-  pace_us : int;
 }
 
 let default_config =
@@ -13,8 +11,6 @@ let default_config =
     cache_path = None;
     cache_capacity = 4096;
     seed = 1L;
-    coalesce = true;
-    pace_us = 0;
   }
 
 type summary = { served : int; errors : int; elapsed : float }
@@ -33,8 +29,7 @@ let run ?(config = default_config) ic oc =
   | Error e -> Error e
   | Ok cache ->
     let engine =
-      Engine.create ~workers:config.workers ~coalesce:config.coalesce
-        ~pace_us:config.pace_us ?cache ~seed:config.seed ()
+      Engine.create ~workers:config.workers ?cache ~seed:config.seed ()
     in
     let out_lock = Mutex.create () in
     let respond response =

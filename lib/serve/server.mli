@@ -22,13 +22,6 @@ type config = {
   cache_path : string option;
   cache_capacity : int;  (** LRU-tier entries (default 4096) *)
   seed : int64;  (** rng seed for compilation jobs (deterministic per request) *)
-  coalesce : bool;
-      (** single-flight coalescing of identical in-flight requests
-          (default [true]; see {!Engine}) *)
-  pace_us : int;
-      (** minimum microseconds between heavy-op executions — an explicit
-          per-instance capacity model (default [0] = unpaced; see
-          {!Engine.create}) *)
 }
 
 val default_config : config

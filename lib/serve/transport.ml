@@ -52,30 +52,6 @@ type summary = {
   elapsed : float;
 }
 
-(* The event loop is request-executor agnostic: anything that can accept
-   a parsed frame and eventually call [respond] exactly once can sit
-   behind it. [Engine] is the in-process executor; the cluster router
-   ({!Cluster.Router}) forwards to remote shards through the same seam.
-   [raw] is the frame's original payload text — a forwarding backend
-   re-renders or relays it without a lossy reparse; [engine_backend]
-   ignores it. *)
-type backend = {
-  submit : raw:string -> Protocol.parsed -> respond:(Json.t -> unit) -> unit;
-  queue_depth : unit -> int;  (* admission-control signal *)
-  drain : unit -> unit;  (* finish queued work; called once at shutdown *)
-  served : unit -> int;
-  errors : unit -> int;
-}
-
-let engine_backend engine =
-  {
-    submit = (fun ~raw:_ parsed ~respond -> Engine.submit engine parsed ~respond);
-    queue_depth = (fun () -> Engine.queue_depth engine);
-    drain = (fun () -> Engine.drain engine);
-    served = (fun () -> Engine.served engine);
-    errors = (fun () -> Engine.errors engine);
-  }
-
 let stage = "serve.net"
 
 (* --------------------------------------------------------- connections *)
@@ -114,7 +90,7 @@ type conn = {
 
 type state = {
   config : config;
-  backend : backend;
+  engine : Engine.t;
   stopping : bool Atomic.t;
   drained : bool Atomic.t;
   listen_fd : Unix.file_descr;
@@ -161,10 +137,31 @@ let write_stalled c =
   Mutex.unlock c.wlock;
   b
 
+(* call with [c.wlock] held: the peer is gone or forfeited its
+   connection — drop everything queued and stop writing *)
+let discard_output_locked c =
+  c.writable <- false;
+  Buffer.clear c.wbuf;
+  c.sending <- "";
+  c.sent_off <- 0
+
+(* call with [c.wlock] held: a peer that stops draining its responses
+   forfeits the connection instead of growing the server without bound.
+   [true] when [data] would overflow the write queue; the caller then
+   wakes the event loop so the sweep retires the connection promptly *)
+let overflow_locked st c data =
+  let over = queued_bytes_locked c + String.length data > st.config.max_write_buffer in
+  if over then begin
+    discard_output_locked c;
+    c.want_close <- true;
+    Obs.Metric.incr ~stage "write_overflow"
+  end;
+  over
+
 (* call with [c.wlock] held: push queued bytes at the fd until it would
    block. Returns [true] when deliverable output remains (the event loop
    must watch the fd for writability). *)
-let flush_locked c =
+let rec flush_locked c =
   if c.sent_off >= String.length c.sending && Buffer.length c.wbuf > 0 then begin
     (* swap the queued bytes in as one chunk: every response enqueued
        since the last flush goes out in a single write *)
@@ -177,15 +174,16 @@ let flush_locked c =
     match
       Unix.write c.fd (Bytes.unsafe_of_string c.sending) c.sent_off (len - c.sent_off)
     with
-    | n -> c.sent_off <- c.sent_off + n
+    | n ->
+      c.sent_off <- c.sent_off + n;
+      (* bytes queued behind a stalled chunk have no flush of their own
+         coming (their burst's last response found the chunk in flight),
+         so once the chunk is out they go next *)
+      if c.sent_off = len && Buffer.length c.wbuf > 0 then ignore (flush_locked c)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
       ()
-    | exception Unix.Unix_error _ ->
-      c.writable <- false;
-      Buffer.clear c.wbuf;
-      c.sending <- "";
-      c.sent_off <- 0
+    | exception Unix.Unix_error _ -> discard_output_locked c
   end;
   c.writable && (not c.fd_closed) && queued_bytes_locked c > 0
 
@@ -195,23 +193,12 @@ let flush_locked c =
    from the responding worker, no wakeup round-trip; anything already
    queued (a previous partial write, a concurrent worker's response)
    rides along in the same [write]. Only when the socket would block
-   does the event loop take over. A peer that stops draining its
-   responses forfeits the connection instead of growing the server
-   without bound. *)
+   does the event loop take over. *)
 let enqueue_out st c data =
   Mutex.lock c.wlock;
   let need_wake =
     if c.fd_closed || not c.writable then false
-    else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
-    then begin
-      c.writable <- false;
-      c.want_close <- true;
-      Buffer.clear c.wbuf;
-      c.sending <- "";
-      c.sent_off <- 0;
-      Obs.Metric.incr ~stage "write_overflow";
-      true (* wake so the sweep retires the connection promptly *)
-    end
+    else if overflow_locked st c data then true
     else begin
       Buffer.add_string c.wbuf data;
       flush_locked c
@@ -230,12 +217,6 @@ let render c (json : Json.t) =
    with a successor's write — one syscall covers a burst *)
 let batch_bytes = 16384
 
-(* the respond closure the engine calls from a worker domain. Like
-   [enqueue_out], but pipelining-aware: while this connection still has
-   [pending] requests, more responses are guaranteed to follow (every
-   submitted job responds exactly once), so small responses accumulate
-   and the final response of the burst — or the one that crosses
-   [batch_bytes] — flushes them all in one write *)
 (* chaos-harness mangling: keep the framing (newline / binary header)
    intact but overwrite a run of payload bytes, so the client receives a
    well-delimited frame whose content no longer parses — a typed
@@ -250,6 +231,12 @@ let corrupt_frame c data =
   Obs.Metric.incr ~stage "fault_frame_corrupt";
   Bytes.to_string b
 
+(* the respond closure the engine calls from a worker domain. Like
+   [enqueue_out], but pipelining-aware: while this connection still has
+   [pending] requests, more responses are guaranteed to follow (every
+   submitted job responds exactly once), so small responses accumulate
+   and the final response of the burst — or the one that crosses
+   [batch_bytes] — flushes them all in one write *)
 let conn_respond st c json =
   let data = render c json in
   (* transport fault sites fire between render and enqueue: the engine
@@ -272,16 +259,7 @@ let conn_respond st c json =
          flush when this was the burst's last pending response *)
       if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
       else flush_locked c
-    else if queued_bytes_locked c + String.length data > st.config.max_write_buffer
-    then begin
-      c.writable <- false;
-      c.want_close <- true;
-      Buffer.clear c.wbuf;
-      c.sending <- "";
-      c.sent_off <- 0;
-      Obs.Metric.incr ~stage "write_overflow";
-      true
-    end
+    else if overflow_locked st c data then true
     else begin
       Buffer.add_string c.wbuf data;
       if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
@@ -298,12 +276,12 @@ let conn_respond st c json =
    read-only ops ([stats], [shutdown]) and parse errors always pass:
    refusing those would blind operators exactly when the server is
    busiest. *)
-let submit_conn st c ~raw parsed =
+let submit_conn st c parsed =
   let shed =
     st.config.max_queue_depth > 0
     && (match parsed.Protocol.body with
        | Ok { op = Protocol.Compile _ | Protocol.Pulses _ | Protocol.Batch _; _ } ->
-         st.backend.queue_depth () >= st.config.max_queue_depth
+         Engine.queue_depth st.engine >= st.config.max_queue_depth
        | _ -> false)
   in
   Mutex.lock c.wlock;
@@ -319,13 +297,13 @@ let submit_conn st c ~raw parsed =
             "queue depth at capacity (%d); request shed before execution"
             st.config.max_queue_depth))
   end
-  else st.backend.submit ~raw parsed ~respond:(conn_respond st c)
+  else Engine.submit st.engine parsed ~respond:(conn_respond st c)
 
 (* ------------------------------------------------------ frame scanning *)
 
 let oversize st c =
   Obs.Metric.incr ~stage "oversize_frame";
-  submit_conn st c ~raw:""
+  submit_conn st c
     {
       Protocol.id = Json.Null;
       body = Error (Protocol.oversize_message st.config.max_line_bytes);
@@ -341,16 +319,13 @@ let handle_payload st c payload =
       c.read_open <- false;
       c.want_close <- true;
       Mutex.lock c.wlock;
-      c.writable <- false;
-      Buffer.clear c.wbuf;
-      c.sending <- "";
-      c.sent_off <- 0;
+      discard_output_locked c;
       Mutex.unlock c.wlock;
       try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
     end
     else begin
       let p = Protocol.parse_line ~max_bytes:st.config.max_line_bytes payload in
-      submit_conn st c ~raw:payload p;
+      submit_conn st c p;
       match p.body with
       | Ok { op = Protocol.Shutdown; _ } -> initiate_drain st
       | _ -> ()
@@ -420,7 +395,7 @@ let feed_binary st c s =
           match Frame.decode_header hdr 0 with
           | Error msg ->
             Obs.Metric.incr ~stage "frame_desync";
-            submit_conn st c ~raw:""
+            submit_conn st c
               {
                 Protocol.id = Json.Null;
                 body = Error (Printf.sprintf "binary frame desync: %s" msg);
@@ -662,10 +637,10 @@ let event_loop st =
     retire_sweep st
   done
 
-(* drain: stop reading everywhere, let the backend finish everything
+(* drain: stop reading everywhere, let the engine finish everything
    already queued (responses keep landing in the write queues), and keep
-   flushing until the backend is drained and every deliverable byte is
-   out. The backend drains on a helper thread so this loop can keep
+   flushing until the engine is drained and every deliverable byte is
+   out. The engine drains on a helper thread so this loop can keep
    writing concurrently — a full write queue never deadlocks the drain. *)
 let flush_until_drained st =
   List.iter
@@ -676,7 +651,7 @@ let flush_until_drained st =
   let drainer =
     Thread.create
       (fun () ->
-        st.backend.drain ();
+        Engine.drain st.engine;
         Atomic.set st.drained true;
         wake st)
       ()
@@ -754,73 +729,67 @@ let bind_listener = function
 
 (* ---------------------------------------------------------------- serve *)
 
-let serve_backend ?(config = default_config) ?ready backend addr =
-  let t0 = Unix.gettimeofday () in
-  match bind_listener addr with
-  | Error e -> Error e
-  | Ok (listen_fd, actual) ->
-    let cleanup_path () =
-      match addr with
-      | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-      | Tcp _ -> ()
-    in
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock listen_fd;
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    let st =
-      {
-        config;
-        backend;
-        stopping = Atomic.make false;
-        drained = Atomic.make false;
-        listen_fd;
-        wake_r;
-        wake_w;
-        conns = [];
-        accepted = 0;
-        refused = 0;
-      }
-    in
-    (* a write to a vanished client must yield EPIPE, not kill us *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    let old_sigint =
-      try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> initiate_drain st)))
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    Option.iter (fun f -> f actual) ready;
-    event_loop st;
-    (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
-    flush_until_drained st;
-    (try Unix.close st.wake_r with Unix.Unix_error _ -> ());
-    (try Unix.close st.wake_w with Unix.Unix_error _ -> ());
-    (try Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe with _ -> ());
-    (try Option.iter (Sys.set_signal Sys.sigint) old_sigint with _ -> ());
-    cleanup_path ();
-    Ok
-      {
-        served = backend.served ();
-        errors = backend.errors ();
-        connections = st.accepted;
-        refused = st.refused;
-        elapsed = Unix.gettimeofday () -. t0;
-      }
-
 let serve ?(config = default_config) ?ready addr =
+  let t0 = Unix.gettimeofday () in
   match Server.open_cache config.server with
   | Error e -> Error e
-  | Ok cache ->
-    let engine =
-      Engine.create ~workers:config.server.Server.workers
-        ~coalesce:config.server.Server.coalesce
-        ~pace_us:config.server.Server.pace_us ?cache
-        ~seed:config.server.Server.seed ()
-    in
-    let r = serve_backend ~config ?ready (engine_backend engine) addr in
-    (* on the Ok path the drain already ran inside [serve_backend]; a
-       bind failure must still release the engine's domains and cache *)
-    (match r with Error _ -> Engine.drain engine | Ok _ -> ());
-    r
+  | Ok cache -> (
+    match bind_listener addr with
+    | Error e ->
+      (* nothing else exists yet: no worker domains, no installed cache *)
+      Option.iter Cache.close cache;
+      Error e
+    | Ok (listen_fd, actual) ->
+      let cleanup_path () =
+        match addr with
+        | Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
+        | Tcp _ -> ()
+      in
+      let engine =
+        Engine.create ~workers:config.server.Server.workers ?cache
+          ~seed:config.server.Server.seed ()
+      in
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock listen_fd;
+      Unix.set_nonblock wake_r;
+      Unix.set_nonblock wake_w;
+      let st =
+        {
+          config;
+          engine;
+          stopping = Atomic.make false;
+          drained = Atomic.make false;
+          listen_fd;
+          wake_r;
+          wake_w;
+          conns = [];
+          accepted = 0;
+          refused = 0;
+        }
+      in
+      (* a write to a vanished client must yield EPIPE, not kill us *)
+      let old_sigpipe =
+        try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+        with Invalid_argument _ | Sys_error _ -> None
+      in
+      let old_sigint =
+        try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> initiate_drain st)))
+        with Invalid_argument _ | Sys_error _ -> None
+      in
+      Option.iter (fun f -> f actual) ready;
+      event_loop st;
+      (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
+      flush_until_drained st;
+      (try Unix.close st.wake_r with Unix.Unix_error _ -> ());
+      (try Unix.close st.wake_w with Unix.Unix_error _ -> ());
+      (try Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe with _ -> ());
+      (try Option.iter (Sys.set_signal Sys.sigint) old_sigint with _ -> ());
+      cleanup_path ();
+      Ok
+        {
+          served = Engine.served engine;
+          errors = Engine.errors engine;
+          connections = st.accepted;
+          refused = st.refused;
+          elapsed = Unix.gettimeofday () -. t0;
+        })

@@ -59,7 +59,7 @@ val addr_to_string : addr -> string
 val sockaddr : addr -> (Unix.sockaddr, string) result
 
 type config = {
-  server : Server.config;  (** engine config: workers, cache, seed, coalescing *)
+  server : Server.config;  (** engine config: workers, cache, seed *)
   max_connections : int;  (** accept backpressure threshold (default 64) *)
   idle_timeout : float;  (** seconds; [0.] disables (default 300.) *)
   max_line_bytes : int;  (** request frame cap (default {!Protocol.max_line_bytes}) *)
@@ -85,42 +85,12 @@ type summary = {
   elapsed : float;
 }
 
-(** The request executor behind the event loop. The loop itself is
-    executor-agnostic: it scans frames, applies admission control, and
-    hands each parsed request (plus its original [raw] payload text, so a
-    forwarding backend can relay without a lossy re-render; [""] for
-    synthesized parse-error frames) to [submit], which must arrange for
-    [respond] to be called exactly once from any thread. [queue_depth]
-    feeds the [max_queue_depth] shed check; [drain] is called once at
-    shutdown and must finish all accepted work; [served]/[errors] feed
-    the summary. *)
-type backend = {
-  submit : raw:string -> Protocol.parsed -> respond:(Json.t -> unit) -> unit;
-  queue_depth : unit -> int;
-  drain : unit -> unit;
-  served : unit -> int;
-  errors : unit -> int;
-}
-
-(** The in-process executor: {!Engine.submit}/[queue_depth]/[drain].
-    [raw] is ignored. The engine is NOT drained by [serve_backend]'s
-    error path — callers own its lifecycle. *)
-val engine_backend : Engine.t -> backend
-
-(** [serve_backend ?config ?ready backend addr] — the event loop alone:
-    bind, serve [backend] until drain, report. [config.server] is unused
-    (no engine is created); everything else behaves exactly like
-    {!serve}. The cluster router front-end is [serve_backend] over a
-    forwarding backend. *)
-val serve_backend :
-  ?config:config -> ?ready:(addr -> unit) -> backend -> addr -> (summary, string) result
-
-(** [serve ?config ?ready addr] blocks until drain. [ready] fires once
-    the listener is bound, with the actual address (a TCP request for
-    port [0] reports the kernel-assigned port — the ready banner is how
-    tests and cluster scripts spawn shards without port races). [Error]
-    on bind failure or when the cache file cannot be opened. Equivalent
-    to {!serve_backend} over {!engine_backend} of a fresh engine built
-    from [config.server]. *)
+(** [serve ?config ?ready addr] opens the cache, binds the listener,
+    starts an {!Engine} built from [config.server], and blocks until
+    drain. [ready] fires once the listener is bound, with the actual
+    address (a TCP request for port [0] reports the kernel-assigned
+    port — the ready banner is how tests spawn servers without port
+    races). [Error] on bind failure or when the cache file cannot be
+    opened; no engine is started in either case. *)
 val serve :
   ?config:config -> ?ready:(addr -> unit) -> addr -> (summary, string) result

@@ -25,11 +25,11 @@ let rec json_eq a b =
     && List.for_all2 (fun (k, v) (k', v') -> k = k' && json_eq v v') xs ys
   | _ -> a = b
 
-let net_config ?(workers = 2) ?(max_connections = 64) ?(idle_timeout = 300.0)
+let net_config ?(workers = 2) ?cache_path ?(max_connections = 64) ?(idle_timeout = 300.0)
     ?(max_line_bytes = Serve.Protocol.max_line_bytes)
     ?(max_queue_depth = T.default_config.T.max_queue_depth) () =
   {
-    T.server = { Serve.Server.default_config with Serve.Server.workers };
+    T.server = { Serve.Server.default_config with Serve.Server.workers; cache_path };
     max_connections;
     idle_timeout;
     max_line_bytes;
@@ -361,11 +361,14 @@ let test_binary_oversize_frame () =
   in
   Alcotest.(check int) "the rejection is counted" 1 summary.T.errors
 
-(* raw byte-level driver for the desync test: the client library can only
-   emit well-formed frames, and desync is precisely a malformed one *)
-let raw_unix_connect = function
+(* raw byte-level driver: the client library only emits well-formed
+   frames and always reads its responses, while desync is precisely a
+   malformed frame and the write-queue tests need a peer that does not
+   read *)
+let raw_unix_connect ?rcvbuf = function
   | T.Unix_path p ->
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
     Unix.connect fd (Unix.ADDR_UNIX p);
     fd
   | a -> Alcotest.failf "raw connect wants a unix path, got %s" (T.addr_to_string a)
@@ -529,6 +532,85 @@ let test_frame_cap () =
   in
   Alcotest.(check int) "the rejection is counted" 1 summary.T.errors
 
+let stats_line = "{\"v\":1,\"op\":\"stats\"}\n"
+
+(* pipeline [n] stats requests on a raw connection, then half-close it;
+   the server may hang up mid-burst, which ends the writing early *)
+let pipeline_stats ?rcvbuf addr n =
+  let fd = raw_unix_connect ?rcvbuf addr in
+  (try
+     for _ = 1 to n do
+       write_all fd stats_line
+     done
+   with Unix.Unix_error _ -> ());
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  fd
+
+let count_lines s = List.length (List.filter (( <> ) "") (String.split_on_char '\n' s))
+
+(* a peer that pipelines requests and never reads its responses must
+   forfeit its connection once its write queue passes [max_write_buffer],
+   without growing the server or starving anyone else. The cap sits
+   above the transport's 16 KiB response batch, so batching alone cannot
+   reach it; 3000 stats responses (~1.5 MB) are far more than the
+   kernel's socket buffers plus the cap *)
+let test_write_overflow () =
+  let config = { (net_config ()) with T.max_write_buffer = 65536 } in
+  let requests = 3000 in
+  let overflow0 = Obs.Metric.get ~stage:"serve.net" "write_overflow" in
+  let r = Obs.Recorder.start () in
+  let (_ : T.summary), answered =
+    Fun.protect
+      ~finally:(fun () -> Obs.Recorder.stop r)
+      (fun () ->
+        with_server ~config (temp_unix_addr ()) (fun addr ->
+            let fd = pipeline_stats ~rcvbuf:4096 addr requests in
+            (* stay a non-reader until the server gives up on us (10 s
+               at most), or reading here would drain the queue *)
+            let rec await_overflow n =
+              if n > 0 && Obs.Metric.get ~stage:"serve.net" "write_overflow" = overflow0
+              then begin
+                Thread.delay 0.01;
+                await_overflow (n - 1)
+              end
+            in
+            await_overflow 1000;
+            let got =
+              try read_to_eof fd with Unix.Unix_error (Unix.ECONNRESET, _, _) -> ""
+            in
+            Unix.close fd;
+            let again = ok_or_fail "fresh stats" (C.rpc addr (J.Obj [ ("op", J.Str "stats") ])) in
+            Alcotest.(check (option bool)) "a fresh client is served" (Some true)
+              (J.mem_bool "ok" again);
+            ignore (ok_or_fail "shutdown" (C.rpc addr shutdown_body));
+            count_lines got))
+  in
+  Alcotest.(check bool) "closed before answering everything" true (answered < requests);
+  Alcotest.(check bool) "overflow counted" true
+    (Obs.Metric.get ~stage:"serve.net" "write_overflow" - overflow0 >= 1)
+
+(* the other side of the bound: under the default cap, a peer that reads
+   only after every response was produced still gets all of them. More
+   bytes than the socket buffers hold queue behind a stalled write, and
+   nothing but the drain of that write can send them on *)
+let test_slow_reader () =
+  let requests = 3000 in
+  let (_ : T.summary), answered =
+    with_server (temp_unix_addr ()) (fun addr ->
+        let fd = pipeline_stats addr requests in
+        Thread.delay 1.0;
+        (* a stalled queue fails the read after 10 s instead of hanging *)
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+        let got =
+          try read_to_eof fd
+          with Unix.Unix_error (Unix.EAGAIN, _, _) -> Alcotest.fail "response stream stalled"
+        in
+        Unix.close fd;
+        ignore (ok_or_fail "shutdown" (C.rpc addr shutdown_body));
+        count_lines got)
+  in
+  Alcotest.(check int) "every response delivered" requests answered
+
 let test_shutdown_drains_queued () =
   (* queue several slow-ish jobs then shut down from the same pipeline:
      everything already accepted must still answer *)
@@ -554,61 +636,21 @@ let test_shutdown_drains_queued () =
   Alcotest.(check int) "all four served" 4 summary.T.served;
   Alcotest.(check int) "errors" 0 summary.T.errors
 
-(* the transport's backend seam, isolated: a trivial backend that echoes
-   the parse verdict proves serve_backend needs nothing from the engine *)
-let test_serve_backend_seam () =
-  let served = Atomic.make 0 in
-  let drained = Atomic.make false in
-  let backend =
-    {
-      T.submit =
-        (fun ~raw:_ parsed ~respond ->
-          Atomic.incr served;
-          match parsed.Serve.Protocol.body with
-          | Ok body ->
-            respond
-              (Serve.Protocol.ok_response ~id:parsed.Serve.Protocol.id
-                 ~op:(Serve.Protocol.op_name body.Serve.Protocol.op)
-                 (J.Str "echo"))
-          | Error e ->
-            respond
-              (Serve.Protocol.error_response ~id:parsed.Serve.Protocol.id
-                 ~kind:"bad_request" ~stage:"test.echo" e));
-      queue_depth = (fun () -> 0);
-      drain = (fun () -> Atomic.set drained true);
-      served = (fun () -> Atomic.get served);
-      errors = (fun () -> 0);
-    }
-  in
-  let ready = Atomic.make false in
-  let actual = ref (T.Tcp ("127.0.0.1", 0)) in
-  let result = ref (Error "backend server did not return") in
-  let th =
-    Thread.create
-      (fun () ->
-        result :=
-          T.serve_backend
-            ~ready:(fun a ->
-              actual := a;
-              Atomic.set ready true)
-            backend
-            (T.Tcp ("127.0.0.1", 0)))
-      ()
-  in
-  while not (Atomic.get ready) do
-    Thread.delay 0.005
-  done;
-  let c = ok_or_fail "connect" (C.connect !actual) in
-  let r = ok_or_fail "echo" (C.request c (J.Obj [ ("op", J.Str "stats") ])) in
-  Alcotest.(check (option string)) "backend result" (Some "echo")
-    (match J.member "result" r with Some (J.Str s) -> Some s | _ -> None);
-  ignore (ok_or_fail "shutdown" (C.request c shutdown_body));
-  C.close c;
-  Thread.join th;
-  (match !result with
-  | Error e -> Alcotest.failf "serve_backend failed: %s" e
-  | Ok summary -> Alcotest.(check int) "served through the seam" 2 summary.T.served);
-  Alcotest.(check bool) "backend drained at shutdown" true (Atomic.get drained)
+(* the merged serve opens the cache before binding: a bind failure must
+   release it again without spawning workers or installing it as the
+   process-global pulse cache, and must leave the blocking file alone *)
+let test_bind_failure () =
+  let path = Filename.temp_file "rqnet" ".notsock" in
+  let cache_path = Filename.temp_file "rqnet" ".rqcache" in
+  Sys.remove cache_path;
+  (match T.serve ~config:(net_config ~cache_path ()) (T.Unix_path path) with
+  | Ok _ -> Alcotest.fail "served on a regular file"
+  | Error e -> Alcotest.(check bool) "names the cause" true (contains e "is not a socket"));
+  Alcotest.(check bool) "file left in place" true (Sys.file_exists path);
+  Alcotest.(check bool) "no pulse cache installed" true
+    (Microarch.Pulse_cache.installed () = None);
+  Sys.remove path;
+  if Sys.file_exists cache_path then Sys.remove cache_path
 
 (* ----------------------------------------------------------- resilience *)
 
@@ -723,7 +765,7 @@ let () =
           Alcotest.test_case "tcp happy path" `Quick test_tcp_happy_path;
           Alcotest.test_case "differential vs stdio" `Quick test_differential;
           Alcotest.test_case "shutdown drains queued" `Quick test_shutdown_drains_queued;
-          Alcotest.test_case "serve_backend seam" `Quick test_serve_backend_seam;
+          Alcotest.test_case "bind failure" `Quick test_bind_failure;
         ] );
       ( "binary",
         [
@@ -737,6 +779,8 @@ let () =
           Alcotest.test_case "overload refusal" `Quick test_overload_refusal;
           Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
           Alcotest.test_case "frame cap" `Quick test_frame_cap;
+          Alcotest.test_case "write overflow" `Quick test_write_overflow;
+          Alcotest.test_case "slow reader" `Quick test_slow_reader;
         ] );
       ( "resilience",
         [
