@@ -235,7 +235,7 @@ let duplicate_storm ~stormers =
       T.max_write_buffer = T.default_config.T.max_write_buffer;
       T.max_queue_depth = T.default_config.T.max_queue_depth }
   in
-  let solve_runs_before = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let computations_before = class_computations () in
   let hits_before = Robust.Counters.get ~stage:"serve" "coalesce_hit" in
   let _summary, () =
     with_net_server ~config (T.Unix_path path) (fun addr ->
@@ -298,10 +298,9 @@ let duplicate_storm ~stormers =
           plug_coords;
         C.close plug)
   in
-  let solve_runs =
-    Robust.Counters.get ~stage:"genashn" "solve_run"
-    - solve_runs_before - List.length plug_coords
-  in
+  (* each plug class and the storm's class count once, whether solved or
+     answered by the class memo *)
+  let solve_runs = class_computations () - computations_before - List.length plug_coords in
   let coalesce_hits = Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits_before in
   (solve_runs, coalesce_hits)
 

@@ -82,6 +82,12 @@ let write_robust_json path =
 
 (* ------------------------------------------ serve-bench shared helpers *)
 
+(* classes the pulse solver computed: root searches plus class-memo hits,
+   which stand in for them *)
+let class_computations () =
+  Robust.Counters.get ~stage:"genashn" "solve_run"
+  + Robust.Counters.get ~stage:"genashn" "memo_hit"
+
 (* latency percentile over an ascending-sorted sample list *)
 let percentile sorted p =
   match sorted with

@@ -67,6 +67,11 @@ let add t k v =
         Some (lru.key, lru.value)
     end
 
+let clear t =
+  Hashtbl.reset t.table;
+  t.head <- None;
+  t.tail <- None
+
 let keys t =
   let rec go acc = function
     | None -> List.rev acc

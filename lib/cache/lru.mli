@@ -22,5 +22,8 @@ val mem : ('k, 'v) t -> 'k -> bool
     the evicted least-recently-used binding, if the capacity overflowed. *)
 val add : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 
+(** [clear t] drops every binding. *)
+val clear : ('k, 'v) t -> unit
+
 (** Keys from most- to least-recently used (test/debug helper). *)
 val keys : ('k, 'v) t -> 'k list

@@ -534,9 +534,54 @@ let solve_coords_uncached ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
           end)
     end)
 
-(* Cache wrapper around the root search: a hit replays the stored verdict
-   bit for bit and skips Algorithm 1 entirely (no grid, no Newton, no
-   end-to-end class check — the pulse was verified when it was stored). *)
+(* --------------------------------------------------------- class memo *)
+
+(* Process-wide memo for the path with no pulse cache installed. A pulse
+   depends only on the coupling and the target class, and a compiled
+   program holds few distinct classes, so each class is solved once.
+   The key is the exact bits of (h, coords), not the cache's 1e-9
+   fingerprint: two targets that agree to 1e-9 can still solve to
+   different pulses, and a hit must return the bytes a fresh solve would.
+   The solve is deterministic without a budget or armed faults, so only
+   those solves are memoized. The lock covers lookups and inserts, never
+   a solve: two domains missing on one class both solve it and store the
+   same outcome. *)
+let memo_capacity = 1024
+
+let memo : (int64 * int64 * int64 * int64 * int64 * int64, pulse Robust.Outcome.t) Cache.Lru.t =
+  Cache.Lru.create ~capacity:memo_capacity
+
+let memo_lock = Mutex.create ()
+
+let memo_key (h : Coupling.t) (c : Weyl.Coords.t) =
+  let b = Int64.bits_of_float in
+  (b h.a, b h.b, b h.c, b c.x, b c.y, b c.z)
+
+let solve_coords_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
+  let key = memo_key h coords in
+  match Mutex.protect memo_lock (fun () -> Cache.Lru.find memo key) with
+  | Some oc ->
+    Robust.Counters.incr ~stage "memo_hit";
+    oc
+  | None ->
+    Robust.Counters.incr ~stage "memo_miss";
+    let oc = solve_coords_uncached h coords in
+    (* faults armed while it ran may have shaped this outcome *)
+    if not (Robust.Fault.enabled ()) then begin
+      match Mutex.protect memo_lock (fun () -> Cache.Lru.add memo key oc) with
+      | Some _ -> Robust.Counters.incr ~stage "memo_evict"
+      | None -> ()
+    end;
+    oc
+
+let memo_length () = Mutex.protect memo_lock (fun () -> Cache.Lru.length memo)
+let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
+
+(* An installed pulse cache is the only memo: a hit replays the stored
+   verdict bit for bit and skips Algorithm 1 entirely (no grid, no
+   Newton, no end-to-end class check — the pulse was verified when it was
+   stored). Without one, unbudgeted fault-free solves go through the
+   class memo. *)
 let solve_coords_r ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
   Obs.Span.with_ ~stage:"solver" ~name:"solve_coords" @@ fun () ->
   match validate h coords with
@@ -545,6 +590,8 @@ let solve_coords_r ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
     Robust.Outcome.Failed e
   | Ok () -> (
     match Pulse_cache.installed () with
+    | None when Option.is_none budget && not (Robust.Fault.enabled ()) ->
+      solve_coords_memo h coords
     | None -> solve_coords_uncached ?budget h coords
     | Some _ -> (
       let key = cache_fingerprint h coords in

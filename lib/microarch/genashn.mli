@@ -66,13 +66,33 @@ val solve : Coupling.t -> Mat.t -> (result, string) Stdlib.result
     Per-stage counters accumulate in {!Robust.Counters} under stages
     ["genashn"], ["solver.ea"] and ["solver.nd"].
 
-    When a pulse-synthesis cache is installed ({!Pulse_cache.install}),
-    the target's {!cache_fingerprint} is looked up first: a hit replays
-    the stored Solved/Degraded verdict bit for bit and skips the root
-    search entirely (counter ["cache_hit"]); a miss solves as usual and
-    stores the verdict. With no cache installed, behaviour is unchanged. *)
+    Three layers stand in front of the root search, tried in order:
+    - the tiered pulse cache, when one is installed
+      ({!Pulse_cache.install}): the target's {!cache_fingerprint} is
+      looked up first; a hit replays the stored Solved/Degraded verdict
+      bit for bit and skips the root search (counter ["cache_hit"]); a
+      miss solves and stores the verdict. The memo is not consulted.
+    - with no cache installed, the process-wide class memo: a bounded
+      ({!memo_capacity}) LRU keyed on the exact float bits of the
+      coupling and the coordinates, holding the full outcome. It answers
+      only when [budget] is absent and no fault site is armed, so
+      [Budget_exceeded] and every fault stay reachable. A hit returns
+      the outcome a fresh solve would, byte for byte. Counters
+      ["memo_hit"], ["memo_miss"] and ["memo_evict"].
+    - the solve itself (counter ["solve_run"], one per root search
+      actually run). *)
 val solve_coords_r :
   ?budget:Robust.Budget.t -> Coupling.t -> Weyl.Coords.t -> pulse Robust.Outcome.t
+
+(** Entries the class memo holds at most. *)
+val memo_capacity : int
+
+(** Entries the class memo holds now. *)
+val memo_length : unit -> int
+
+(** [memo_clear ()] empties the class memo, for tests and benchmarks that
+    must time or count real root searches. *)
+val memo_clear : unit -> unit
 
 (** [solve_r coupling u] is the typed-outcome variant of {!solve}: KAK
     errors surface as [Failed (Ill_conditioned _ | Nan_detected _)] and the

@@ -256,6 +256,214 @@ let test_duration_haar_averages () =
   Alcotest.(check bool) (Printf.sprintf "sqisw cost ~2.21 (got %.3f)" sqisw_count) true
     (sqisw_count > 2.1 && sqisw_count < 2.35)
 
+(* ------------------------------------------------- pinned pulse bytes *)
+
+(* Every pulse of the six pauli-eff programs (plan eff, seed 1, XY
+   coupling, one solve per 2Q gate), digested by float bits: the
+   verdict, the four pulse parameters and both 1Q correction pairs. The
+   digest was recorded before the solver had a class memo, so it pins
+   that the memo, cold or warm, changes no byte. *)
+let pauli_programs = [ "qaoa_8"; "qaoa_10"; "pf_6"; "pf_10"; "uccsd_8"; "uccsd_12" ]
+let pauli_eff_pulse_digest = "91dd2c3e90b8d4226d129da340b3c074"
+
+let xy = Coupling.xy ~g:1.0
+
+let pauli_eff_digest () =
+  let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Eff in
+  let suite = Benchmarks.Suite.suite () in
+  let b = Buffer.create 65536 in
+  let fl x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)) in
+  let mat m =
+    for i = 0 to Mat.rows m - 1 do
+      for j = 0 to Mat.cols m - 1 do
+        fl (Mat.get_re m i j);
+        fl (Mat.get_im m i j)
+      done
+    done
+  in
+  let pair = Option.iter (fun (u, v) -> mat u; mat v) in
+  List.iter
+    (fun name ->
+      let bench = List.find (fun (x : Benchmarks.Suite.bench) -> x.name = name) suite in
+      match Compiler.Passes.compile_plan ~plan (Rng.create 1L) bench.program with
+      | Error e -> Alcotest.fail (name ^ ": " ^ Robust.Err.to_string e)
+      | Ok (out, _) ->
+        Buffer.add_string b name;
+        List.iter
+          (fun (o : Reqisc.gate_outcome) ->
+            match o.outcome with
+            | Robust.Outcome.Solved i | Robust.Outcome.Degraded (i, _) ->
+              Buffer.add_string b
+                (match o.outcome with Robust.Outcome.Solved _ -> "s" | _ -> "d");
+              let p = i.Reqisc.pulse in
+              List.iter fl [ p.Genashn.tau; p.drive_x1; p.drive_x2; p.delta ];
+              pair i.pre;
+              pair i.post
+            | Robust.Outcome.Failed _ -> Buffer.add_string b "f")
+          (Reqisc.pulse_outcomes xy out.Compiler.Passes.circuit))
+    pauli_programs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let genashn_count name = Robust.Counters.get ~stage:"genashn" name
+let solve_runs () = genashn_count "solve_run"
+let memo_hits () = genashn_count "memo_hit"
+
+let test_pinned_pauli_eff_pulses () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  Alcotest.(check string) "cold memo" pauli_eff_pulse_digest (pauli_eff_digest ());
+  let runs0 = solve_runs () and hits0 = memo_hits () in
+  Alcotest.(check string) "warm memo" pauli_eff_pulse_digest (pauli_eff_digest ());
+  Alcotest.(check int) "warm pass runs no root search" runs0 (solve_runs ());
+  Alcotest.(check bool) "warm pass hits the memo" true (memo_hits () > hits0)
+
+(* ------------------------------------------------------ class memo *)
+
+(* an outcome as bytes: verdict, pulse float bits, degraded info *)
+let outcome_bits (o : Genashn.pulse Robust.Outcome.t) =
+  let pulse (p : Genashn.pulse) =
+    String.concat ","
+      (Tau.subscheme_to_string p.subscheme
+      :: List.map
+           (fun f -> Printf.sprintf "%Lx" (Int64.bits_of_float f))
+           [ p.tau; p.drive_x1; p.drive_x2; p.delta ])
+  in
+  match o with
+  | Robust.Outcome.Solved p -> "solved " ^ pulse p
+  | Robust.Outcome.Degraded (p, i) ->
+    Printf.sprintf "degraded %s %Lx %d %s" (pulse p)
+      (Int64.bits_of_float i.Robust.Outcome.residual)
+      i.retries i.note
+  | Robust.Outcome.Failed e -> "failed " ^ Robust.Err.to_string e
+
+let haar_classes n =
+  let r = Rng.create 17L in
+  List.init n (fun _ -> Weyl.Kak.coords_of (Quantum.Haar.su4 r))
+
+let named_gates =
+  Quantum.Gates.[ cnot; cz; iswap; sqisw; b_gate; swap ]
+
+(* an EA-subscheme class under XY, so the EA retry ladder is what runs *)
+let ea_class =
+  lazy
+    (let is_ea c =
+       match (Tau.plan xy c).Tau.subscheme with
+       | Tau.EA_same | Tau.EA_opposite -> true
+       | Tau.ND -> false
+     in
+     match
+       List.find_opt is_ea
+         (List.map
+            (fun (x, y, z) -> Weyl.Coords.make x y z)
+            [ (0.5, 0.3, 0.1); (0.7, 0.2, 0.1); (0.6, 0.5, 0.4); (0.3, 0.2, 0.1) ])
+     with
+     | Some c -> c
+     | None -> Alcotest.fail "no EA-subscheme class under XY")
+
+let test_memo_hit_identical () =
+  Robust.Fault.configure None;
+  List.iteri
+    (fun k c ->
+      Genashn.memo_clear ();
+      let fresh = outcome_bits (Genashn.solve_coords_r xy c) in
+      let runs0 = solve_runs () and hits0 = memo_hits () in
+      let hit = outcome_bits (Genashn.solve_coords_r xy c) in
+      Alcotest.(check string) (Printf.sprintf "haar %d bytes" k) fresh hit;
+      Alcotest.(check int) "no root search on a hit" runs0 (solve_runs ());
+      Alcotest.(check int) "hit counted" (hits0 + 1) (memo_hits ()))
+    (haar_classes 8);
+  List.iteri
+    (fun k g ->
+      Genashn.memo_clear ();
+      let bits = function
+        | Robust.Outcome.Solved (r : Genashn.result) | Robust.Outcome.Degraded (r, _) ->
+          outcome_bits (Robust.Outcome.Solved r.pulse)
+        | Robust.Outcome.Failed e -> Robust.Err.to_string e
+      in
+      let fresh = bits (Genashn.solve_r xy g) in
+      let runs0 = solve_runs () in
+      let hit = bits (Genashn.solve_r xy g) in
+      Alcotest.(check string) (Printf.sprintf "named gate %d bytes" k) fresh hit;
+      Alcotest.(check int) "no root search on a hit" runs0 (solve_runs ()))
+    named_gates
+
+let test_memo_keeps_budget () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  ignore (Genashn.solve_coords_r xy (Lazy.force ea_class));
+  Alcotest.(check int) "class memoized" 1 (Genashn.memo_length ());
+  let budget = Robust.Budget.make ~max_seconds:0.0 () in
+  match Genashn.solve_coords_r ~budget xy (Lazy.force ea_class) with
+  | Robust.Outcome.Failed (Robust.Err.Budget_exceeded _) -> ()
+  | o -> Alcotest.fail ("expected Budget_exceeded, got " ^ outcome_bits o)
+
+let test_memo_keeps_faults () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  let clean = outcome_bits (Genashn.solve_coords_r xy (Lazy.force ea_class)) in
+  Fun.protect ~finally:(fun () -> Robust.Fault.configure None) (fun () ->
+      Robust.Fault.configure (Some "ea_noconv:1");
+      (match Genashn.solve_coords_r xy (Lazy.force ea_class) with
+      | Robust.Outcome.Degraded (_, i) ->
+        Alcotest.(check bool) "retried past the vetoed rung" true (i.Robust.Outcome.retries >= 1)
+      | o -> Alcotest.fail ("expected a Degraded recovery, got " ^ outcome_bits o));
+      Alcotest.(check int) "fault fired" 1 (List.assoc "ea_noconv" (Robust.Fault.hits ())));
+  Alcotest.(check string) "faulted outcome was not memoized" clean
+    (outcome_bits (Genashn.solve_coords_r xy (Lazy.force ea_class)))
+
+let test_memo_bounded () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  (* classes one ulp apart are distinct keys, and each solves like CNOT *)
+  let k = 5 in
+  let classes =
+    let x = ref Weyl.Coords.cnot.x in
+    List.init (Genashn.memo_capacity + k) (fun _ ->
+        x := Float.pred !x;
+        Weyl.Coords.make !x 0.0 0.0)
+  in
+  let evict0 = genashn_count "memo_evict" in
+  List.iter (fun c -> ignore (Genashn.solve_coords_r xy c)) classes;
+  Alcotest.(check int) "held at capacity" Genashn.memo_capacity (Genashn.memo_length ());
+  Alcotest.(check int) "evictions counted" k (genashn_count "memo_evict" - evict0);
+  let runs0 = solve_runs () in
+  ignore (Genashn.solve_coords_r xy (List.hd classes));
+  Alcotest.(check int) "least recently used class was evicted" (runs0 + 1) (solve_runs ())
+
+let test_memo_off_under_pulse_cache () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  match Cache.create () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    let hits0 = genashn_count "memo_hit" and misses0 = genashn_count "memo_miss" in
+    let cache_hits0 = genashn_count "cache_hit" in
+    Pulse_cache.with_cache c (fun () ->
+        ignore (Genashn.solve_coords_r xy (Lazy.force ea_class));
+        ignore (Genashn.solve_coords_r xy (Lazy.force ea_class)));
+    Cache.close c;
+    Alcotest.(check int) "memo empty" 0 (Genashn.memo_length ());
+    Alcotest.(check int) "no memo hit" hits0 (genashn_count "memo_hit");
+    Alcotest.(check int) "no memo miss" misses0 (genashn_count "memo_miss");
+    Alcotest.(check int) "the pulse cache answered" (cache_hits0 + 1) (genashn_count "cache_hit")
+
+let test_memo_parallel_deterministic () =
+  Robust.Fault.configure None;
+  let classes = haar_classes 6 @ List.map Weyl.Kak.coords_of named_gates in
+  (* each domain gets one copy, so both race on every class *)
+  let work = classes @ classes in
+  let run map =
+    Genashn.memo_clear ();
+    map (fun c -> outcome_bits (Genashn.solve_coords_r xy c)) work
+  in
+  let serial = run List.map in
+  let par = run (Par.parallel_map ~domains:2) in
+  Alcotest.(check (list string)) "2-domain map matches serial" serial par;
+  Alcotest.(check (list string)) "warm 2-domain map matches serial" serial
+    (Par.parallel_map ~domains:2
+       (fun c -> outcome_bits (Genashn.solve_coords_r xy c))
+       work)
+
 let qcheck_tests =
   let arb_seed = QCheck.make QCheck.Gen.(map Int64.of_int (int_bound 1000000)) in
   [
@@ -309,6 +517,16 @@ let () =
           Alcotest.test_case "table3 singles" `Quick test_duration_table3_singles;
           Alcotest.test_case "gates needed" `Quick test_duration_gates_needed;
           Alcotest.test_case "haar averages" `Slow test_duration_haar_averages;
+        ] );
+      ( "pulse memo",
+        [
+          Alcotest.test_case "pinned pauli-eff pulses" `Quick test_pinned_pauli_eff_pulses;
+          Alcotest.test_case "hit is bit-identical" `Quick test_memo_hit_identical;
+          Alcotest.test_case "budget still enforced" `Quick test_memo_keeps_budget;
+          Alcotest.test_case "faults still fire" `Quick test_memo_keeps_faults;
+          Alcotest.test_case "bounded with evictions" `Quick test_memo_bounded;
+          Alcotest.test_case "off under a pulse cache" `Quick test_memo_off_under_pulse_cache;
+          Alcotest.test_case "2-domain map deterministic" `Quick test_memo_parallel_deterministic;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -6,6 +6,12 @@
 
 let disarm () = Robust.Fault.configure None
 
+(* one class computed by the pulse solver: a root search, or a hit in the
+   solver's class memo standing in for one *)
+let class_computations () =
+  Robust.Counters.get ~stage:"genashn" "solve_run"
+  + Robust.Counters.get ~stage:"genashn" "memo_hit"
+
 let with_faults spec f =
   Robust.Fault.configure (Some spec);
   Fun.protect ~finally:disarm f
@@ -592,7 +598,7 @@ let storm_line id =
   Printf.sprintf "{\"v\":1,\"id\":%d,\"op\":\"pulses\",\"coords\":[0.6,0.5,0.4]}" id
 
 (* the plugs are compile requests, for two reasons: they never touch the
-   pulse solver (so the storm's solve_run delta is exactly the storm's),
+   pulse solver (so the storm's class computations are exactly the storm's),
    and their cost is immune to the "ea_noconv" fault site — an armed EA
    fault makes a pulses plug fail in microseconds, which would unplug
    the fault-fan-out storm *)
@@ -652,11 +658,11 @@ let check_storm_fanout ~stormers resps =
 let test_coalesce_storm () =
   disarm ();
   let stormers = 8 in
-  let runs0 = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let runs0 = class_computations () in
   let hits0 = Robust.Counters.get ~stage:"serve" "coalesce_hit" in
   let resps = run_storm ~stormers () in
-  let runs = Robust.Counters.get ~stage:"genashn" "solve_run" - runs0 in
-  Alcotest.(check int) "one solver run for the whole storm" 1 runs;
+  let runs = class_computations () - runs0 in
+  Alcotest.(check int) "one class computation for the whole storm" 1 runs;
   Alcotest.(check int) "the other waiters coalesced" (stormers - 1)
     (Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0);
   let body = check_storm_fanout ~stormers resps in
@@ -739,7 +745,7 @@ let test_deadline_expired_skips_solver () =
   disarm ();
   (* [deadline_ms = 0] is expired on arrival: the engine must answer the
      typed error at dequeue and never invoke the solver *)
-  let runs0 = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let runs0 = class_computations () in
   let exceeded0 = Robust.Counters.get ~stage:"serve" "deadline_exceeded" in
   let summary, lines =
     run_server
@@ -754,7 +760,7 @@ let test_deadline_expired_skips_solver () =
   Alcotest.(check bool) "typed deadline_exceeded" true (contains l "deadline_exceeded");
   Alcotest.(check bool) "stage named" true (contains l "serve.deadline");
   Alcotest.(check int) "solver never ran" 0
-    (Robust.Counters.get ~stage:"genashn" "solve_run" - runs0);
+    (class_computations () - runs0);
   Alcotest.(check int) "drop counted" 1
     (Robust.Counters.get ~stage:"serve" "deadline_exceeded" - exceeded0);
   Alcotest.(check bool) "later request unaffected" true
@@ -829,7 +835,7 @@ let test_coalesce_drain_waiters () =
      leader once and fan its response to every waiter — a draining server
      may not strand coalesced waiters *)
   let stormers = 6 in
-  let runs0 = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let runs0 = class_computations () in
   let hits0 = Robust.Counters.get ~stage:"serve" "coalesce_hit" in
   let lines =
     plug_lines
@@ -840,8 +846,8 @@ let test_coalesce_drain_waiters () =
   Alcotest.(check int) "plugs + waiters + shutdown all answered"
     (List.length plug_lines + stormers + 1)
     (List.length resps);
-  Alcotest.(check int) "one solver run for the whole storm" 1
-    (Robust.Counters.get ~stage:"genashn" "solve_run" - runs0);
+  Alcotest.(check int) "one class computation for the whole storm" 1
+    (class_computations () - runs0);
   Alcotest.(check int) "waiters coalesced" (stormers - 1)
     (Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0);
   let bodies =
