@@ -3,7 +3,7 @@
 
 RESULTS ?= results
 
-.PHONY: all build test check bench-smoke bench-passes bench-isa bench-obs bench-net bench-chaos demo bench microbench tables figures csv clean
+.PHONY: all build test check bench-smoke bench-isa bench-obs bench-net bench-chaos demo bench microbench tables figures csv clean
 
 all: build
 
@@ -14,21 +14,14 @@ test:
 	dune runtest
 
 # fast health check: full test suite plus a tiny benchmark pass that
-# exercises the SoA-vs-boxed cross-checks and the table2 fan-out
+# exercises the SoA-vs-boxed cross-checks, the table2 fan-out and the
+# tracing overhead contract (BENCH_obs.json)
 check: build test bench-smoke
 
 bench-smoke: build
 	dune exec bench/microbench.exe -- --smoke --out _build/bench_smoke.json
 	dune exec bench/main.exe -- table2 --limit 4
-	dune exec bench/main.exe -- compile --limit 3
-	dune exec bench/main.exe -- serve --limit 3
 	dune exec bench/main.exe -- obs --limit 2
-
-# nanopass pipeline bench alone: per-pass wall time / #2Q / depth over
-# the eff+full plans, gated on per-pass Chrome-trace spans; writes
-# BENCH_passes.json and BENCH_passes_trace.json
-bench-passes: build
-	dune exec bench/main.exe -- compile
 
 # cross-ISA matrix bench: a suite prefix compiled to every target ISA
 # (per-target 2Q count / depth / synthesized duration / wall time),
@@ -37,15 +30,15 @@ bench-passes: build
 bench-isa: build
 	dune exec bench/main.exe -- isa
 
-# observability bench alone: tracing overhead contract + per-stage
-# latencies; writes BENCH_obs.json and BENCH_obs_trace.json
+# observability bench alone: tracing overhead contract (<= 2%) and an
+# in-memory Chrome-trace validity check; writes BENCH_obs.json
 bench-obs: build
 	dune exec bench/main.exe -- obs
 
-# socket transport load bench: 8 pipelined clients over a unix socket
-# (JSON-lines and binary-frame passes) vs direct in-process execution of
-# the same warm-cache stream, plus the duplicate-storm coalescing check;
-# writes BENCH_serve_net.json (gates: meets_1x, p99_halved, single_run)
+# socket transport load bench: 8 pipelined binary-frame clients over a
+# unix socket vs direct in-process execution of the same warm-cache
+# stream; writes BENCH_serve_net.json (gates: meets_1x, p99_halved,
+# within_2x)
 bench-net: build
 	dune exec bench/main.exe -- serve-net
 

@@ -3,20 +3,18 @@
 
      dune exec bench/main.exe [-- TARGET ...] [--big] [--haar-n N]
                               [--trajectories N] [--limit N] [--clients N]
-                              [--pipeline N] [--csv-dir D]
+                              [--seed N] [--csv-dir D]
 
    Targets: table1 table2 table3 fig4 fig5 fig6 fig12 fig13 fig14 fig15
    fig16 templates variational calibration decoherence calibrate leakage
-   compile isa serve serve-net chaos obs all (default: all).
-   compile profiles the nanopass plans per pass (--limit is its suite
-   prefix) and gates on per-pass Chrome-trace spans. isa compiles a
-   suite prefix to every target ISA (--limit is its suite prefix),
-   gates on the reconfigurable ISA beating every fixed target on 2Q
-   count, and writes the matrix to BENCH_isa.json. For
-   serve-net, --limit is the per-client request count, --clients the
-   load-generator count, --pipeline the per-client pipelining window
-   (0 = the whole stream at once), and --seed pins client-side jitter
-   for reproducible latency percentiles. For chaos, --limit is the
+   isa serve-net chaos obs all (default: all).
+   isa compiles a suite prefix to every target ISA (--limit is its suite
+   prefix), gates on the reconfigurable ISA beating every fixed target
+   on 2Q count, and writes the matrix to BENCH_isa.json. For serve-net,
+   --limit is the per-client request count, --clients the
+   load-generator count, and --seed pins client-side jitter for
+   reproducible latency percentiles. For obs, --limit is the suite
+   prefix of the traced workload. For chaos, --limit is the
    per-client request count, --clients the client count, and --seed the
    fault-schedule seed.
    chaos is opt-in: it runs only when named explicitly, not under
@@ -31,12 +29,11 @@
 let known_targets =
   [ "table1"; "table2"; "table3"; "fig4"; "fig5"; "fig6"; "fig12"; "fig13";
     "fig14"; "fig15"; "fig16"; "templates"; "variational"; "calibration";
-    "decoherence"; "calibrate"; "leakage"; "compile"; "isa"; "serve";
-    "serve-net"; "chaos"; "obs"; "all" ]
+    "decoherence"; "calibrate"; "leakage"; "isa"; "serve-net"; "chaos";
+    "obs"; "all" ]
 
 let value_flags =
-  [ "--haar-n"; "--trajectories"; "--limit"; "--clients"; "--pipeline";
-    "--seed"; "--csv-dir" ]
+  [ "--haar-n"; "--trajectories"; "--limit"; "--clients"; "--seed"; "--csv-dir" ]
 
 let usage () =
   Printf.eprintf "targets: %s\nflags:   --big, %s N\n"
@@ -111,8 +108,6 @@ let () =
   | _ -> ());
   let clients = get_int "--clients" 8 in
   if clients <= 0 then fail "--clients expects a positive integer, got %d" clients;
-  let pipeline = get_int "--pipeline" 0 in
-  if pipeline < 0 then fail "--pipeline expects a non-negative integer, got %d" pipeline;
   let seed = get_int_opt "--seed" in
   let targets = if targets = [] then [ "all" ] else targets in
   let want t = List.mem t targets || List.mem "all" targets in
@@ -134,11 +129,8 @@ let () =
   if want "decoherence" then Extras.decoherence ~trajectories ();
   if want "calibrate" then Extras.calibrate ();
   if want "leakage" then Extras.leakage_study ();
-  if want "compile" then Passes_bench.compile_bench ?limit ~big ();
   if want "isa" then Isa_bench.isa_bench ?limit ~big ();
-  if want "serve" then Serve_bench.serve ?limit ~big ();
-  if want "serve-net" then
-    Serve_net_bench.serve_net ~clients ~pipeline ?requests:limit ?seed ();
+  if want "serve-net" then Serve_net_bench.serve_net ~clients ?requests:limit ?seed ();
   (* chaos only on explicit request: it arms process-global fault
      injection, which must never leak into the measurement targets *)
   if List.mem "chaos" targets then Chaos_bench.chaos ~clients ?requests:limit ?seed ();

@@ -1,14 +1,11 @@
-(* `obs` bench target: the observability layer's overhead contract and
-   per-stage latency profile.
+(* `obs` bench target: the observability layer's overhead contract.
 
    Runs the same compile+synthesize workload with and without a recorder
    installed (fresh in-memory pulse cache per repetition, so every rep
-   does identical cold work), asserts tracing costs <= 2% wall clock,
-   then reports per-(stage, name) span counts and p50/p99 latencies from
-   the histogram registry. A serve protocol round runs under the same
-   recorder so queue-wait / exec spans show up too. Writes BENCH_obs.json
-   and BENCH_obs_trace.json (Chrome trace-event format, validated by
-   re-parsing with Serve.Json) at the repo root. *)
+   does identical cold work) and asserts tracing costs <= 2% wall clock.
+   The last traced rep's events are rendered as a Chrome trace and
+   re-parsed with Serve.Json (trace_valid). Writes BENCH_obs.json at the
+   repo root. *)
 
 open Util
 
@@ -42,45 +39,22 @@ let median xs =
     let nth i = List.nth sorted i in
     if n mod 2 = 1 then nth (n / 2) else 0.5 *. (nth ((n / 2) - 1) +. nth (n / 2))
 
-let write_json path ~limit ~untraced ~traced ~overhead ~pass ~trace_valid ~events
-    ~series =
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"workload\": {\"benches\": %d, \"mode\": \"eff\", \"reps\": %d},\n" limit reps;
-  bpf "  \"untraced_seconds\": %.6f,\n" untraced;
-  bpf "  \"traced_seconds\": %.6f,\n" traced;
-  bpf "  \"overhead\": %.6f,\n" overhead;
-  bpf "  \"overhead_budget\": %.3f,\n" overhead_budget;
-  bpf "  \"overhead_pass\": %b,\n" pass;
-  bpf "  \"trace_events\": %d,\n" events;
-  bpf "  \"trace_valid\": %b,\n" trace_valid;
-  bpf "  \"spans\": {\n";
-  let n = List.length series in
-  List.iteri
-    (fun i (s : Obs.Hist.series) ->
-      bpf "    \"%s.%s\": {\"count\": %d, \"sum_seconds\": %.6f, \
-           \"p50_seconds\": %.9f, \"p99_seconds\": %.9f}%s\n"
-        s.Obs.Hist.stage s.Obs.Hist.name s.Obs.Hist.count
-        (float_of_int s.Obs.Hist.sum_ns /. 1e9)
-        (Obs.Hist.quantile s 0.5 /. 1e9)
-        (Obs.Hist.quantile s 0.99 /. 1e9)
-        (if i = n - 1 then "" else ","))
-    series;
-  bpf "  }\n";
-  bpf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [obs] wrote %s\n%!" path
+let write_json path ~limit ~untraced ~traced ~overhead ~pass ~trace_valid ~events =
+  Util.write_json_report ~tag:"obs" path (fun buf ->
+      let bpf fmt = Util.bprintf buf fmt in
+      bpf "  \"workload\": {\"benches\": %d, \"mode\": \"eff\", \"reps\": %d},\n" limit
+        reps;
+      bpf "  \"untraced_seconds\": %.6f,\n" untraced;
+      bpf "  \"traced_seconds\": %.6f,\n" traced;
+      bpf "  \"overhead\": %.6f,\n" overhead;
+      bpf "  \"overhead_budget\": %.3f,\n" overhead_budget;
+      bpf "  \"overhead_pass\": %b,\n" pass;
+      bpf "  \"trace_events\": %d,\n" events;
+      bpf "  \"trace_valid\": %b\n" trace_valid)
 
 (* the Chrome trace must load in a real JSON parser with the expected
    shape, not merely be non-empty *)
-let validate_trace path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
+let validate_trace s =
   match Serve.Json.parse s with
   | Error _ -> false
   | Ok json -> (
@@ -97,9 +71,7 @@ let validate_trace path =
            evs)
 
 let obs ?(limit = 3) ~big () =
-  hr "obs: tracing overhead + per-stage latency profile";
-  Obs.Hist.reset ();
-  Obs.Metric.reset ();
+  hr "obs: tracing overhead contract";
   (* warm up once (page in the template library paths etc.), then
      alternate which side runs first each rep so heap growth, frequency
      scaling and GC drift hit both sides equally *)
@@ -129,11 +101,6 @@ let obs ?(limit = 3) ~big () =
       run_plain ()
     end
   done;
-  (* a serve round under the recorder: queue-wait + exec spans *)
-  let smoke_ok =
-    let (ok, _, _), _ = Obs.Recorder.with_recorder Serve_bench.protocol_smoke in
-    ok
-  in
   let t_untraced = min_of !untraced and t_traced = min_of !traced in
   (* overhead is the median of per-rep traced/plain ratios: pairing the
      two sides inside each rep cancels machine drift that min-of-reps
@@ -144,9 +111,7 @@ let obs ?(limit = 3) ~big () =
   let events =
     match !last_recorder with Some r -> Obs.Recorder.events r | None -> []
   in
-  Obs.Export.write_chrome_trace "BENCH_obs_trace.json" events;
-  let trace_valid = validate_trace "BENCH_obs_trace.json" in
-  let series = Obs.Hist.snapshot () in
+  let trace_valid = validate_trace (Obs.Export.chrome_trace events) in
   Printf.printf "  workload: %d benches, %d reps (paired per-rep ratios)\n" limit reps;
   Printf.printf
     "  untraced min %.3fs  traced min %.3fs  overhead (median ratio) %+.2f%% \
@@ -155,15 +120,5 @@ let obs ?(limit = 3) ~big () =
     (if pass then "PASS" else "FAIL");
   Printf.printf "  chrome trace: %d events, loads as JSON: %s\n" (List.length events)
     (if trace_valid then "PASS" else "FAIL");
-  Printf.printf "  serve smoke under tracing: %s\n" (if smoke_ok then "PASS" else "FAIL");
-  Printf.printf "  %-28s %8s %12s %12s\n" "stage.name" "count" "p50" "p99";
-  List.iter
-    (fun (s : Obs.Hist.series) ->
-      Printf.printf "  %-28s %8d %10.3fms %10.3fms\n"
-        (s.Obs.Hist.stage ^ "." ^ s.Obs.Hist.name)
-        s.Obs.Hist.count
-        (Obs.Hist.quantile s 0.5 /. 1e6)
-        (Obs.Hist.quantile s 0.99 /. 1e6))
-    series;
   write_json "BENCH_obs.json" ~limit ~untraced:t_untraced ~traced:t_traced ~overhead
-    ~pass ~trace_valid ~events:(List.length events) ~series
+    ~pass ~trace_valid ~events:(List.length events)

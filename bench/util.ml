@@ -82,12 +82,6 @@ let write_robust_json path =
 
 (* ------------------------------------------ serve-bench shared helpers *)
 
-(* classes the pulse solver computed: root searches plus class-memo hits,
-   which stand in for them *)
-let class_computations () =
-  Robust.Counters.get ~stage:"genashn" "solve_run"
-  + Robust.Counters.get ~stage:"genashn" "memo_hit"
-
 (* latency percentile over an ascending-sorted sample list *)
 let percentile sorted p =
   match sorted with
@@ -120,29 +114,40 @@ let write_json_report ~tag path build =
 
 (* socket server on a background thread: wait for the ready signal, run
    [f] against the actual bound address (so tcp:HOST:0 workloads see the
-   kernel-assigned port), then shut down over the wire and join.
+   kernel-assigned port), then shut down over the wire and join. A
+   server that returns without becoming ready (cache or bind failure)
+   fails with its own error instead of leaving the wait spinning.
    [before_shutdown] runs after [f] — the chaos bench disarms fault
    injection there so an armed frame_drop cannot eat the shutdown
    response. Returns the server summary alongside [f]'s result. *)
 let with_net_server ~tag ~config ?(before_shutdown = fun () -> ())
     ?(shutdown_retries = 0) addr f =
-  let ready = Atomic.make false in
+  let ready = Atomic.make false and finished = Atomic.make false in
   let actual = ref addr in
   let result = ref (Error "server did not return") in
   let server =
     Thread.create
       (fun () ->
-        result :=
-          Serve.Transport.serve ~config
-            ~ready:(fun a ->
-              actual := a;
-              Atomic.set ready true)
-            addr)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            result :=
+              Serve.Transport.serve ~config
+                ~ready:(fun a ->
+                  actual := a;
+                  Atomic.set ready true)
+                addr))
       ()
   in
-  while not (Atomic.get ready) do
+  while not (Atomic.get ready || Atomic.get finished) do
     Thread.delay 0.002
   done;
+  if not (Atomic.get ready) then begin
+    Thread.join server;
+    match !result with
+    | Error e -> failwith (tag ^ ": server failed to start: " ^ e)
+    | Ok _ -> failwith (tag ^ ": server returned before it was ready")
+  end;
   let out = f !actual in
   before_shutdown ();
   (match

@@ -355,20 +355,50 @@ let solve_gate gate =
   | Robust.Outcome.Degraded (r, _) -> r
   | Robust.Outcome.Failed e -> Alcotest.failf "solve failed: %s" (Robust.Err.to_string e)
 
+(* a real program's worth of Weyl classes: the 2Q gates of alu_1
+   compiled under eff *)
+let alu_1_circuit () =
+  let b =
+    List.find
+      (fun (b : Benchmarks.Suite.bench) -> b.Benchmarks.Suite.name = "alu_1")
+      (Benchmarks.Suite.suite ())
+  in
+  let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Eff in
+  (fst (Compiler.Passes.compile_plan_exn ~plan (Rng.create 1L) b.Benchmarks.Suite.program))
+    .Compiler.Passes.circuit
+
+(* the program's pulses through the facade, reduced to per-gate verdicts
+   and IEEE bits so cold and warm passes compare byte for byte *)
+let program_pulses cache circuit =
+  Reqisc.with_pulse_cache cache (fun () ->
+      List.map
+        (fun (o : Reqisc.gate_outcome) ->
+          match o.Reqisc.outcome with
+          | Robust.Outcome.Solved i -> ("solved", pulse_bits i.Reqisc.pulse)
+          | Robust.Outcome.Degraded (i, d) ->
+            ( Printf.sprintf "degraded %Lx %d %s"
+                (Int64.bits_of_float d.Robust.Outcome.residual)
+                d.Robust.Outcome.retries d.Robust.Outcome.note,
+              pulse_bits i.Reqisc.pulse )
+          | Robust.Outcome.Failed e -> ("failed " ^ Robust.Err.to_string e, []))
+        (Reqisc.pulse_outcomes xy circuit))
+
 let test_solver_round_trip () =
   Robust.Fault.configure None;
   let path = tmp_path ".rqcache" in
   let gates = [ Quantum.Gates.cnot; Quantum.Gates.iswap; Quantum.Gates.b_gate ] in
+  let program = alu_1_circuit () in
   (* cold: populate the cache *)
-  let cold =
+  let cold, cold_program =
     match Cache.create ~path () with
     | Error e -> Alcotest.failf "create: %s" e
     | Ok c ->
-      Microarch.Pulse_cache.with_cache c (fun () ->
-          let rs = List.map solve_gate gates in
-          Cache.close c;
-          rs)
+      let rs = Microarch.Pulse_cache.with_cache c (fun () -> List.map solve_gate gates) in
+      let ps = program_pulses c program in
+      Cache.close c;
+      (rs, ps)
   in
+  Alcotest.(check bool) "alu_1 has 2Q gates to pulse" true (cold_program <> []);
   (* warm: a fresh process would reload from disk; model that with a new
      cache instance over the same file *)
   (match Cache.create ~path () with
@@ -394,6 +424,14 @@ let test_solver_round_trip () =
           (Robust.Counters.get ~stage:"genashn" "solve_run");
         Alcotest.(check bool) "every warm solve was a hit" true
           (Robust.Counters.get ~stage:"genashn" "cache_hit" >= hits0 + 3));
+    (* the reload path must serve a whole compiled program: no root
+       search at all, and the pulses replay bit for bit *)
+    let runs0 = Robust.Counters.get ~stage:"genashn" "solve_run" in
+    let warm_program = program_pulses c program in
+    Alcotest.(check int) "no solver runs on the warm program" runs0
+      (Robust.Counters.get ~stage:"genashn" "solve_run");
+    Alcotest.(check (list (pair string (list int64))))
+      "warm program pulses bit-identical to cold" cold_program warm_program;
     Cache.close c);
   (* uninstalled again: behaviour reverts to plain solving *)
   Alcotest.(check bool) "no cache left installed" true

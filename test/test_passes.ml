@@ -214,15 +214,30 @@ let test_slicing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "of_names accepted an unknown pass"
 
-(* default plans must reproduce the historical fused pipeline exactly *)
+(* default plans must reproduce the historical fused pipeline exactly,
+   and every pass they execute must show as its own stage="compiler"
+   span in a recorded trace *)
 let test_plan_matches_pipeline () =
   List.iter
     (fun (mode, pmode) ->
-      let out_plan =
-        fst
-          (Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode)
-             (Rng.create 7L) (Pass.Gates toffoli_chain))
+      let (out_plan, stats), recorder =
+        Obs.Recorder.with_recorder (fun () ->
+            Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode)
+              (Rng.create 7L) (Pass.Gates toffoli_chain))
       in
+      let spans =
+        List.filter_map
+          (fun (e : Obs.Sink.span_event) ->
+            if e.Obs.Sink.stage = "compiler" then Some e.Obs.Sink.name else None)
+          (Obs.Recorder.events recorder)
+      in
+      let executed = List.filter (fun (s : Passes.pass_stat) -> s.Passes.ran) stats in
+      Alcotest.(check bool) "some pass executed" true (executed <> []);
+      List.iter
+        (fun (s : Passes.pass_stat) ->
+          Alcotest.(check bool) (s.Passes.pass ^ " has its own span") true
+            (List.mem s.Passes.pass spans))
+        executed;
       let out_pipe = Pipeline.compile ~mode:pmode (Rng.create 7L) (Pipeline.Gates toffoli_chain) in
       Alcotest.(check int)
         "same 2q count"

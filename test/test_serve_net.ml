@@ -48,24 +48,34 @@ let shutdown_body = J.Obj [ ("op", J.Str "shutdown") ]
 
 (* run [Transport.serve] in a thread, hand [f] the actual bound address
    (kernel-assigned port for tcp:...:0), and require f to have triggered
-   the drain (shutdown request) before returning *)
+   the drain (shutdown request) before returning. A server that returns
+   without becoming ready fails the test with its own error. *)
 let with_server ?(config = net_config ()) listen f =
-  let ready = Atomic.make false in
+  let ready = Atomic.make false and finished = Atomic.make false in
   let actual = ref listen in
   let result = ref (Error "server did not return") in
   let th =
     Thread.create
       (fun () ->
-        result :=
-          T.serve ~config
-            ~ready:(fun a ->
-              actual := a;
-              Atomic.set ready true)
-            listen)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            result :=
+              T.serve ~config
+                ~ready:(fun a ->
+                  actual := a;
+                  Atomic.set ready true)
+                listen))
       ()
   in
   let rec wait n =
-    if not (Atomic.get ready) then
+    if Atomic.get finished && not (Atomic.get ready) then begin
+      Thread.join th;
+      match !result with
+      | Error e -> Alcotest.failf "server failed to start: %s" e
+      | Ok _ -> Alcotest.fail "server returned before it was ready"
+    end
+    else if not (Atomic.get ready) then
       if n > 2000 then Alcotest.fail "server did not become ready"
       else begin
         Thread.delay 0.005;
@@ -652,6 +662,78 @@ let test_bind_failure () =
   Sys.remove path;
   if Sys.file_exists cache_path then Sys.remove cache_path
 
+(* ------------------------------------------------------- coalescing *)
+
+(* classes the pulse solver computed: root searches plus class-memo hits,
+   which stand in for them *)
+let class_computations () =
+  Robust.Counters.get ~stage:"genashn" "solve_run"
+  + Robust.Counters.get ~stage:"genashn" "memo_hit"
+
+let storm_request = "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"coords\":[0.6,0.5,0.4]}"
+let plug_coords = List.init 16 (fun i -> (0.5, 0.3, 0.002 *. float_of_int (i + 1)))
+
+(* K socket clients fire one identical cold request at once; the
+   engine's single-flight admission must compute the class once and fan
+   the result out. A plug client first queues distinct cold solves on
+   the single worker, so every storm request is submitted (and
+   coalesced) while the plug still executes and arrival jitter cannot
+   split the flight. *)
+let test_coalesce_storm () =
+  let stormers = 8 in
+  let computations0 = class_computations () in
+  let hits0 = Robust.Counters.get ~stage:"serve" "coalesce_hit" in
+  let _summary, () =
+    with_server ~config:(net_config ~workers:1 ()) (temp_unix_addr ()) (fun addr ->
+        let plug = ok_or_fail "plug connect" (C.connect addr) in
+        List.iter
+          (fun (x, y, z) ->
+            let line =
+              Printf.sprintf "{\"v\":1,\"op\":\"pulses\",\"coords\":[%.17g,%.17g,%.17g]}"
+                x y z
+            in
+            ok_or_fail "plug send" (C.send_line ~flush:false plug line))
+          plug_coords;
+        ok_or_fail "plug flush" (C.flush plug);
+        let conns = Array.init stormers (fun _ -> ok_or_fail "storm connect" (C.connect addr)) in
+        let answers = Array.make stormers None in
+        let release = Atomic.make false in
+        let threads =
+          List.init stormers (fun i ->
+              Thread.create
+                (fun () ->
+                  while not (Atomic.get release) do
+                    Thread.yield ()
+                  done;
+                  answers.(i) <-
+                    (match C.send_line conns.(i) storm_request with
+                    | Error _ as e -> Some e
+                    | Ok () -> Some (C.recv conns.(i))))
+                ())
+        in
+        Atomic.set release true;
+        List.iter Thread.join threads;
+        Array.iteri
+          (fun i answer ->
+            C.close conns.(i);
+            match answer with
+            | Some (Ok r) ->
+              Alcotest.(check (option bool)) "storm answered ok" (Some true)
+                (J.mem_bool "ok" r)
+            | Some (Error e) -> Alcotest.failf "storm client: %s" (C.error_to_string e)
+            | None -> Alcotest.fail "storm client did not finish")
+          answers;
+        List.iter (fun _ -> ignore (ok_or_fail "plug recv" (C.recv plug))) plug_coords;
+        ignore (ok_or_fail "shutdown" (C.request plug shutdown_body));
+        C.close plug)
+  in
+  (* each plug class and the storm's class count once, whether solved or
+     answered by the class memo *)
+  Alcotest.(check int) "one class computation for the storm" 1
+    (class_computations () - computations0 - List.length plug_coords);
+  Alcotest.(check int) "the other stormers coalesced" (stormers - 1)
+    (Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0)
+
 (* ----------------------------------------------------------- resilience *)
 
 (* one worker and a pipelined burst of distinct cold solves at the given
@@ -766,6 +848,7 @@ let () =
           Alcotest.test_case "differential vs stdio" `Quick test_differential;
           Alcotest.test_case "shutdown drains queued" `Quick test_shutdown_drains_queued;
           Alcotest.test_case "bind failure" `Quick test_bind_failure;
+          Alcotest.test_case "coalesce storm over socket" `Quick test_coalesce_storm;
         ] );
       ( "binary",
         [
