@@ -75,12 +75,18 @@ let block_unitary b =
     in
     find 0 qubits
   in
-  List.fold_left
-    (fun acc (g : Gate.t) ->
-      let local_wires = List.map pos (Array.to_list g.qubits) in
-      Mat.mul (Quantum.Gates.embed ~n:k ~qubits:local_wires g.mat) acc)
-    (Mat.identity (1 lsl k))
-    b.gates
+  let dim = 1 lsl k in
+  let acc = ref (Mat.identity dim) and spare = ref (Mat.create dim dim) in
+  List.iter
+    (fun (g : Gate.t) ->
+      let wires = List.map pos (Array.to_list g.qubits) in
+      Quantum.Gates.apply_left_into (Quantum.Gates.plan ~n:k ~qubits:wires) ~dst:!spare
+        g.mat !acc;
+      let prev = !acc in
+      acc := !spare;
+      spare := prev)
+    b.gates;
+  !acc
 
 let count_2q b = List.fold_left (fun acc g -> if Gate.is_2q g then acc + 1 else acc) 0 b.gates
 let to_circuit n blocks = Circuit.create n (List.concat_map (fun b -> b.gates) blocks)

@@ -2,8 +2,7 @@ open Numerics
 
 let stage = "compiler.hier"
 
-let resynthesize lib rng ~w block =
-  ignore rng;
+let resynthesize lib ~w block =
   let k = Blocks.count_2q block in
   let u = Blocks.block_unitary block in
   let qarr = Array.of_list block.Blocks.qubits in
@@ -23,8 +22,8 @@ let resynthesize lib rng ~w block =
 
 (* Resynthesis must never abort a compile: any numerical breakdown inside
    the template search degrades to keeping the block's original gates. *)
-let resynthesize_safe lib rng ~w block =
-  match resynthesize lib rng ~w block with
+let resynthesize_safe lib ~w block =
+  match resynthesize lib ~w block with
   | Some gates ->
     Robust.Counters.incr ~stage "resynth_ok";
     Some gates
@@ -52,7 +51,7 @@ let one_round lib rng ~w ~m_th ~compacting (c : Circuit.t) =
     List.concat_map
       (fun (b : Blocks.block) ->
         if Blocks.count_2q b > m_th then
-          match resynthesize_safe lib rng ~w b with
+          match resynthesize_safe lib ~w b with
           | Some gates -> gates
           | None -> b.gates
         else b.gates)

@@ -7,45 +7,53 @@ let slot_wires = function
   | Free1q q -> [| q |]
   | Fixed g -> g.Gate.qubits
 
-(* Environment of a slot: with M = B . target† . A (n-qubit operators) and
-   the slot acting on wires [qs], E[i][j] = sum_s M[idx(j,s), idx(i,s)] so
-   that Tr(M . embed g) = Tr(Eᵀ g). *)
-let environment ~n m qs =
-  let k = Array.length qs in
-  let gate_pos = Array.map (fun q -> n - 1 - q) qs in
-  let spect_pos =
-    Array.of_list
-      (List.filter
-         (fun p -> not (Array.exists (fun gp -> gp = p) gate_pos))
-         (List.init n (fun i -> i)))
-  in
-  let idx g s =
-    let v = ref 0 in
-    Array.iteri
-      (fun pos p -> if (g lsr (k - 1 - pos)) land 1 = 1 then v := !v lor (1 lsl p))
-      gate_pos;
-    Array.iteri
-      (fun pos p -> if (s lsr pos) land 1 = 1 then v := !v lor (1 lsl p))
-      spect_pos;
-    !v
-  in
-  let sub = 1 lsl k and spect = 1 lsl (n - k) in
-  Mat.init sub sub (fun i j ->
-      let acc = ref Cx.zero in
-      for s = 0 to spect - 1 do
-        acc := Cx.( +: ) !acc (Mat.get m (idx j s) (idx i s))
-      done;
-      !acc)
-
-let embed ~n (qs : int array) mat =
-  Quantum.Gates.embed ~n ~qubits:(Array.to_list qs) mat
-
+(* Each sweep runs on workspaces allocated once per call: the suffix
+   products S_k = E_(m-1) ... E_k (E_k the embedded slot k) by right
+   actions, the running prefix E_(k-1) ... E_0 by left actions, and for a
+   free slot the partial trace of prefix · (target† · S_(k+1)) over the
+   wires off the slot, whose Procrustes solution is the new slot. The
+   final prefix is the whole circuit, so the fidelity needs no rebuild.
+   Every kernel adds the same terms in the same order as the dense
+   product over [Gates.embed] would, so the search is bit-identical to a
+   dense sweep. *)
 let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots =
   let dim = 1 lsl n in
   let slots_arr = Array.of_list slots in
   let m_slots = Array.length slots_arr in
   let tdag = Mat.dagger target in
+  let plans =
+    Array.map
+      (fun s -> Quantum.Gates.plan ~n ~qubits:(Array.to_list (slot_wires s)))
+      slots_arr
+  in
+  let envs =
+    Array.map
+      (fun s ->
+        let d = 1 lsl Array.length (slot_wires s) in
+        Mat.create d d)
+      slots_arr
+  in
+  let identity = Mat.identity dim in
+  (* suffix.(k) = S_k for k >= 1; suffix.(m) stays the identity *)
+  let suffix =
+    Array.init (m_slots + 1) (fun k -> if k = m_slots then identity else Mat.create dim dim)
+  in
+  let prefix = ref (Mat.create dim dim) and spare = ref (Mat.create dim dim) in
+  let w = Mat.create dim dim and tp = Mat.create dim dim in
+  (* prefix <- E_k · prefix *)
+  let push k mats =
+    Quantum.Gates.apply_left_into plans.(k) ~dst:!spare mats.(k) !prefix;
+    let p = !prefix in
+    prefix := !spare;
+    spare := p
+  in
+  let fval () =
+    Mat.mul_into ~dst:tp tdag !prefix;
+    Cx.norm (Mat.trace tp)
+  in
+  let n_sweeps = ref 0 and n_restarts = ref 0 in
   let run_restart () =
+    incr n_restarts;
     (* current slot matrices *)
     let mats =
       Array.map
@@ -55,34 +63,27 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
           | Fixed g -> g.Gate.mat)
         slots_arr
     in
-    let embedded () = Array.mapi (fun i s -> embed ~n (slot_wires s) mats.(i)) slots_arr in
-    let fval () =
-      let p =
-        Array.fold_left (fun acc e -> Mat.mul e acc) (Mat.identity dim) (embedded ())
-      in
-      Cx.norm (Mat.trace (Mat.mul tdag p))
-    in
+    Mat.copy_into ~dst:!prefix identity;
+    for k = 0 to m_slots - 1 do
+      push k mats
+    done;
     let best = ref (fval ()) in
     let stall = ref 0 in
     (try
        for _ = 1 to sweeps do
-         (* suffix products: suffix.(k) = emb(m-1) ... emb(k) *)
-         let emb = embedded () in
-         let suffix = Array.make (m_slots + 1) (Mat.identity dim) in
-         for k = m_slots - 1 downto 0 do
-           suffix.(k) <- Mat.mul suffix.(k + 1) emb.(k)
+         incr n_sweeps;
+         for k = m_slots - 1 downto 1 do
+           Quantum.Gates.apply_right_into plans.(k) ~dst:suffix.(k) suffix.(k + 1) mats.(k)
          done;
-         let prefix = ref (Mat.identity dim) in
-         (* prefix = emb(k-1) ... emb(0) as k advances *)
+         Mat.copy_into ~dst:!prefix identity;
          for k = 0 to m_slots - 1 do
            (match slots_arr.(k) with
            | Fixed _ -> ()
            | Free2q _ | Free1q _ ->
-             let a = suffix.(k + 1) in
-             let menv = Mat.mul !prefix (Mat.mul tdag a) in
-             let e = environment ~n menv (slot_wires slots_arr.(k)) in
-             mats.(k) <- Svd.unitary_maximizer (Mat.transpose e));
-           prefix := Mat.mul (embed ~n (slot_wires slots_arr.(k)) mats.(k)) !prefix
+             Mat.mul_into ~dst:w tdag suffix.(k + 1);
+             Quantum.Gates.partial_trace_mul_into plans.(k) ~dst:envs.(k) !prefix w;
+             mats.(k) <- Svd.unitary_maximizer envs.(k));
+           push k mats
          done;
          let f = fval () in
          let converged = 1.0 -. (!best /. float_of_int dim) < tol in
@@ -110,6 +111,8 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
        if !best_inf < tol then raise Exit
      done
    with Exit -> ());
+  Robust.Counters.add ~stage:"compiler.synth" "restarts" !n_restarts;
+  Robust.Counters.add ~stage:"compiler.synth" "sweeps" !n_sweeps;
   let gates =
     List.concat
       (List.mapi

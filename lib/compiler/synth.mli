@@ -15,7 +15,9 @@ type slot =
     the free slots of the candidate circuit [C]. Returns the realized gates
     (in circuit order) and the final infidelity [1 - |Tr|/2^n]. Runs
     [restarts] random restarts (default 6) of at most [sweeps] sweeps
-    (default 400) each, stopping early below [tol] (default 1e-10). *)
+    (default 400) each, stopping early below [tol] (default 1e-10). Each
+    call adds the restarts and sweeps it ran to the ["compiler.synth"]
+    counters ["restarts"] and ["sweeps"]. *)
 val optimize :
   ?sweeps:int ->
   ?restarts:int ->

@@ -119,8 +119,7 @@ let run lib (c : Circuit.t) =
     (fun (b : Blocks.block) ->
       match b.qubits with
       | [ _ ] -> List.iter emit b.gates
-      | qs when Blocks.count_2q b = 0 && List.for_all (fun (g : Gate.t) -> Gate.arity g = 1) b.gates ->
-        ignore qs;
+      | _ when List.for_all (fun (g : Gate.t) -> Gate.arity g = 1) b.gates ->
         List.iter emit b.gates
       | [ a; bq ] ->
         let u = Blocks.block_unitary b in

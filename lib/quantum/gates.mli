@@ -69,5 +69,38 @@ val cswap : Mat.t
     the order given) to an [n]-qubit unitary acting on those wires. *)
 val embed : n:int -> qubits:int list -> Mat.t -> Mat.t
 
+(** {2 Acting with an embedded gate in place}
+
+    A [plan] is the sparse structure of [embed ~n ~qubits g] for every
+    [g] of the right size: the [2^k] nonzero positions of each row (k the
+    gate arity), row-major, and the index table of the partial trace over
+    the other wires. The kernels below apply [embed g] without building
+    it. Each adds the terms {!Numerics.Mat.mul_into} adds for the dense
+    product, in the same order and by the same expression, minus products
+    with a structural zero; for finite operands their results are
+    bit-identical to [Mat.mul_into] on the embedded matrix. They allocate
+    nothing, and [dst] must not alias an input. *)
+
+type plan
+
+(** [plan ~n ~qubits] is the plan of [embed ~n ~qubits]; it raises
+    [Invalid_argument] on a qubit out of range or repeated. *)
+val plan : n:int -> qubits:int list -> plan
+
+(** [apply_left_into pl ~dst g p] computes [dst <- embed g · p] for
+    [2^n x 2^n] matrices [p] and [dst]. *)
+val apply_left_into : plan -> dst:Mat.t -> Mat.t -> Mat.t -> unit
+
+(** [apply_right_into pl ~dst a g] computes [dst <- a · embed g] for
+    [2^n x 2^n] matrices [a] and [dst]. *)
+val apply_right_into : plan -> dst:Mat.t -> Mat.t -> Mat.t -> unit
+
+(** [partial_trace_mul_into pl ~dst a b] computes the [2^k x 2^k] partial
+    trace of [a · b] over the wires off the gate: [dst[x][y] = sum_s
+    (a·b)[(x,s), (y,s)]], spectators [s] in ascending order, the local
+    index [x] ordered as [qubits]. It forms only the [2^n · 2^k] entries
+    of [a · b] the trace reads. Then [Tr (a · b · embed g) = Tr (dst · g)]. *)
+val partial_trace_mul_into : plan -> dst:Mat.t -> Mat.t -> Mat.t -> unit
+
 (** [local2 a b] is [a ⊗ b] for 2x2 [a], [b]. *)
 val local2 : Mat.t -> Mat.t -> Mat.t

@@ -23,7 +23,7 @@ let spend b n = b.iterations <- b.iterations + n
 let iterations b = b.iterations
 let elapsed b = Unix.gettimeofday () -. b.started
 
-let exceeded b = b.iterations > b.max_iterations || elapsed b > b.max_seconds
+let exceeded b = b.iterations > b.max_iterations || elapsed b >= b.max_seconds
 
 let check b ~stage ~residual =
   if exceeded b then

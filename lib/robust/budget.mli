@@ -15,6 +15,10 @@ val spend : t -> int -> unit
 
 val iterations : t -> int
 val elapsed : t -> float
+
+(** [exceeded b] holds once more than [max_iterations] units were spent
+    or at least [max_seconds] have elapsed, so a zero-second budget is
+    exceeded from the start. *)
 val exceeded : t -> bool
 
 (** [check b ~stage ~residual] is [Error (Budget_exceeded ...)] once the

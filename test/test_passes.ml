@@ -247,6 +247,55 @@ let test_plan_matches_pipeline () =
         "same mapping" out_pipe.Pipeline.final_mapping out_plan.Passes.final_mapping)
     [ (Passes.Eff, Pipeline.Eff); (Passes.Full, Pipeline.Full) ]
 
+(* Compiled gates pinned by the MD5 of every gate's qubits and float
+   bits, and the synthesis search pinned by its [compiler.synth] restart
+   and sweep totals. The synthesis sweep behind template and hierarchical
+   synthesis may be rewritten for speed only if the search stays
+   bit-identical. tof_5 under nc compiles to the same gates as under full
+   (so does every suite program), but hierarchical_nc reaches them by a
+   shorter search, which the totals tell apart. *)
+let gate_digest (gates : Gate.t list) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (g : Gate.t) ->
+      Array.iter (fun q -> Buffer.add_string b (string_of_int q ^ ",")) g.qubits;
+      for i = 0 to Mat.rows g.mat - 1 do
+        for j = 0 to Mat.cols g.mat - 1 do
+          Printf.bprintf b "%Lx,%Lx,"
+            (Int64.bits_of_float (Mat.get_re g.mat i j))
+            (Int64.bits_of_float (Mat.get_im g.mat i j))
+        done
+      done;
+      Buffer.add_char b ';')
+    gates;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (program, mode, digest, restarts, sweeps) *)
+let golden =
+  [
+    ("tof_5", Passes.Full, "93b03ff61b97b0963bdfd545ef72625c", 108, 4515);
+    ("tof_5", Passes.Nc, "93b03ff61b97b0963bdfd545ef72625c", 56, 2812);
+    ("mult_2", Passes.Full, "764a923dd1846b6c936927dc168bf3ca", 58, 2048);
+    ("encoding_3", Passes.Full, "074d0ab7938a9bf77f47f91ce2262e1f", 89, 3764);
+    ("alu_1", Passes.Eff, "7d07358c4c10e05d55f6523d966f4282", 54, 4008);
+  ]
+
+let test_golden_digests () =
+  let suite = Benchmarks.Suite.suite () in
+  let synth name = Robust.Counters.get ~stage:"compiler.synth" name in
+  List.iter
+    (fun (name, mode, digest, restarts, sweeps) ->
+      let b = List.find (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite in
+      let label = Printf.sprintf "%s/%s" name (Passes.plan_of_mode mode).Passes.plan_name in
+      let r0 = synth "restarts" and s0 = synth "sweeps" in
+      let out, _ =
+        Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) b.program
+      in
+      Alcotest.(check string) label digest (gate_digest out.Passes.circuit.Circuit.gates);
+      Alcotest.(check int) (label ^ " restarts") restarts (synth "restarts" - r0);
+      Alcotest.(check int) (label ^ " sweeps") sweeps (synth "sweeps" - s0))
+    golden
+
 let props =
   let arb_seed = QCheck.make QCheck.Gen.(map Int64.of_int (int_bound 1000000)) in
   [
@@ -291,6 +340,7 @@ let () =
           Alcotest.test_case "slicing and strict names" `Quick test_slicing;
           Alcotest.test_case "default plans match pipeline" `Slow
             test_plan_matches_pipeline;
+          Alcotest.test_case "golden compile digests" `Quick test_golden_digests;
         ] );
       ("props", List.map (QCheck_alcotest.to_alcotest ~long:false) props);
     ]

@@ -89,6 +89,137 @@ let test_embed () =
   let e m = embed ~n:3 ~qubits:[ 2; 0 ] m in
   check_mat ~tol:1e-8 "embed multiplicative" (e (Mat.mul u v)) (Mat.mul (e u) (e v))
 
+(* ------------------------------------------------ sparse embedding plan *)
+
+let same_bits a b =
+  let f = Int64.bits_of_float in
+  Mat.rows a = Mat.rows b
+  && Mat.cols a = Mat.cols b
+  && Array.for_all2 (fun x y -> f x = f y) (Mat.re_plane a) (Mat.re_plane b)
+  && Array.for_all2 (fun x y -> f x = f y) (Mat.im_plane a) (Mat.im_plane b)
+
+(* The dense environment the synthesis sweep computed before the plan
+   existed, kept as the reference for [partial_trace_mul_into]: for M on
+   [n] wires and a gate on [qs], E[i][j] = sum_s M[idx(j,s), idx(i,s)]. *)
+let environment ~n m qs =
+  let k = Array.length qs in
+  let gate_pos = Array.map (fun q -> n - 1 - q) qs in
+  let spect_pos =
+    Array.of_list
+      (List.filter
+         (fun p -> not (Array.exists (fun gp -> gp = p) gate_pos))
+         (List.init n (fun i -> i)))
+  in
+  let idx g s =
+    let v = ref 0 in
+    Array.iteri
+      (fun pos p -> if (g lsr (k - 1 - pos)) land 1 = 1 then v := !v lor (1 lsl p))
+      gate_pos;
+    Array.iteri
+      (fun pos p -> if (s lsr pos) land 1 = 1 then v := !v lor (1 lsl p))
+      spect_pos;
+    !v
+  in
+  let sub = 1 lsl k and spect = 1 lsl (n - k) in
+  Mat.init sub sub (fun i j ->
+      let acc = ref Cx.zero in
+      for s = 0 to spect - 1 do
+        acc := Cx.( +: ) !acc (Mat.get m (idx j s) (idx i s))
+      done;
+      !acc)
+
+(* [Gates.embed] entry by entry, independent of the plan it is built on:
+   rows and columns must agree off the gate's wires *)
+let dense_embed ~n qs g =
+  let bit idx q = (idx lsr (n - 1 - q)) land 1 in
+  Mat.init (1 lsl n) (1 lsl n) (fun row col ->
+      if List.exists (fun q -> (not (List.mem q qs)) && bit row q <> bit col q) (List.init n Fun.id)
+      then Cx.zero
+      else begin
+        let local idx = List.fold_left (fun acc q -> (acc lsl 1) lor bit idx q) 0 qs in
+        Mat.get g (local row) (local col)
+      end)
+
+(* a dense operand whose entries include exact zeros, zero real or
+   imaginary parts and negative zeros *)
+let dense_with_zeros r dim =
+  Mat.init dim dim (fun i j ->
+      match ((i * dim) + j) mod 7 with
+      | 0 -> Cx.zero
+      | 1 -> Cx.mk 0.0 (Rng.gaussian r)
+      | 2 -> Cx.mk (Rng.gaussian r) (-0.0)
+      | 3 -> Cx.mk (-0.0) 0.0
+      | _ -> Cx.mk (Rng.gaussian r) (Rng.gaussian r))
+
+let test_plan_kernels () =
+  let r = Rng.create 20261017L in
+  let cases =
+    List.concat_map
+      (fun n ->
+        let wires = List.init n Fun.id in
+        let one = List.map (fun q -> ([ q ], Haar.su2 r)) wires in
+        let two =
+          List.concat_map
+            (fun a ->
+              List.filter_map
+                (fun b -> if a = b then None else Some ([ a; b ], Haar.su4 r))
+                wires)
+            wires
+        in
+        let three =
+          if n < 3 then []
+          else
+            [
+              ([ 0; 1; 2 ], Gates.ccx);
+              ([ n - 1; 0; 1 ], Haar.unitary r 8);
+              ([ 1; n - 1; 0 ], Gates.ccx);
+            ]
+        in
+        let cx20 = Gate.cx 2 0 in
+        let zeros =
+          (if n >= 3 then [ (Array.to_list cx20.Gate.qubits, cx20.Gate.mat) ] else [])
+          @ [ ([ 1; 0 ], Gates.cnot); ([ 0; 1 ], Gates.cnot) ]
+        in
+        List.map (fun (qs, g) -> (n, qs, g)) (one @ two @ three @ zeros))
+      [ 2; 3; 4 ]
+  in
+  List.iter
+    (fun (n, qs, g) ->
+      let what =
+        Printf.sprintf "n=%d on [%s]" n (String.concat ";" (List.map string_of_int qs))
+      in
+      let dim = 1 lsl n and sub = Mat.rows g in
+      let pl = Gates.plan ~n ~qubits:qs in
+      let e = Gates.embed ~n ~qubits:qs g in
+      Alcotest.(check bool) ("embed " ^ what) true (same_bits (dense_embed ~n qs g) e);
+      let a = dense_with_zeros r dim and b = dense_with_zeros r dim in
+      let expect = Mat.create dim dim and got = Mat.create dim dim in
+      Mat.mul_into ~dst:expect e a;
+      Gates.apply_left_into pl ~dst:got g a;
+      Alcotest.(check bool) ("left action " ^ what) true (same_bits expect got);
+      Mat.mul_into ~dst:expect a e;
+      Gates.apply_right_into pl ~dst:got a g;
+      Alcotest.(check bool) ("right action " ^ what) true (same_bits expect got);
+      let env = Mat.create sub sub in
+      Gates.partial_trace_mul_into pl ~dst:env a b;
+      let reference =
+        Mat.transpose (environment ~n (Mat.mul a b) (Array.of_list qs))
+      in
+      Alcotest.(check bool) ("partial trace " ^ what) true (same_bits reference env))
+    cases
+
+let test_plan_rejects () =
+  let raises what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "qubit out of range" (fun () -> Gates.plan ~n:2 ~qubits:[ 2 ]);
+  raises "repeated qubit" (fun () -> Gates.plan ~n:3 ~qubits:[ 1; 1 ]);
+  let pl = Gates.plan ~n:2 ~qubits:[ 0 ] in
+  let m = Mat.identity 4 in
+  raises "gate size" (fun () -> Gates.apply_left_into pl ~dst:(Mat.create 4 4) Gates.cnot m);
+  raises "aliased dst" (fun () -> Gates.apply_right_into pl ~dst:m m Gates.x)
+
 (* ---------------------------------------------------------------- Local *)
 
 let test_local_factor () =
@@ -181,6 +312,8 @@ let () =
           Alcotest.test_case "rotations" `Quick test_rotations;
           Alcotest.test_case "canonical gate" `Quick test_can_gate;
           Alcotest.test_case "embed" `Quick test_embed;
+          Alcotest.test_case "plan kernels match dense products" `Quick test_plan_kernels;
+          Alcotest.test_case "plan rejects bad input" `Quick test_plan_rejects;
         ] );
       ( "local",
         [

@@ -84,6 +84,12 @@ let test_budget () =
     Alcotest.(check (float 0.0)) "residual" 0.5 residual
   | _ -> Alcotest.fail "expected Budget_exceeded"
 
+(* a zero-second budget is spent the moment it starts, even when the
+   clock has not ticked since [make] *)
+let test_budget_zero_seconds () =
+  let b = Robust.Budget.make ~max_seconds:0.0 () in
+  Alcotest.(check bool) "exceeded at once" true (Robust.Budget.exceeded b)
+
 let test_outcome () =
   let open Robust.Outcome in
   Alcotest.(check string) "ok kind" "ok" (kind (Solved 1));
@@ -409,6 +415,7 @@ let () =
           Alcotest.test_case "err taxonomy" `Quick test_err_taxonomy;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "budget" `Quick test_budget;
+          Alcotest.test_case "zero-second budget" `Quick test_budget_zero_seconds;
           Alcotest.test_case "outcome" `Quick test_outcome;
           Alcotest.test_case "fault spec" `Quick test_fault_spec;
           Alcotest.test_case "fault strict parse" `Quick test_fault_strict_parse;

@@ -673,66 +673,107 @@ let class_computations () =
 let storm_request = "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"coords\":[0.6,0.5,0.4]}"
 let plug_coords = List.init 16 (fun i -> (0.5, 0.3, 0.002 *. float_of_int (i + 1)))
 
+(* poll [pred] every 5 ms for up to 10 s *)
+let await what pred =
+  let rec go n =
+    if not (pred ()) then
+      if n > 2000 then Alcotest.failf "timed out waiting for %s" what
+      else begin
+        Thread.delay 0.005;
+        go (n + 1)
+      end
+  in
+  go 0
+
 (* K socket clients fire one identical cold request at once; the
    engine's single-flight admission must compute the class once and fan
    the result out. A plug client first queues distinct cold solves on
-   the single worker, so every storm request is submitted (and
-   coalesced) while the plug still executes and arrival jitter cannot
-   split the flight. *)
+   the single worker, and a gate sink parks that worker on its first
+   dequeue (the [serve]/[queue_wait] span) until all K storm requests
+   are admitted, so every one of them is submitted while the flight is
+   still queued, however the threads are scheduled. *)
 let test_coalesce_storm () =
   let stormers = 8 in
   let computations0 = class_computations () in
   let hits0 = Robust.Counters.get ~stage:"serve" "coalesce_hit" in
+  let hits () = Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0 in
+  let parked = Atomic.make false and open_gate = Atomic.make false in
+  let gate =
+    {
+      Obs.Sink.on_span =
+        (fun ev ->
+          if
+            ev.Obs.Sink.stage = "serve" && ev.name = "queue_wait"
+            && Atomic.compare_and_set parked false true
+          then
+            while not (Atomic.get open_gate) do
+              Thread.delay 0.001
+            done);
+    }
+  in
+  let previous = Obs.Sink.installed () in
+  Obs.Sink.install gate;
   let _summary, () =
-    with_server ~config:(net_config ~workers:1 ()) (temp_unix_addr ()) (fun addr ->
-        let plug = ok_or_fail "plug connect" (C.connect addr) in
-        List.iter
-          (fun (x, y, z) ->
-            let line =
-              Printf.sprintf "{\"v\":1,\"op\":\"pulses\",\"coords\":[%.17g,%.17g,%.17g]}"
-                x y z
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set open_gate true;
+        match previous with Some s -> Obs.Sink.install s | None -> Obs.Sink.uninstall ())
+      (fun () ->
+        with_server ~config:(net_config ~workers:1 ()) (temp_unix_addr ()) (fun addr ->
+            (* a failure must unpark the worker before the harness drains *)
+            Fun.protect ~finally:(fun () -> Atomic.set open_gate true) @@ fun () ->
+            let plug = ok_or_fail "plug connect" (C.connect addr) in
+            List.iter
+              (fun (x, y, z) ->
+                let line =
+                  Printf.sprintf "{\"v\":1,\"op\":\"pulses\",\"coords\":[%.17g,%.17g,%.17g]}"
+                    x y z
+                in
+                ok_or_fail "plug send" (C.send_line ~flush:false plug line))
+              plug_coords;
+            ok_or_fail "plug flush" (C.flush plug);
+            await "the worker to park" (fun () -> Atomic.get parked);
+            let conns =
+              Array.init stormers (fun _ -> ok_or_fail "storm connect" (C.connect addr))
             in
-            ok_or_fail "plug send" (C.send_line ~flush:false plug line))
-          plug_coords;
-        ok_or_fail "plug flush" (C.flush plug);
-        let conns = Array.init stormers (fun _ -> ok_or_fail "storm connect" (C.connect addr)) in
-        let answers = Array.make stormers None in
-        let release = Atomic.make false in
-        let threads =
-          List.init stormers (fun i ->
-              Thread.create
-                (fun () ->
-                  while not (Atomic.get release) do
-                    Thread.yield ()
-                  done;
-                  answers.(i) <-
-                    (match C.send_line conns.(i) storm_request with
-                    | Error _ as e -> Some e
-                    | Ok () -> Some (C.recv conns.(i))))
-                ())
-        in
-        Atomic.set release true;
-        List.iter Thread.join threads;
-        Array.iteri
-          (fun i answer ->
-            C.close conns.(i);
-            match answer with
-            | Some (Ok r) ->
-              Alcotest.(check (option bool)) "storm answered ok" (Some true)
-                (J.mem_bool "ok" r)
-            | Some (Error e) -> Alcotest.failf "storm client: %s" (C.error_to_string e)
-            | None -> Alcotest.fail "storm client did not finish")
-          answers;
-        List.iter (fun _ -> ignore (ok_or_fail "plug recv" (C.recv plug))) plug_coords;
-        ignore (ok_or_fail "shutdown" (C.request plug shutdown_body));
-        C.close plug)
+            let answers = Array.make stormers None in
+            let release = Atomic.make false in
+            let threads =
+              List.init stormers (fun i ->
+                  Thread.create
+                    (fun () ->
+                      while not (Atomic.get release) do
+                        Thread.yield ()
+                      done;
+                      answers.(i) <-
+                        (match C.send_line conns.(i) storm_request with
+                        | Error _ as e -> Some e
+                        | Ok () -> Some (C.recv conns.(i))))
+                    ())
+            in
+            Atomic.set release true;
+            await "the storm to be admitted" (fun () -> hits () >= stormers - 1);
+            Atomic.set open_gate true;
+            List.iter Thread.join threads;
+            Array.iteri
+              (fun i answer ->
+                C.close conns.(i);
+                match answer with
+                | Some (Ok r) ->
+                  Alcotest.(check (option bool)) "storm answered ok" (Some true)
+                    (J.mem_bool "ok" r)
+                | Some (Error e) -> Alcotest.failf "storm client: %s" (C.error_to_string e)
+                | None -> Alcotest.fail "storm client did not finish")
+              answers;
+            List.iter (fun _ -> ignore (ok_or_fail "plug recv" (C.recv plug))) plug_coords;
+            ignore (ok_or_fail "shutdown" (C.request plug shutdown_body));
+            C.close plug))
   in
   (* each plug class and the storm's class count once, whether solved or
      answered by the class memo *)
   Alcotest.(check int) "one class computation for the storm" 1
     (class_computations () - computations0 - List.length plug_coords);
-  Alcotest.(check int) "the other stormers coalesced" (stormers - 1)
-    (Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0)
+  Alcotest.(check int) "the other stormers coalesced" (stormers - 1) (hits ())
 
 (* ----------------------------------------------------------- resilience *)
 
