@@ -7,6 +7,18 @@ let slot_wires = function
   | Free1q q -> [| q |]
   | Fixed g -> g.Gate.qubits
 
+(* Relative stall bar of an unconverged restart. A restart that creeps
+   along an infidelity floor stops after 12 sweeps that each gain less
+   than this share of the missing trace fidelity, instead of running out
+   its sweep budget. Sweeps draw nothing from the RNG and callers use only
+   converged results, so the bar moves no output bit unless it cuts a
+   restart that would have converged. On the 34 suite programs under eff,
+   full and nc it kept every gate bit and restart count and cut the summed
+   sweeps from 811,277 to 316,685 (compile CPU time 59.4 s to 22.4 s on a
+   2-vCPU Xeon); at 2e-2 the bits of rip_add_2 and rip_add_4 move, so keep
+   it at 1e-2. *)
+let stall_rel = 1e-2
+
 (* Each sweep runs on workspaces allocated once per call: the suffix
    products S_k = E_(m-1) ... E_k (E_k the embedded slot k) by right
    actions, the running prefix E_(k-1) ... E_0 by left actions, and for a
@@ -87,8 +99,13 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
          done;
          let f = fval () in
          let converged = 1.0 -. (!best /. float_of_int dim) < tol in
-         (* once below tol, keep polishing toward machine precision *)
-         let thresh = if converged then 1e-16 else 1e-13 *. float_of_int dim in
+         (* once below tol, keep polishing toward machine precision; before
+            that, a sweep stalls when it gains less than [stall_rel] of the
+            trace fidelity still missing (a NaN [best] never stalls) *)
+         let thresh =
+           if converged then 1e-16
+           else Float.max (1e-13 *. float_of_int dim) (stall_rel *. (float_of_int dim -. !best))
+         in
          if f -. !best < thresh then incr stall else stall := 0;
          if f > !best then best := f;
          if 1.0 -. (!best /. float_of_int dim) < 1e-14 then raise Exit;

@@ -15,9 +15,13 @@ type slot =
     the free slots of the candidate circuit [C]. Returns the realized gates
     (in circuit order) and the final infidelity [1 - |Tr|/2^n]. Runs
     [restarts] random restarts (default 6) of at most [sweeps] sweeps
-    (default 400) each, stopping early below [tol] (default 1e-10). Each
-    call adds the restarts and sweeps it ran to the ["compiler.synth"]
-    counters ["restarts"] and ["sweeps"]. *)
+    (default 400) each, stopping early below [tol] (default 1e-10). A
+    restart ends once its infidelity is below 1e-14, or after a run of
+    stalled sweeps: 12 in a row before it reaches [tol], where a sweep
+    stalls when it gains less than [max(1e-13·2^n, 1e-2·(2^n − |Tr|))] of
+    trace fidelity, and 6 in a row below [tol], where it stalls when it
+    gains less than 1e-16. Each call adds the restarts and sweeps it ran to
+    the ["compiler.synth"] counters ["restarts"] and ["sweeps"]. *)
 val optimize :
   ?sweeps:int ->
   ?restarts:int ->

@@ -106,6 +106,29 @@ let test_template_run () =
     true
     (Circuit.count_2q out < naive)
 
+(* ---------------------------------------------------------------- synth *)
+
+(* A generic product of three SU(4)s on a 3-qubit triangle needs three
+   slots. Each of the six restarts at two slots stalls far from tol, so the
+   relative stall bar ends it in a few dozen sweeps (an absolute bar alone
+   lets the six creep on for 481 in total). The converging three-slot
+   search is untouched: its first restart converges in 15. *)
+let test_synth_failing_count_stops_early () =
+  let rng = Rng.create 84L in
+  let su4 a b = Gate.su4 a b (Quantum.Haar.su4 rng) in
+  let target = Circuit.unitary (Circuit.create 3 [ su4 0 1; su4 1 2; su4 0 2 ]) in
+  let sweeps () = Robust.Counters.get ~stage:"compiler.synth" "sweeps" in
+  let s0 = sweeps () in
+  let _, inf = Synth.optimize ~restarts:6 rng ~n:3 ~target (Synth.su4_template ~n:3 2) in
+  let failing = sweeps () - s0 in
+  Alcotest.(check bool) (Printf.sprintf "two slots fail (inf %.3g)" inf) true (inf > 1e-10);
+  Alcotest.(check bool) (Printf.sprintf "failing count stops early (%d sweeps)" failing) true
+    (failing <= 250);
+  let s1 = sweeps () in
+  let _, inf = Synth.optimize ~restarts:6 rng ~n:3 ~target (Synth.su4_template ~n:3 3) in
+  Alcotest.(check bool) (Printf.sprintf "three slots converge (inf %.3g)" inf) true (inf < 1e-10);
+  Alcotest.(check int) "converging sweeps" 15 (sweeps () - s1)
+
 (* -------------------------------------------------------------- compact *)
 
 let test_exchangeable_commuting () =
@@ -358,6 +381,11 @@ let () =
         [
           Alcotest.test_case "toffoli" `Quick test_template_toffoli;
           Alcotest.test_case "run" `Quick test_template_run;
+        ] );
+      ( "synth",
+        [
+          Alcotest.test_case "failing count stops early" `Quick
+            test_synth_failing_count_stops_early;
         ] );
       ( "compact",
         [
