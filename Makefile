@@ -37,8 +37,7 @@ bench-obs: build
 
 # socket transport load bench: 8 pipelined binary-frame clients over a
 # unix socket vs direct in-process execution of the same warm-cache
-# stream; writes BENCH_serve_net.json (gates: meets_1x, p99_halved,
-# within_2x)
+# stream; writes BENCH_serve_net.json (gates: meets_1x, within_2x)
 bench-net: build
 	dune exec bench/main.exe -- serve-net
 

@@ -14,6 +14,11 @@ let template basis count =
   Synth.Free1q 0 :: Synth.Free1q 1
   :: List.concat (List.init count (fun _ -> [ Synth.Fixed fixed; Synth.Free1q 0; Synth.Free1q 1 ]))
 
+(* One bar for the search and the acceptance: [Synth.optimize] returns
+   below [tol] only from a restart that converged, so an accepted result
+   never depends on where the stall rule stopped an unconverged one. *)
+let synth_tol = 1e-9
+
 let synth_one rng basis (u : Mat.t) =
   let coords = Weyl.Kak.coords_of u in
   let start = Microarch.Duration.gates_needed basis coords in
@@ -21,10 +26,10 @@ let synth_one rng basis (u : Mat.t) =
     if count > start + 2 then None
     else begin
       let gates, inf =
-        Synth.optimize ~restarts:(4 + count) ~tol:1e-9 rng ~n:2 ~target:u
+        Synth.optimize ~restarts:(4 + count) ~tol:synth_tol rng ~n:2 ~target:u
           (template basis count)
       in
-      if inf < 1e-8 then Some gates else attempt (count + 1)
+      if inf < synth_tol then Some gates else attempt (count + 1)
     end
   in
   attempt start

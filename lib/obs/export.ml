@@ -74,13 +74,16 @@ let prometheus () =
       bpf "reqisc_span_duration_seconds_count{stage=%s,name=%s} %d\n"
         (escape s.Hist.stage) (escape s.Hist.name) s.Hist.count)
     hists;
-  let counters = Metric.counters () in
+  let counters = Robust.Counters.snapshot () in
   if counters <> [] then bpf "# TYPE reqisc_counter_total counter\n";
   List.iter
-    (fun (stage, name, v) ->
-      bpf "reqisc_counter_total{stage=%s,name=%s} %d\n" (escape stage) (escape name) v)
+    (fun (stage, cs) ->
+      List.iter
+        (fun (name, v) ->
+          bpf "reqisc_counter_total{stage=%s,name=%s} %d\n" (escape stage) (escape name) v)
+        cs)
     counters;
-  let gauges = Metric.gauges () in
+  let gauges = Robust.Counters.gauges () in
   if gauges <> [] then bpf "# TYPE reqisc_gauge gauge\n";
   List.iter
     (fun (stage, name, v) ->
@@ -102,17 +105,11 @@ let snapshot_json () =
         (escape (s.Hist.stage ^ "." ^ s.Hist.name))
         s.Hist.count (seconds_of_ns s.Hist.sum_ns) (q 0.5) (q 0.99))
     (Hist.snapshot ());
-  bpf "},\"counters\":{";
-  List.iteri
-    (fun i (stage, name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      bpf "%s:%d" (escape (stage ^ "." ^ name)) v)
-    (Metric.counters ());
   bpf "},\"gauges\":{";
   List.iteri
     (fun i (stage, name, v) ->
       if i > 0 then Buffer.add_char b ',';
       bpf "%s:%g" (escape (stage ^ "." ^ name)) v)
-    (Metric.gauges ());
+    (Robust.Counters.gauges ());
   bpf "}}";
   Buffer.contents b

@@ -1,11 +1,12 @@
-(** The installable event sink: the single gate between instrumented code
+(** The installable event sink: the gate between span instrumentation
     and the observability machinery.
 
-    With no sink installed every instrumentation point is one atomic load
-    and a branch — no allocation, no clock read, no table lookup — so the
+    With no sink installed every span point is one atomic load and a
+    branch — no allocation, no clock read, no table lookup — so the
     disabled path leaves rung-0 behaviour and bench output bit-identical.
     Installing a sink (usually a {!Recorder}) turns the same points into
-    timed span events. *)
+    timed span events. Counters and gauges do not pass through here:
+    {!Robust.Counters} counts whether or not a sink is installed. *)
 
 (** One completed span. Timestamps are {!Clock} nanoseconds. *)
 type span_event = {

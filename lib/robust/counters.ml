@@ -1,4 +1,5 @@
-(* Per-stage resilience counters: retries, fallbacks, degradations, ...
+(* Per-stage counters (retries, fallbacks, degradations, serve events,
+   ...) and gauges (queue depth, in-flight keys, open connections).
 
    One global table keyed by (stage, counter); increments are mutex
    protected so solver calls inside domain-parallel sweeps (Numerics.Par)
@@ -7,6 +8,7 @@
 
 let lock = Mutex.create ()
 let table : (string * string, int ref) Hashtbl.t = Hashtbl.create 64
+let gauge_table : (string * string, float ref) Hashtbl.t = Hashtbl.create 16
 
 let add ~stage counter n =
   Mutex.lock lock;
@@ -23,9 +25,23 @@ let get ~stage counter =
   Mutex.unlock lock;
   v
 
+let set_gauge ~stage name v =
+  Mutex.lock lock;
+  (match Hashtbl.find_opt gauge_table (stage, name) with
+  | Some r -> r := v
+  | None -> Hashtbl.add gauge_table (stage, name) (ref v));
+  Mutex.unlock lock
+
+let get_gauge ~stage name =
+  Mutex.lock lock;
+  let v = Option.map ( ! ) (Hashtbl.find_opt gauge_table (stage, name)) in
+  Mutex.unlock lock;
+  v
+
 let reset () =
   Mutex.lock lock;
   Hashtbl.reset table;
+  Hashtbl.reset gauge_table;
   Mutex.unlock lock
 
 let snapshot () =
@@ -40,6 +56,12 @@ let snapshot () =
       in
       (st, List.sort compare cs))
     stages
+
+let gauges () =
+  Mutex.lock lock;
+  let flat = Hashtbl.fold (fun (st, n) r acc -> (st, n, !r) :: acc) gauge_table [] in
+  Mutex.unlock lock;
+  List.sort compare flat
 
 let to_json () =
   let buf = Buffer.create 256 in

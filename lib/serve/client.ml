@@ -93,7 +93,7 @@ module Breaker = struct
           let now = Unix.gettimeofday () in
           if now >= until then begin
             b.state <- Half_open;
-            Obs.Metric.incr ~stage "breaker_probe";
+            Robust.Counters.incr ~stage "breaker_probe";
             Ok ()
           end
           else Error (Circuit_open { retry_after = until -. now }))
@@ -110,7 +110,6 @@ module Breaker = struct
     b.state <- Open (reopen_at b);
     b.failures <- 0;
     b.trips <- b.trips + 1;
-    Obs.Metric.incr ~stage "breaker_trip";
     Robust.Counters.incr ~stage "breaker_trip"
 
   let record b (result : ('a, error) result) =
@@ -218,12 +217,12 @@ let connect ?(retries = 0) ?(backoff = 0.05) ?(jitter = 0.0) ?frames ?recv_timeo
       else
         match connect_once ?frames ?recv_timeout sa with
         | Ok t ->
-          Obs.Metric.incr ~stage "connect";
+          Robust.Counters.incr ~stage "connect";
           Ok t
         | Error detail ->
-          Obs.Metric.incr ~stage "connect_failed";
+          Robust.Counters.incr ~stage "connect_failed";
           if attempt < retries then begin
-            Obs.Metric.incr ~stage "reconnect";
+            Robust.Counters.incr ~stage "reconnect";
             backoff_sleep ~jitter ~backoff attempt
           end;
           go (attempt + 1) detail
@@ -423,7 +422,7 @@ let rpc ?(retries = 3) ?(backoff = 0.05) ?(jitter = 0.0) ?frames ?breaker addr b
       match Breaker.admit b with
       | Ok () -> Ok ()
       | Error e ->
-        Obs.Metric.incr ~stage "breaker_reject";
+        Robust.Counters.incr ~stage "breaker_reject";
         Error e)
   in
   let record r = Option.iter (fun b -> Breaker.record b r) breaker in
@@ -443,7 +442,7 @@ let rpc ?(retries = 3) ?(backoff = 0.05) ?(jitter = 0.0) ?frames ?breaker addr b
       record result;
       match result with
       | Error (Connect_failed _ | Overloaded _) when attempt_left > 0 ->
-        Obs.Metric.incr ~stage "retry";
+        Robust.Counters.incr ~stage "retry";
         backoff_sleep ~jitter ~backoff attempt;
         go (attempt + 1)
       | other -> other)

@@ -20,9 +20,10 @@
     [backoff * 2^k]) so test runs and incident reproductions see
     identical timing; pass [jitter] (0..1) to spread each sleep over
     [±jitter] of its nominal value and decorrelate clients retrying in
-    lockstep. Connect/retry activity is observable under the Obs stage
-    ["serve.client"] ([connect], [connect_failed], [reconnect],
-    [retry]). *)
+    lockstep. Connect/retry activity is counted in {!Robust.Counters}
+    under the stage ["serve.client"] ([connect], [connect_failed],
+    [reconnect], [retry], [breaker_trip], [breaker_probe],
+    [breaker_reject]), with or without an installed sink. *)
 
 type error =
   | Connect_failed of { addr : string; attempts : int; detail : string }

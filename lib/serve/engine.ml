@@ -433,7 +433,6 @@ let deadline_verdict ~enqueued_ns (b : Protocol.body) =
     let elapsed_ms = float_of_int (Obs.Clock.now_ns () - enqueued_ns) /. 1e6 in
     if elapsed_ms >= dl then begin
       Robust.Counters.incr ~stage "deadline_exceeded";
-      Obs.Metric.incr ~stage "deadline_exceeded";
       `Expired
         (Protocol.error_item ~kind:"deadline_exceeded" ~stage:"serve.deadline"
            (Printf.sprintf
@@ -458,7 +457,7 @@ let finish_flight t key item =
   in
   let inflight = Hashtbl.length t.flights in
   Mutex.unlock t.flight_lock;
-  Obs.Metric.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+  Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
   List.iter
     (fun w -> respond_counted t ~respond:w.respond (Protocol.with_id ~id:w.id item))
     waiters
@@ -501,7 +500,7 @@ let worker t () =
     | None -> ()
     | Some job ->
       inflight := Some job;
-      Obs.Metric.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue));
+      Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue));
       if Robust.Fault.enabled () && Robust.Fault.fire_p "worker_crash" then
         failwith "injected worker crash";
       run_job t job;
@@ -524,7 +523,6 @@ let worker t () =
       | None -> ());
       inflight := None;
       Robust.Counters.incr ~stage "worker_restart";
-      Obs.Metric.incr ~stage:"serve.supervisor" "restart";
       supervise ()
   in
   supervise ()
@@ -533,8 +531,9 @@ let worker t () =
 
 let create ?(workers = 0) ?(coalesce = true) ?cache ~seed () =
   (* the engine observes itself: if the embedding process has not
-     installed a sink, record into our own ring so the [stats] op (and
-     its "obs" block) always has live span/metric data to report *)
+     installed a sink, record into our own ring so the span histograms
+     in the [stats] op's "obs" block always have live data to report
+     (counters and gauges count without a sink) *)
   let owned_recorder =
     if Obs.Sink.enabled () then None else Some (Obs.Recorder.start ())
   in
@@ -582,14 +581,13 @@ let submit t (parsed : Protocol.parsed) ~respond =
       | Some ws ->
         ws := w :: !ws;
         Mutex.unlock t.flight_lock;
-        Obs.Metric.incr ~stage:coalesce_stage "hit";
         Robust.Counters.incr ~stage "coalesce_hit"
       | None ->
         Hashtbl.add t.flights key (ref [ w ]);
         let inflight = Hashtbl.length t.flights in
         Mutex.unlock t.flight_lock;
-        Obs.Metric.incr ~stage:coalesce_stage "leader";
-        Obs.Metric.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+        Robust.Counters.incr ~stage:coalesce_stage "leader";
+        Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
         if not (Jobq.push t.queue (Flight { key; body; enqueued_ns })) then begin
           (* lost the race with shutdown: nothing must execute, so the
              flight is unregistered (same drop semantics as a direct job
@@ -599,7 +597,7 @@ let submit t (parsed : Protocol.parsed) ~respond =
           Mutex.unlock t.flight_lock
         end))
   | _ -> direct ());
-  Obs.Metric.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue))
+  Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue))
 
 (* synchronous execution for embedders: the calling thread computes the
    response itself — no queue, no workers, no coalescing. Counted in

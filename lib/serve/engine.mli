@@ -19,9 +19,10 @@
     own request id. Requests attach at submit time and detach when the
     leader's result is ready, so a storm of identical cold-cache solves
     costs one solver run. Coalescing shares only concurrent work; it
-    caches nothing (the pulse cache does that). Observability: Obs stage
-    ["serve.coalesce"] counters [leader]/[hit] and gauge [inflight], plus
-    the always-on {!Robust.Counters} ["serve"]/[coalesce_hit].
+    caches nothing (the pulse cache does that). Counted in
+    {!Robust.Counters}: ["serve"]/[coalesce_hit] for each request that
+    joins a flight, ["serve.coalesce"]/[leader] for each flight started,
+    and the ["serve.coalesce"] gauge [inflight].
 
     {b Deadlines}: a request carrying {!Protocol.body.deadline_ms} is
     stamped at submit time; a job whose deadline has already passed at
@@ -34,7 +35,7 @@
     exception escaping the per-job guards answers the in-flight request
     (fanning through the coalescing waiter list) with a typed
     [internal_error], restarts the worker loop, and counts the restart
-    (["serve"]/[worker_restart], Obs ["serve.supervisor"]/[restart]) —
+    ({!Robust.Counters} ["serve"]/[worker_restart]) —
     a poisoned request can never shrink the pool. *)
 
 type t

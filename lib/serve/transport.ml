@@ -154,7 +154,7 @@ let overflow_locked st c data =
   if over then begin
     discard_output_locked c;
     c.want_close <- true;
-    Obs.Metric.incr ~stage "write_overflow"
+    Robust.Counters.incr ~stage "write_overflow"
   end;
   over
 
@@ -228,7 +228,7 @@ let corrupt_frame c data =
   for i = start to stop do
     Bytes.set b i '#'
   done;
-  Obs.Metric.incr ~stage "fault_frame_corrupt";
+  Robust.Counters.incr ~stage "fault_frame_corrupt";
   Bytes.to_string b
 
 (* the respond closure the engine calls from a worker domain. Like
@@ -244,7 +244,7 @@ let conn_respond st c json =
   let dropped, data =
     if not (Robust.Fault.enabled ()) then (false, data)
     else if Robust.Fault.fire_p "frame_drop" then begin
-      Obs.Metric.incr ~stage "fault_frame_drop";
+      Robust.Counters.incr ~stage "fault_frame_drop";
       (true, data)
     end
     else if Robust.Fault.fire_p "frame_corrupt" then (false, corrupt_frame c data)
@@ -288,7 +288,6 @@ let submit_conn st c parsed =
   c.pending <- c.pending + 1;
   Mutex.unlock c.wlock;
   if shed then begin
-    Obs.Metric.incr ~stage "shed";
     Robust.Counters.incr ~stage "shed";
     conn_respond st c
       (Protocol.error_response ~id:parsed.Protocol.id ~kind:"overloaded"
@@ -302,7 +301,7 @@ let submit_conn st c parsed =
 (* ------------------------------------------------------ frame scanning *)
 
 let oversize st c =
-  Obs.Metric.incr ~stage "oversize_frame";
+  Robust.Counters.incr ~stage "oversize_frame";
   submit_conn st c
     {
       Protocol.id = Json.Null;
@@ -315,7 +314,7 @@ let handle_payload st c payload =
       (* the connection dies instead of handling the request: both
          directions shut down, queued output discarded — the client sees
          a clean EOF/reset (typed [Disconnected]), never a hang *)
-      Obs.Metric.incr ~stage "fault_conn_reset";
+      Robust.Counters.incr ~stage "fault_conn_reset";
       c.read_open <- false;
       c.want_close <- true;
       Mutex.lock c.wlock;
@@ -394,7 +393,7 @@ let feed_binary st c s =
           Buffer.clear c.rbuf;
           match Frame.decode_header hdr 0 with
           | Error msg ->
-            Obs.Metric.incr ~stage "frame_desync";
+            Robust.Counters.incr ~stage "frame_desync";
             submit_conn st c
               {
                 Protocol.id = Json.Null;
@@ -440,7 +439,7 @@ let feed st c s =
     if n < 4 && Frame.matches_magic_prefix all 0 n then Buffer.add_string c.rbuf all
     else if Frame.matches_magic_prefix all 0 n then begin
       c.mode <- Binary;
-      Obs.Metric.incr ~stage "binary_conn";
+      Robust.Counters.incr ~stage "binary_conn";
       feed_binary st c all
     end
     else begin
@@ -489,7 +488,7 @@ let close_conn st c =
   if do_close then begin
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     st.conns <- List.filter (fun c' -> c' != c) st.conns;
-    Obs.Metric.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
+    Robust.Counters.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
   end
 
 let idle_sweep st =
@@ -499,7 +498,7 @@ let idle_sweep st =
     List.iter
       (fun c ->
         if c.read_open && now -. c.last_rx > timeout then begin
-          Obs.Metric.incr ~stage "idle_timeout";
+          Robust.Counters.incr ~stage "idle_timeout";
           enqueue_out st c
             (render c
                (Protocol.error_item ~kind:"timeout" ~stage
@@ -560,14 +559,14 @@ let admit st fd =
   in
   st.conns <- c :: st.conns;
   st.accepted <- st.accepted + 1;
-  Obs.Metric.incr ~stage "accept";
-  Obs.Metric.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
+  Robust.Counters.incr ~stage "accept";
+  Robust.Counters.set_gauge ~stage "active_connections" (float_of_int (List.length st.conns))
 
 (* refusal happens before negotiation, so it is always a JSON line (a
    binary client surfaces it through its line fallback) *)
 let refuse st fd =
   st.refused <- st.refused + 1;
-  Obs.Metric.incr ~stage "refused";
+  Robust.Counters.incr ~stage "refused";
   let line =
     Json.to_string
       (Protocol.error_item ~kind:"overloaded" ~stage

@@ -11,10 +11,10 @@ let contains s sub =
 let clean () =
   Obs.Sink.uninstall ();
   Obs.Hist.reset ();
-  Obs.Metric.reset ()
+  Robust.Counters.reset ()
 
-(* a sink that discards events: enables the gated paths (Metric, Span
-   timestamps) without buffering anything *)
+(* a sink that discards events: enables the gated path (Span timestamps)
+   without buffering anything *)
 let null_sink = { Obs.Sink.on_span = (fun _ -> ()) }
 
 (* ------------------------------------------------------- bucket edges *)
@@ -123,25 +123,8 @@ let test_disabled_noop () =
   Obs.Span.emit ~stage:"t" ~name:"ghost" ~t0:0;
   Alcotest.(check int) "with_ is transparent" 41
     (Obs.Span.with_ ~stage:"t" ~name:"quiet" (fun () -> 41));
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 10;
-  Obs.Metric.set_gauge ~stage:"t" "g" 3.5;
-  Alcotest.(check int) "counter stays 0" 0 (Obs.Metric.get ~stage:"t" "c");
-  Alcotest.(check bool) "gauge unset" true (Obs.Metric.get_gauge ~stage:"t" "g" = None);
   Alcotest.(check int) "no series recorded" 0 (List.length (Obs.Hist.snapshot ()));
   Alcotest.(check string) "prometheus empty" "" (Obs.Export.prometheus ())
-
-let test_metric_enabled () =
-  clean ();
-  Obs.Sink.install null_sink;
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 2;
-  Obs.Metric.set_gauge ~stage:"t" "g" 2.5;
-  Obs.Metric.set_gauge ~stage:"t" "g" 4.5;
-  Alcotest.(check int) "counter" 3 (Obs.Metric.get ~stage:"t" "c");
-  Alcotest.(check bool) "gauge last write wins" true
-    (Obs.Metric.get_gauge ~stage:"t" "g" = Some 4.5);
-  clean ()
 
 (* ------------------------------------------------------ recorder ring *)
 
@@ -217,13 +200,13 @@ let test_chrome_trace_escaping () =
 
 let test_prometheus_golden () =
   clean ();
-  Obs.Sink.install null_sink;
+  (* no sink installed: the counter registry counts regardless *)
   let lo = 1 lsl Obs.Hist.first_exp in
   Obs.Hist.observe ~stage:"t" ~name:"x" lo;
   Obs.Hist.observe ~stage:"t" ~name:"x" (lo + 476);
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.add ~stage:"t" "c" 2;
-  Obs.Metric.set_gauge ~stage:"t" "g" 2.5;
+  Robust.Counters.incr ~stage:"t" "c";
+  Robust.Counters.add ~stage:"t" "c" 2;
+  Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
   let out = Obs.Export.prometheus () in
   clean ();
   List.iter
@@ -243,10 +226,9 @@ let test_prometheus_golden () =
 
 let test_snapshot_json_parses () =
   clean ();
-  Obs.Sink.install null_sink;
   Obs.Hist.observe ~stage:"t" ~name:"x" 5000;
-  Obs.Metric.incr ~stage:"t" "c";
-  Obs.Metric.set_gauge ~stage:"t" "g" 1.5;
+  Robust.Counters.incr ~stage:"t" "c";
+  Robust.Counters.set_gauge ~stage:"t" "g" 1.5;
   let out = Obs.Export.snapshot_json () in
   clean ();
   match Serve.Json.parse out with
@@ -257,11 +239,9 @@ let test_snapshot_json_parses () =
       Alcotest.(check string) "span key" "t.x" key;
       Alcotest.(check bool) "span count" true (Serve.Json.mem_num "count" span = Some 1.0)
     | _ -> Alcotest.fail "expected one span entry");
-    (match Serve.Json.member "counters" json with
-    | Some (Serve.Json.Obj [ (key, Serve.Json.Num v) ]) ->
-      Alcotest.(check string) "counter key" "t.c" key;
-      Alcotest.(check (float 0.0)) "counter value" 1.0 v
-    | _ -> Alcotest.fail "expected one counter entry");
+    (* counters are the server's top-level [stats] "counters" object,
+       not repeated here *)
+    Alcotest.(check bool) "no counters copy" true (Serve.Json.member "counters" json = None);
     match Serve.Json.member "gauges" json with
     | Some (Serve.Json.Obj [ (key, Serve.Json.Num v) ]) ->
       Alcotest.(check string) "gauge key" "t.g" key;
@@ -284,7 +264,6 @@ let () =
       ( "sink",
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
-          Alcotest.test_case "metrics move when enabled" `Quick test_metric_enabled;
         ] );
       ( "recorder",
         [

@@ -65,10 +65,18 @@ let test_counters () =
   Robust.Counters.add ~stage:"t" "retry" 3;
   Alcotest.(check int) "incr" 2 (Robust.Counters.get ~stage:"t" "ok");
   Alcotest.(check int) "add" 3 (Robust.Counters.get ~stage:"t" "retry");
+  Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
+  Robust.Counters.set_gauge ~stage:"t" "g" 4.5;
+  Alcotest.(check bool) "gauge last write wins" true
+    (Robust.Counters.get_gauge ~stage:"t" "g" = Some 4.5);
+  Alcotest.(check bool) "gauges listing" true
+    (Robust.Counters.gauges () = [ ("t", "g", 4.5) ]);
   let json = Robust.Counters.to_json () in
   Alcotest.(check bool) "json has stage" true (contains json "\"t\"");
   Robust.Counters.reset ();
-  Alcotest.(check int) "reset" 0 (Robust.Counters.get ~stage:"t" "ok")
+  Alcotest.(check int) "reset" 0 (Robust.Counters.get ~stage:"t" "ok");
+  Alcotest.(check bool) "reset clears gauges" true
+    (Robust.Counters.get_gauge ~stage:"t" "g" = None && Robust.Counters.gauges () = [])
 
 let test_budget () =
   let b = Robust.Budget.make ~max_iterations:10 ~max_seconds:1e9 () in

@@ -567,37 +567,30 @@ let count_lines s = List.length (List.filter (( <> ) "") (String.split_on_char '
 let test_write_overflow () =
   let config = { (net_config ()) with T.max_write_buffer = 65536 } in
   let requests = 3000 in
-  let overflow0 = Obs.Metric.get ~stage:"serve.net" "write_overflow" in
-  let r = Obs.Recorder.start () in
+  let overflows () = Robust.Counters.get ~stage:"serve.net" "write_overflow" in
+  let overflow0 = overflows () in
   let (_ : T.summary), answered =
-    Fun.protect
-      ~finally:(fun () -> Obs.Recorder.stop r)
-      (fun () ->
-        with_server ~config (temp_unix_addr ()) (fun addr ->
-            let fd = pipeline_stats ~rcvbuf:4096 addr requests in
-            (* stay a non-reader until the server gives up on us (10 s
-               at most), or reading here would drain the queue *)
-            let rec await_overflow n =
-              if n > 0 && Obs.Metric.get ~stage:"serve.net" "write_overflow" = overflow0
-              then begin
-                Thread.delay 0.01;
-                await_overflow (n - 1)
-              end
-            in
-            await_overflow 1000;
-            let got =
-              try read_to_eof fd with Unix.Unix_error (Unix.ECONNRESET, _, _) -> ""
-            in
-            Unix.close fd;
-            let again = ok_or_fail "fresh stats" (C.rpc addr (J.Obj [ ("op", J.Str "stats") ])) in
-            Alcotest.(check (option bool)) "a fresh client is served" (Some true)
-              (J.mem_bool "ok" again);
-            ignore (ok_or_fail "shutdown" (C.rpc addr shutdown_body));
-            count_lines got))
+    with_server ~config (temp_unix_addr ()) (fun addr ->
+        let fd = pipeline_stats ~rcvbuf:4096 addr requests in
+        (* stay a non-reader until the server gives up on us (10 s at
+           most), or reading here would drain the queue *)
+        let rec await_overflow n =
+          if n > 0 && overflows () = overflow0 then begin
+            Thread.delay 0.01;
+            await_overflow (n - 1)
+          end
+        in
+        await_overflow 1000;
+        let got = try read_to_eof fd with Unix.Unix_error (Unix.ECONNRESET, _, _) -> "" in
+        Unix.close fd;
+        let again = ok_or_fail "fresh stats" (C.rpc addr (J.Obj [ ("op", J.Str "stats") ])) in
+        Alcotest.(check (option bool)) "a fresh client is served" (Some true)
+          (J.mem_bool "ok" again);
+        ignore (ok_or_fail "shutdown" (C.rpc addr shutdown_body));
+        count_lines got)
   in
   Alcotest.(check bool) "closed before answering everything" true (answered < requests);
-  Alcotest.(check bool) "overflow counted" true
-    (Obs.Metric.get ~stage:"serve.net" "write_overflow" - overflow0 >= 1)
+  Alcotest.(check bool) "overflow counted" true (overflows () - overflow0 >= 1)
 
 (* the other side of the bound: under the default cap, a peer that reads
    only after every response was produced still gets all of them. More
@@ -842,7 +835,13 @@ let test_admission_shed () =
   Alcotest.(check int) "depth 0 sheds nothing" 0 counted;
   Alcotest.(check int) "depth 0 engine executed all" (burst + 2) summary.T.served
 
+(* client-side counters move in a process with no sink installed (such
+   as [reqisc_cli client]): each event lands once in Robust.Counters *)
+let client_counter name = Robust.Counters.get ~stage:"serve.client" name
+
 let test_breaker () =
+  Alcotest.(check bool) "no sink installed" false (Obs.Sink.enabled ());
+  let trips0 = client_counter "breaker_trip" and probes0 = client_counter "breaker_probe" in
   let shed =
     C.Server_error
       { kind = "overloaded"; stage = "serve.admission"; message = "shed"; id = J.Num 1.0 }
@@ -876,7 +875,20 @@ let test_breaker () =
   C.Breaker.record b (Error shed : (unit, C.error) result);
   C.Breaker.record b (Error shed : (unit, C.error) result);
   Alcotest.(check string) "server-side sheds trip" "open" (C.Breaker.state b);
-  Alcotest.(check int) "second trip counted" 2 (C.Breaker.trips b)
+  Alcotest.(check int) "second trip counted" 2 (C.Breaker.trips b);
+  Alcotest.(check int) "breaker_trip counter" 2 (client_counter "breaker_trip" - trips0);
+  Alcotest.(check int) "breaker_probe counter" 1 (client_counter "breaker_probe" - probes0)
+
+let test_connect_counters () =
+  Alcotest.(check bool) "no sink installed" false (Obs.Sink.enabled ());
+  let failed0 = client_counter "connect_failed" and reconnect0 = client_counter "reconnect" in
+  (match C.connect ~retries:2 ~backoff:0.001 (temp_unix_addr ()) with
+  | Error (C.Connect_failed { attempts; _ }) ->
+    Alcotest.(check int) "attempts" 3 attempts
+  | Ok _ -> Alcotest.fail "connected to a path with no listener"
+  | Error e -> Alcotest.failf "expected connect_failed, got %s" (C.error_to_string e));
+  Alcotest.(check int) "connect_failed counter" 3 (client_counter "connect_failed" - failed0);
+  Alcotest.(check int) "reconnect counter" 2 (client_counter "reconnect" - reconnect0)
 
 let () =
   Alcotest.run "serve_net"
@@ -910,6 +922,7 @@ let () =
         [
           Alcotest.test_case "admission shed" `Quick test_admission_shed;
           Alcotest.test_case "circuit breaker" `Quick test_breaker;
+          Alcotest.test_case "connect counters" `Quick test_connect_counters;
         ] );
       ("stress", [ Alcotest.test_case "8x64 pipelined + disconnect" `Quick test_stress ]);
     ]
