@@ -30,8 +30,8 @@ bench-smoke: build
 bench-isa: build
 	dune exec bench/main.exe -- isa
 
-# observability bench alone: tracing overhead contract (<= 2%) and an
-# in-memory Chrome-trace validity check; writes BENCH_obs.json
+# observability bench alone: tracing overhead contract (<= 2%);
+# writes BENCH_obs.json
 bench-obs: build
 	dune exec bench/main.exe -- obs
 

@@ -30,7 +30,7 @@
 
 open Util
 
-module J = Serve.Json
+module J = Robust.Json
 module T = Serve.Transport
 module C = Serve.Client
 
@@ -203,9 +203,13 @@ let overload_burst ~burst =
       for i = 0 to burst - 1 do
         let line =
           (* distinct cold points inside the Weyl chamber (x >= y >= z) *)
-          Printf.sprintf "{\"v\":1,\"id\":%d,\"op\":\"pulses\",\"coords\":[0.45,0.3,%.17g]}"
-            i
-            (0.001 +. (0.28 *. float_of_int i /. float_of_int burst))
+          let z = 0.001 +. (0.28 *. float_of_int i /. float_of_int burst) in
+          J.to_string
+            (J.Obj
+               [
+                 ("v", int 1); ("id", int i); ("op", J.Str "pulses");
+                 ("coords", J.Arr [ J.Num 0.45; J.Num 0.3; J.Num z ]);
+               ])
         in
         match C.send_line ~flush:false c line with
         | Ok () -> ()
@@ -314,17 +318,15 @@ let store_recovery ~seed =
 
 (* ----------------------------------------------------------------- main *)
 
-let err_json (t : tally) =
-  String.concat ", "
-    (List.map
-       (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n)
-       (List.sort compare t.server_err))
-
-let pass_json name ~total (t : tally) =
-  Printf.sprintf
-    "  \"%s\": {\"total\": %d, \"ok\": %d, \"deadline_exceeded\": %d, \"server_errors\": {%s}, \"bad_response\": %d, \"conn_events\": %d, \"timeouts\": %d, \"reconnects\": %d, \"unresolved\": %d, \"availability\": %.4f},\n"
-    name total t.ok t.deadline (err_json t) t.bad_response t.conn_events
-    t.timeouts t.reconnects t.unresolved (availability ~total t)
+let pass_json ~total (t : tally) =
+  J.Obj
+    [
+      ("total", int total); ("ok", int t.ok); ("deadline_exceeded", int t.deadline);
+      ("server_errors", J.Obj (List.map (fun (k, n) -> (k, int n)) (List.sort compare t.server_err)));
+      ("bad_response", int t.bad_response); ("conn_events", int t.conn_events);
+      ("timeouts", int t.timeouts); ("reconnects", int t.reconnects);
+      ("unresolved", int t.unresolved); ("availability", J.Num (availability ~total t));
+    ]
 
 let print_pass name ~total (t : tally) =
   Printf.printf
@@ -411,33 +413,55 @@ let chaos ?(clients = 4) ?requests ?seed () =
   gate "breaker_fail_fast" breaker_ok;
   gate "store_replay_identical" store_ok;
   (* json *)
-  Util.write_json_report ~tag:"chaos" "BENCH_chaos.json" (fun buf ->
-      let bpf fmt = Util.bprintf buf fmt in
-      bpf
-        "  \"workload\": {\"clients\": %d, \"requests_per_client\": %d, \"total\": %d, \"transport\": \"unix\"},\n"
-        clients requests total;
-      bpf "  \"seed\": %d,\n" seed;
-      bpf "  \"fault_spec\": \"%s\",\n" chaos_spec;
-      bpf "%s" (pass_json "reference" ~total reference);
-      bpf "%s" (pass_json "chaos" ~total chaos_tally);
-      bpf "  \"fault_hits\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (s, n) -> Printf.sprintf "\"%s\": %d" s n) fault_hits));
-      bpf "  \"worker_restarts\": %d,\n" worker_restarts;
-      bpf
-        "  \"overload\": {\"burst\": %d, \"queue_depth\": 2, \"solved\": %d, \"shed\": %d, \"other\": %d, \"shed_counter\": %d},\n"
-        burst ov_ok ov_shed ov_other shed_counter;
-      bpf "  \"breaker\": {\"attempts\": [%s], \"trips\": %d, \"state\": \"%s\"},\n"
-        (String.concat ", " (List.map (Printf.sprintf "\"%s\"") bk_kinds))
-        bk_trips bk_state;
-      bpf
-        "  \"store_recovery\": {\"records\": %d, \"survivors\": %d, \"torn_bytes\": %d, \"corrupt_records\": %d, \"replay_identical\": %b, \"killed_record_absent\": %b},\n"
-        st_n survivors st_stats.Cache.torn_bytes st_stats.Cache.corrupt_records
-        replay_identical killed_record_absent;
-      bpf
-        "  \"gates\": {\"reference_clean\": %b, \"chaos_available\": %b, \"worker_restarts_ge_3\": %b, \"deadlines_enforced\": %b, \"shed_fired\": %b, \"breaker_fail_fast\": %b, \"store_replay_identical\": %b},\n"
-        reference_clean chaos_available restarts_ge_3 deadlines_enforced shed_fired
-        breaker_ok store_ok;
-      bpf "  \"pass\": %b\n" all_pass);
+  Util.write_json ~tag:"chaos" "BENCH_chaos.json"
+    (J.Obj
+       [
+         ( "workload",
+           J.Obj
+             [
+               ("clients", int clients); ("requests_per_client", int requests);
+               ("total", int total); ("transport", J.Str "unix");
+             ] );
+         ("seed", int seed);
+         ("fault_spec", J.Str chaos_spec);
+         ("reference", pass_json ~total reference);
+         ("chaos", pass_json ~total chaos_tally);
+         ("fault_hits", J.Obj (List.map (fun (s, n) -> (s, int n)) fault_hits));
+         ("worker_restarts", int worker_restarts);
+         ( "overload",
+           J.Obj
+             [
+               ("burst", int burst); ("queue_depth", int 2); ("solved", int ov_ok);
+               ("shed", int ov_shed); ("other", int ov_other); ("shed_counter", int shed_counter);
+             ] );
+         ( "breaker",
+           J.Obj
+             [
+               ("attempts", J.Arr (List.map (fun k -> J.Str k) bk_kinds));
+               ("trips", int bk_trips);
+               ("state", J.Str bk_state);
+             ] );
+         ( "store_recovery",
+           J.Obj
+             [
+               ("records", int st_n); ("survivors", int survivors);
+               ("torn_bytes", int st_stats.Cache.torn_bytes);
+               ("corrupt_records", int st_stats.Cache.corrupt_records);
+               ("replay_identical", J.Bool replay_identical);
+               ("killed_record_absent", J.Bool killed_record_absent);
+             ] );
+         ( "gates",
+           J.Obj
+             [
+               ("reference_clean", J.Bool reference_clean);
+               ("chaos_available", J.Bool chaos_available);
+               ("worker_restarts_ge_3", J.Bool restarts_ge_3);
+               ("deadlines_enforced", J.Bool deadlines_enforced);
+               ("shed_fired", J.Bool shed_fired);
+               ("breaker_fail_fast", J.Bool breaker_ok);
+               ("store_replay_identical", J.Bool store_ok);
+             ] );
+         ("pass", J.Bool all_pass);
+       ]);
   Printf.printf "  [chaos] %s\n%!"
     (if all_pass then "all gates PASS" else "GATE FAILURES")

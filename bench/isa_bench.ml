@@ -94,33 +94,37 @@ let isa_bench ?(limit = 4) ~big () =
   List.iter (fun v -> Printf.printf "  violation: %s\n" v) violations;
   let compiles_ok = !failures = 0 in
   gate "all compiles ok" compiles_ok;
-  write_json_report ~tag:"isa" "BENCH_isa.json" (fun buf ->
-      let bpf fmt = bprintf buf fmt in
-      bpf "  \"workload\": {\"benches\": %d, \"targets\": [%s]},\n" (List.length rows)
-        (String.concat ", "
-           (List.map (fun (t : Isa.target) -> Printf.sprintf "%S" t.Isa.name) targets));
-      bpf "  \"compiles_failed\": %d,\n" !failures;
-      bpf "  \"native_beats_fixed\": %b,\n" beats_fixed;
-      bpf "  \"pass\": %b,\n" (beats_fixed && compiles_ok);
-      bpf "  \"matrix\": {\n";
-      let nb = List.length rows in
-      List.iteri
-        (fun i (bench, cells) ->
-          bpf "    %S: {" bench;
-          List.iteri
-            (fun j ((t : Isa.target), cell) ->
-              let sep = if j = 0 then "" else ", " in
-              match cell with
-              | Some c ->
-                bpf
-                  "%s\"%s\": {\"count_2q\": %d, \"depth_2q\": %d, \
-                   \"duration\": %.6f, \"wall_seconds\": %.6f}"
-                  sep t.Isa.name c.count_2q c.depth_2q c.duration c.wall_s
-              | None -> bpf "%s\"%s\": null" sep t.Isa.name)
-            cells;
-          bpf "}%s\n" (if i = nb - 1 then "" else ","))
-        rows;
-      bpf "  }\n");
+  let cell_json = function
+    | Some c ->
+      Json.Obj
+        [
+          ("count_2q", int c.count_2q); ("depth_2q", int c.depth_2q);
+          ("duration", Json.Num c.duration); ("wall_seconds", Json.Num c.wall_s);
+        ]
+    | None -> Json.Null
+  in
+  write_json ~tag:"isa" "BENCH_isa.json"
+    (Json.Obj
+       [
+         ( "workload",
+           Json.Obj
+             [
+               ("benches", int (List.length rows));
+               ("targets", Json.Arr (List.map (fun (t : Isa.target) -> Json.Str t.Isa.name) targets));
+             ] );
+         ("compiles_failed", int !failures);
+         ("native_beats_fixed", Json.Bool beats_fixed);
+         ("pass", Json.Bool (beats_fixed && compiles_ok));
+         ( "matrix",
+           Json.Obj
+             (List.map
+                (fun (bench, cells) ->
+                  ( bench,
+                    Json.Obj
+                      (List.map (fun ((t : Isa.target), cell) -> (t.Isa.name, cell_json cell)) cells)
+                  ))
+                rows) );
+       ]);
   csv "isa_matrix"
     ("bench" :: List.concat_map (fun (t : Isa.target) ->
          [ t.Isa.name ^ "_2q"; t.Isa.name ^ "_duration" ]) targets)

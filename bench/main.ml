@@ -135,5 +135,5 @@ let () =
      injection, which must never leak into the measurement targets *)
   if List.mem "chaos" targets then Chaos_bench.chaos ~clients ?requests:limit ?seed ();
   if want "obs" then Obs_bench.obs ?limit ~big ();
-  Util.write_robust_json "BENCH_robust.json";
+  Util.write_json ~tag:"robust" "BENCH_robust.json" (Util.robust_json ());
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. total_t0)

@@ -192,38 +192,45 @@ let () =
              full_s;
            (b.name, eff_s, full_s))
   in
-  (* hand-rolled JSON *)
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  bpf "  \"domains\": %d,\n" domains;
-  bpf "  \"smoke\": %b,\n" smoke;
-  bpf "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      bpf "    {\"kernel\": %S, \"n\": %d, \"boxed_us\": %.3f, \"soa_us\": %.3f, \"speedup\": %.3f}%s\n"
-        r.kernel r.n (1e6 *. r.boxed_s) (1e6 *. r.soa_s) (speedup r)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  bpf "  ],\n";
-  bpf
-    "  \"haar_sweep\": {\"n\": %d, \"domains\": %d, \"seq_ms\": %.3f, \"par_ms\": %.3f, \"speedup\": %.3f, \"deterministic\": %b},\n"
-    sweep_n domains (1e3 *. seq_s) (1e3 *. par_s) (seq_s /. par_s) (r1 = rd);
-  bpf "  \"end_to_end\": [\n";
-  List.iteri
-    (fun i (name, eff_s, full_s) ->
-      bpf "    {\"bench\": %S, \"eff_s\": %.3f, \"full_s\": %.3f}%s\n" name eff_s full_s
-        (if i = List.length e2e - 1 then "" else ","))
-    e2e;
-  bpf "  ],\n";
+  let module Json = Robust.Json in
+  let int = Util.int in
   let find k n = List.find (fun r -> r.kernel = k && r.n = n) rows in
-  bpf "  \"acceptance\": {\"mul4_speedup\": %.3f, \"expm4_speedup\": %.3f}\n"
-    (speedup (find "mul" 4))
-    (speedup (find "expm" 4));
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out;
+  Util.write_json ~tag:"microbench" out
+    (Json.Obj
+       [
+         ("cores", int (Domain.recommended_domain_count ()));
+         ("domains", int domains);
+         ("smoke", Json.Bool smoke);
+         ( "kernels",
+           Json.Arr
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ("kernel", Json.Str r.kernel); ("n", int r.n);
+                      ("boxed_us", Json.Num (1e6 *. r.boxed_s));
+                      ("soa_us", Json.Num (1e6 *. r.soa_s)); ("speedup", Json.Num (speedup r));
+                    ])
+                rows) );
+         ( "haar_sweep",
+           Json.Obj
+             [
+               ("n", int sweep_n); ("domains", int domains);
+               ("seq_ms", Json.Num (1e3 *. seq_s)); ("par_ms", Json.Num (1e3 *. par_s));
+               ("speedup", Json.Num (seq_s /. par_s)); ("deterministic", Json.Bool (r1 = rd));
+             ] );
+         ( "end_to_end",
+           Json.Arr
+             (List.map
+                (fun (name, eff_s, full_s) ->
+                  Json.Obj
+                    [ ("bench", Json.Str name); ("eff_s", Json.Num eff_s); ("full_s", Json.Num full_s) ])
+                e2e) );
+         ( "acceptance",
+           Json.Obj
+             [
+               ("mul4_speedup", Json.Num (speedup (find "mul" 4)));
+               ("expm4_speedup", Json.Num (speedup (find "expm" 4)));
+             ] );
+       ]);
   if !mismatch then exit 1

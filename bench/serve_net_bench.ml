@@ -16,7 +16,7 @@
 
 open Util
 
-module J = Serve.Json
+module J = Robust.Json
 module T = Serve.Transport
 module C = Serve.Client
 
@@ -237,29 +237,42 @@ let measure_pass ~cache_path ~clients ~requests ~total =
   List.fold_left (fun best p -> if p.seconds < best.seconds then p else best)
     (List.hd passes) (List.tl passes)
 
-let pass_json name (p : pass) =
-  Printf.sprintf
-    "  \"%s\": {\"seconds\": %.4f, \"throughput_rps\": %.1f, \"latency_ms\": {\"p50\": %.3f, \"p99\": %.3f, \"p999\": %.3f, \"max\": %.3f}, \"served\": %d, \"server_errors\": %d, \"refused\": %d, \"client_errors\": %d},\n"
-    name p.seconds p.rps (1e3 *. p.p50) (1e3 *. p.p99) (1e3 *. p.p999)
-    (1e3 *. p.lat_max) p.served p.server_errors p.refused p.client_errors
+let latency_json (p : pass) =
+  let ms s = J.Num (1e3 *. s) in
+  J.Obj [ ("p50", ms p.p50); ("p99", ms p.p99); ("p999", ms p.p999); ("max", ms p.lat_max) ]
+
+let pass_json (p : pass) =
+  J.Obj
+    [
+      ("seconds", J.Num p.seconds); ("throughput_rps", J.Num p.rps);
+      ("latency_ms", latency_json p);
+      ("served", int p.served); ("server_errors", int p.server_errors);
+      ("refused", int p.refused); ("client_errors", int p.client_errors);
+    ]
 
 let write_json path ~clients ~requests ~total ~stdio_t ~stdio_rps
     ~(bin_pass : pass) ~ratio =
-  Util.write_json_report ~tag:"serve-net" path (fun buf ->
-      let bpf fmt = Util.bprintf buf fmt in
-      bpf
-        "  \"workload\": {\"clients\": %d, \"requests_per_client\": %d, \"total\": %d, \"transport\": \"unix\"},\n"
-        clients requests total;
-      bpf
-        "  \"in_process\": {\"mode\": \"direct\", \"seconds\": %.4f, \"throughput_rps\": %.1f},\n"
-        stdio_t stdio_rps;
-      bpf "%s" (pass_json "socket_binary" bin_pass);
-      bpf "  \"latency_ms\": {\"p50\": %.3f, \"p99\": %.3f, \"p999\": %.3f, \"max\": %.3f},\n"
-        (1e3 *. bin_pass.p50) (1e3 *. bin_pass.p99) (1e3 *. bin_pass.p999)
-        (1e3 *. bin_pass.lat_max);
-      bpf "  \"throughput_ratio\": %.3f,\n" ratio;
-      bpf "  \"meets_1x\": %b,\n" (ratio >= 1.0);
-      bpf "  \"within_2x\": %b\n" (ratio >= 0.5))
+  Util.write_json ~tag:"serve-net" path
+    (J.Obj
+       [
+         ( "workload",
+           J.Obj
+             [
+               ("clients", int clients); ("requests_per_client", int requests);
+               ("total", int total); ("transport", J.Str "unix");
+             ] );
+         ( "in_process",
+           J.Obj
+             [
+               ("mode", J.Str "direct"); ("seconds", J.Num stdio_t);
+               ("throughput_rps", J.Num stdio_rps);
+             ] );
+         ("socket_binary", pass_json bin_pass);
+         ("latency_ms", latency_json bin_pass);
+         ("throughput_ratio", J.Num ratio);
+         ("meets_1x", J.Bool (ratio >= 1.0));
+         ("within_2x", J.Bool (ratio >= 0.5));
+       ])
 
 let print_pass name (p : pass) =
   Printf.printf "  %-11s %.3fs  (%.0f req/s)  p50 %.2fms  p99 %.2fms  p999 %.2fms\n"

@@ -35,6 +35,21 @@ let xy = Microarch.Coupling.xy ~g:1.0
 let su4_isa = Compiler.Metrics.Su4_isa xy
 let cnot_isa = Compiler.Metrics.Cnot_isa
 
+(* ------------------------------------------------------- JSON reports *)
+
+module Json = Robust.Json
+
+let int n = Json.Num (float_of_int n)
+
+(* every BENCH_*.json report: one compact line, then a "wrote" line on
+   stdout *)
+let write_json ~tag path v =
+  let oc = open_out path in
+  output_string oc (Json.to_string v);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "  [%s] wrote %s\n%!" tag path
+
 (* -------------------------------------------------- robustness report *)
 
 (* per-gate solver verdicts collected by table2: (bench, [(gate, kind)]) *)
@@ -45,40 +60,22 @@ let note_gate_outcomes bench kinds =
 
 (* BENCH_robust.json: per-stage retry/fallback/degradation counters, the
    active fault spec, and table2's per-gate solver outcomes. Written after
-   every bench run; stdout stays untouched unless fault injection is armed,
-   so fault-free runs remain bit-identical to the plain harness. *)
-let write_robust_json path =
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"faults\": %s,\n"
-    (if Robust.Fault.enabled () then Printf.sprintf "%S" (Robust.Fault.spec_string ())
-     else "null");
-  bpf "  \"fault_hits\": {";
-  List.iteri
-    (fun i (site, n) -> bpf "%s%S: %d" (if i = 0 then "" else ", ") site n)
-    (Robust.Fault.hits ());
-  bpf "},\n";
-  bpf "  \"counters\": %s,\n" (Robust.Counters.to_json ());
-  bpf "  \"table2_gate_outcomes\": [\n";
-  let entries = List.rev !robust_gate_outcomes in
-  List.iteri
-    (fun i (bench, kinds) ->
-      bpf "    {\"bench\": %S, \"gates\": [" bench;
-      List.iteri
-        (fun j (gate, kind) ->
-          bpf "%s{\"gate\": %S, \"outcome\": %S}" (if j = 0 then "" else ", ") gate kind)
-        kinds;
-      bpf "]}%s\n" (if i = List.length entries - 1 then "" else ","))
-    entries;
-  bpf "  ]\n";
-  bpf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  if Robust.Fault.enabled () then
-    Printf.printf "  [robust] wrote %s (faults: %s)\n%!" path
-      (Robust.Fault.spec_string ())
+   every bench run. *)
+let robust_json () =
+  let outcome (gate, kind) = Json.Obj [ ("gate", Json.Str gate); ("outcome", Json.Str kind) ] in
+  Json.Obj
+    [
+      ( "faults",
+        if Robust.Fault.enabled () then Json.Str (Robust.Fault.spec_string ()) else Json.Null );
+      ("fault_hits", Json.Obj (List.map (fun (site, n) -> (site, int n)) (Robust.Fault.hits ())));
+      ("counters", Robust.Counters.to_json ());
+      ( "table2_gate_outcomes",
+        Json.Arr
+          (List.rev_map
+             (fun (bench, kinds) ->
+               Json.Obj [ ("bench", Json.Str bench); ("gates", Json.Arr (List.map outcome kinds)) ])
+             !robust_gate_outcomes) );
+    ]
 
 (* ------------------------------------------ serve-bench shared helpers *)
 
@@ -94,23 +91,6 @@ let percentile sorted p =
 (* gate verdict line shared by the gated serve benches *)
 let gate name ok =
   Printf.printf "  gate %-22s %s\n" name (if ok then "PASS" else "FAIL")
-
-(* printf into a report buffer ([build] callbacks bind it locally so the
-   format type stays polymorphic) *)
-let bprintf buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
-
-(* Buffer-backed JSON report writer: [build] emits the members into the
-   buffer (via {!bprintf}); the braces, the file write, and the "wrote"
-   line are the shared part every BENCH_*.json used to copy *)
-let write_json_report ~tag path build =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  build buf;
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [%s] wrote %s\n%!" tag path
 
 (* socket server on a background thread: wait for the ready signal, run
    [f] against the actual bound address (so tcp:HOST:0 workloads see the
@@ -152,7 +132,7 @@ let with_net_server ~tag ~config ?(before_shutdown = fun () -> ())
   before_shutdown ();
   (match
      Serve.Client.rpc ~retries:shutdown_retries !actual
-       (Serve.Json.Obj [ ("op", Serve.Json.Str "shutdown") ])
+       (Json.Obj [ ("op", Json.Str "shutdown") ])
    with
   | Ok _ -> ()
   | Error e -> failwith (tag ^ ": shutdown: " ^ Serve.Client.error_to_string e));

@@ -536,13 +536,13 @@ let cmd_client args =
   let run_line line =
     if String.trim line <> "" then begin
       let body =
-        match Serve.Json.parse line with
-        | Ok (Serve.Json.Obj _ as body) -> body
+        match Robust.Json.parse line with
+        | Ok (Robust.Json.Obj _ as body) -> body
         | Ok _ -> usage_error "request must be a JSON object: %s" line
         | Error e -> usage_error "request is not JSON (%s): %s" e line
       in
       match Serve.Client.request t body with
-      | Ok json -> print_endline (Serve.Json.to_string json)
+      | Ok json -> print_endline (Robust.Json.to_string json)
       | Error (Serve.Client.Server_error _ as e) ->
         (* the server answered; surface the typed error but keep going *)
         Printf.eprintf "error[%s]: %s\n" (Serve.Client.error_kind e)
@@ -576,7 +576,9 @@ let with_cache_file sub args f =
 (* stats_json includes the on-disk view — file_records (physical frames,
    duplicates included) vs disk_records (distinct keys) and disk_bytes —
    so an operator can see how much a compaction would reclaim *)
-let cmd_cache_stats args = with_cache_file "stats" args (fun c -> print_endline (Cache.stats_json c))
+let cmd_cache_stats args =
+  with_cache_file "stats" args (fun c ->
+      print_endline (Robust.Json.to_string (Cache.stats_json c)))
 
 let cmd_cache_compact args =
   with_cache_file "compact" args (fun c ->
@@ -584,13 +586,16 @@ let cmd_cache_compact args =
       match Cache.compact c with
       | Error e -> usage_error "compact failed: %s" e
       | Ok bytes ->
-        Printf.printf
-          "{\"compacted\":true,\"records\":%d,\"dropped_records\":%d,\
-           \"bytes\":%d,\"reclaimed_bytes\":%d}\n"
-          before.Cache.disk_records
-          (before.Cache.file_records - before.Cache.disk_records)
-          bytes
-          (before.Cache.disk_bytes - bytes))
+        let n v = Robust.Json.Num (float_of_int v) in
+        print_endline
+          Robust.Json.(
+            to_string
+              (Obj
+                 [
+                   ("compacted", Bool true); ("records", n before.Cache.disk_records);
+                   ("dropped_records", n (before.Cache.file_records - before.Cache.disk_records));
+                   ("bytes", n bytes); ("reclaimed_bytes", n (before.Cache.disk_bytes - bytes));
+                 ])))
 
 (* ---------------------------------------------------------- dispatch *)
 

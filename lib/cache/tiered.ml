@@ -180,15 +180,18 @@ let stats t =
 
 let stats_json t =
   let s = stats t in
-  Printf.sprintf
-    "{\"path\":%s,\"size\":%d,\"capacity\":%d,\"disk_records\":%d,\
-     \"file_records\":%d,\"disk_bytes\":%d,\"torn_bytes\":%d,\
-     \"corrupt_records\":%d,\"compactions\":%d,\"hits\":%d,\"disk_hits\":%d,\
-     \"misses\":%d,\"inserts\":%d,\"evictions\":%d}"
-    (match t.file with Some p -> Printf.sprintf "%S" p | None -> "null")
-    s.size s.capacity s.disk_records s.file_records s.disk_bytes s.torn_bytes
-    s.corrupt_records s.compactions s.hits s.disk_hits s.misses s.inserts
-    s.evictions
+  let n v = Robust.Json.Num (float_of_int v) in
+  Robust.Json.(
+    Obj
+      [
+        ("path", match t.file with Some p -> Str p | None -> Null);
+        ("size", n s.size); ("capacity", n s.capacity);
+        ("disk_records", n s.disk_records); ("file_records", n s.file_records);
+        ("disk_bytes", n s.disk_bytes); ("torn_bytes", n s.torn_bytes);
+        ("corrupt_records", n s.corrupt_records); ("compactions", n s.compactions);
+        ("hits", n s.hits); ("disk_hits", n s.disk_hits); ("misses", n s.misses);
+        ("inserts", n s.inserts); ("evictions", n s.evictions);
+      ])
 
 let close t =
   locked t (fun () -> match t.writer with Some w -> Store.close_writer w | None -> ())

@@ -52,9 +52,9 @@ val stats : t -> stats
     blocked for the duration of the rewrite). *)
 val compact : t -> (int, string) result
 
-(** One-line JSON rendering of {!stats} (plus the path), for the [stats]
-    server op and [cache stats] CLI. *)
-val stats_json : t -> string
+(** {!stats} (plus the path, [null] for a memory-only cache) as a JSON
+    object, for the [stats] server op and [cache stats] CLI. *)
+val stats_json : t -> Robust.Json.t
 
 (** Flushes and closes the on-disk tier; the cache must not be used after. *)
 val close : t -> unit

@@ -64,18 +64,8 @@ let gauges () =
   List.sort compare flat
 
 let to_json () =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (st, cs) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%S:{" st);
-      List.iteri
-        (fun j (c, v) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "%S:%d" c v))
-        cs;
-      Buffer.add_char buf '}')
-    (snapshot ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    (List.map
+       (fun (st, cs) ->
+         (st, Json.Obj (List.map (fun (c, v) -> (c, Json.Num (float_of_int v))) cs)))
+       (snapshot ()))

@@ -26,4 +26,4 @@ val snapshot : unit -> (string * (string * int) list) list
 val gauges : unit -> (string * string * float) list
 
 (** The counter table as a JSON object [{"stage":{"counter":n,...},...}]. *)
-val to_json : unit -> string
+val to_json : unit -> Json.t

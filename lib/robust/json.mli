@@ -1,9 +1,10 @@
-(** Minimal dependency-free JSON, sized for the line-delimited wire
-    protocol: a full RFC 8259 parser (objects, arrays, strings with
-    escapes and [\uXXXX], numbers, literals) and a canonical emitter.
+(** Minimal dependency-free JSON, the project's one JSON writer: a full
+    RFC 8259 parser (objects, arrays, strings with escapes and [\uXXXX],
+    numbers, literals) and the compact emitter that every JSON producer
+    (server, cache stats, traces, bench reports) renders through.
 
     Numbers are floats (ints round-trip exactly up to 2^53, far beyond any
-    id or counter this protocol carries). Parse errors report the byte
+    id or counter this project writes). Parse errors report the byte
     offset; nesting beyond {!max_depth} is one of them (a located error,
     never a stack overflow). *)
 
@@ -21,7 +22,7 @@ val max_depth : int
 val parse : string -> (t, string) result
 
 (** Compact one-line rendering (never contains a raw newline, so every
-    response is exactly one protocol line). *)
+    server response is exactly one protocol line). *)
 val to_string : t -> string
 
 (** {1 Accessors} ([None] on shape mismatch) *)

@@ -29,11 +29,6 @@ type t = {
 
 let xy = Microarch.Coupling.xy ~g:1.0
 
-let json_of_string s =
-  (* counters / cache stats are emitted by our own renderers; re-parse to
-     embed them structurally (fall back to a raw string, never fail) *)
-  match Json.parse s with Ok v -> v | Error _ -> Json.Str s
-
 (* Derive the solver budget from the request's explicit budget spec and
    the wall-clock remaining before its deadline, whichever is tighter.
    A deadline with no explicit budget still bounds the solver (default
@@ -355,15 +350,10 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
 (* -------------------------------------------------------------- stats *)
 
 let exec_stats t =
-  let cache_json =
-    match t.cache with
-    | Some c -> json_of_string (Cache.stats_json c)
-    | None -> (
-      (* a cache installed by the embedding process (e.g. the bench
-         harness) still shows up here *)
-      match Microarch.Pulse_cache.installed () with
-      | Some c -> json_of_string (Cache.stats_json c)
-      | None -> Json.Null)
+  (* a cache installed by the embedding process (e.g. the bench harness)
+     still shows up here *)
+  let cache =
+    match t.cache with Some _ as c -> c | None -> Microarch.Pulse_cache.installed ()
   in
   Protocol.ok_item ~op:"stats"
     (Json.Obj
@@ -371,9 +361,9 @@ let exec_stats t =
          ("uptime_seconds", Json.Num (Unix.gettimeofday () -. t.t0));
          ("served", Json.Num (float_of_int (Atomic.get t.served)));
          ("queue_depth", Json.Num (float_of_int (Jobq.length t.queue)));
-         ("cache", cache_json);
-         ("counters", json_of_string (Robust.Counters.to_json ()));
-         ("obs", json_of_string (Obs.Export.snapshot_json ()));
+         ("cache", Option.fold ~none:Json.Null ~some:Cache.stats_json cache);
+         ("counters", Robust.Counters.to_json ());
+         ("obs", Obs.Export.snapshot_json ());
        ])
 
 (* ---------------------------------------------------------- dispatch *)

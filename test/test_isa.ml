@@ -230,7 +230,7 @@ let test_fingerprint () =
 let test_serve_paths () =
   let eng = Serve.Engine.create ~workers:1 ~seed:7L () in
   let run line =
-    Serve.Json.to_string
+    Robust.Json.to_string
       (Serve.Engine.exec_once eng (Serve.Protocol.parse_line line))
   in
   let ok = run "{\"v\":1,\"id\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"isa\":\"cnot\"}" in

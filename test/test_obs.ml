@@ -1,7 +1,8 @@
 (* lib/obs: histogram bucket edges, span nesting and exception unwind,
    the disabled-sink no-op contract, recorder ring bounds, and golden
    Chrome-trace / Prometheus exports (the Chrome trace must also load in
-   Serve.Json, the same parser the server and CI use). *)
+   Robust.Json, the same parser the server uses), and a recorded
+   compile whose trace is well formed. *)
 
 let contains s sub =
   let n = String.length sub and len = String.length s in
@@ -166,37 +167,66 @@ let test_chrome_trace_golden () =
     { Obs.Sink.stage; name; t0_ns = t0; dur_ns = dur; depth; domain }
   in
   let out =
-    Obs.Export.chrome_trace [ ev "s" "a" 1000 2500 0 0; ev "s" "b" 2000 500 1 3 ]
+    Robust.Json.to_string
+      (Obs.Export.chrome_trace [ ev "s" "a" 1000 2500 0 0; ev "s" "b" 2000 500 1 3 ])
   in
   (* byte-exact: ts is rebased to the earliest event, ns -> us *)
   let expected =
-    "{\"traceEvents\":[{\"name\":\"a\",\"cat\":\"s\",\"ph\":\"X\",\"ts\":0.000,\
-     \"dur\":2.500,\"pid\":1,\"tid\":0,\"args\":{\"depth\":0}},{\"name\":\"b\",\
-     \"cat\":\"s\",\"ph\":\"X\",\"ts\":1.000,\"dur\":0.500,\"pid\":1,\"tid\":3,\
+    "{\"traceEvents\":[{\"name\":\"a\",\"cat\":\"s\",\"ph\":\"X\",\"ts\":0,\
+     \"dur\":2.5,\"pid\":1,\"tid\":0,\"args\":{\"depth\":0}},{\"name\":\"b\",\
+     \"cat\":\"s\",\"ph\":\"X\",\"ts\":1,\"dur\":0.5,\"pid\":1,\"tid\":3,\
      \"args\":{\"depth\":1}}],\"displayTimeUnit\":\"ms\"}"
   in
   Alcotest.(check string) "golden chrome trace" expected out;
   (* and it must load in the JSON parser the server ships *)
-  match Serve.Json.parse out with
+  match Robust.Json.parse out with
   | Error e -> Alcotest.failf "chrome trace does not parse: %s" e
   | Ok json -> (
-    match Serve.Json.mem_arr "traceEvents" json with
+    match Robust.Json.mem_arr "traceEvents" json with
     | Some [ a; b ] ->
-      Alcotest.(check bool) "event a name" true (Serve.Json.mem_str "name" a = Some "a");
-      Alcotest.(check bool) "event b ph" true (Serve.Json.mem_str "ph" b = Some "X")
+      Alcotest.(check bool) "event a name" true (Robust.Json.mem_str "name" a = Some "a");
+      Alcotest.(check bool) "event b ph" true (Robust.Json.mem_str "ph" b = Some "X")
     | _ -> Alcotest.fail "expected 2 traceEvents")
 
 let test_chrome_trace_escaping () =
   let out =
-    Obs.Export.chrome_trace
-      [ { Obs.Sink.stage = "s\"t"; name = "a\nb"; t0_ns = 0; dur_ns = 1; depth = 0;
-          domain = 0 } ]
+    Robust.Json.to_string
+      (Obs.Export.chrome_trace
+         [ { Obs.Sink.stage = "s\"t"; name = "a\nb"; t0_ns = 0; dur_ns = 1; depth = 0;
+             domain = 0 } ])
   in
   Alcotest.(check bool) "escaped quote" true (contains out "\"cat\":\"s\\\"t\"");
   Alcotest.(check bool) "escaped newline" true (contains out "\"name\":\"a\\nb\"");
-  match Serve.Json.parse out with
+  match Robust.Json.parse out with
   | Error e -> Alcotest.failf "escaped trace does not parse: %s" e
   | Ok _ -> ()
+
+(* a real compile recorded end to end: the rendered trace parses and
+   every event is a complete span with a name, ph "X", ts and dur *)
+let test_chrome_trace_of_compile () =
+  clean ();
+  let b = List.hd (Benchmarks.Suite.suite ()) in
+  let out, r =
+    Obs.Recorder.with_recorder (fun () ->
+        Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Eff (Numerics.Rng.create 1L)
+          b.Benchmarks.Suite.program)
+  in
+  Alcotest.(check bool) "compile ok" true (Result.is_ok out);
+  let trace = Robust.Json.to_string (Obs.Export.chrome_trace (Obs.Recorder.events r)) in
+  clean ();
+  match Robust.Json.parse trace with
+  | Error e -> Alcotest.failf "recorded trace does not parse: %s" e
+  | Ok json -> (
+    match Robust.Json.mem_arr "traceEvents" json with
+    | None | Some [] -> Alcotest.fail "no traceEvents"
+    | Some evs ->
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) "name" true (Robust.Json.mem_str "name" e <> None);
+          Alcotest.(check (option string)) "ph" (Some "X") (Robust.Json.mem_str "ph" e);
+          Alcotest.(check bool) "ts" true (Robust.Json.mem_num "ts" e <> None);
+          Alcotest.(check bool) "dur" true (Robust.Json.mem_num "dur" e <> None))
+        evs)
 
 let test_prometheus_golden () =
   clean ();
@@ -207,6 +237,8 @@ let test_prometheus_golden () =
   Robust.Counters.incr ~stage:"t" "c";
   Robust.Counters.add ~stage:"t" "c" 2;
   Robust.Counters.set_gauge ~stage:"t" "g" 2.5;
+  (* label values escape backslash, quote and newline, and nothing else *)
+  Robust.Counters.incr ~stage:"q\"b\\n\nt\t" "c";
   let out = Obs.Export.prometheus () in
   clean ();
   List.iter
@@ -221,6 +253,7 @@ let test_prometheus_golden () =
       "reqisc_span_duration_seconds_count{stage=\"t\",name=\"x\"} 2";
       "# TYPE reqisc_counter_total counter";
       "reqisc_counter_total{stage=\"t\",name=\"c\"} 3";
+      "reqisc_counter_total{stage=\"q\\\"b\\\\n\\nt\t\",name=\"c\"} 1";
       "# TYPE reqisc_gauge gauge";
       "reqisc_gauge{stage=\"t\",name=\"g\"} 2.5" ]
 
@@ -229,21 +262,21 @@ let test_snapshot_json_parses () =
   Obs.Hist.observe ~stage:"t" ~name:"x" 5000;
   Robust.Counters.incr ~stage:"t" "c";
   Robust.Counters.set_gauge ~stage:"t" "g" 1.5;
-  let out = Obs.Export.snapshot_json () in
+  let out = Robust.Json.to_string (Obs.Export.snapshot_json ()) in
   clean ();
-  match Serve.Json.parse out with
+  match Robust.Json.parse out with
   | Error e -> Alcotest.failf "snapshot does not parse: %s" e
   | Ok json ->
-    (match Serve.Json.member "spans" json with
-    | Some (Serve.Json.Obj [ (key, span) ]) ->
+    (match Robust.Json.member "spans" json with
+    | Some (Robust.Json.Obj [ (key, span) ]) ->
       Alcotest.(check string) "span key" "t.x" key;
-      Alcotest.(check bool) "span count" true (Serve.Json.mem_num "count" span = Some 1.0)
+      Alcotest.(check bool) "span count" true (Robust.Json.mem_num "count" span = Some 1.0)
     | _ -> Alcotest.fail "expected one span entry");
     (* counters are the server's top-level [stats] "counters" object,
        not repeated here *)
-    Alcotest.(check bool) "no counters copy" true (Serve.Json.member "counters" json = None);
-    match Serve.Json.member "gauges" json with
-    | Some (Serve.Json.Obj [ (key, Serve.Json.Num v) ]) ->
+    Alcotest.(check bool) "no counters copy" true (Robust.Json.member "counters" json = None);
+    match Robust.Json.member "gauges" json with
+    | Some (Robust.Json.Obj [ (key, Robust.Json.Num v) ]) ->
       Alcotest.(check string) "gauge key" "t.g" key;
       Alcotest.(check (float 0.0)) "gauge value" 1.5 v
     | _ -> Alcotest.fail "expected one gauge entry"
@@ -275,6 +308,7 @@ let () =
         [
           Alcotest.test_case "chrome trace golden" `Quick test_chrome_trace_golden;
           Alcotest.test_case "chrome trace escaping" `Quick test_chrome_trace_escaping;
+          Alcotest.test_case "chrome trace of a compile" `Quick test_chrome_trace_of_compile;
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "snapshot json parses" `Quick test_snapshot_json_parses;
         ] );

@@ -71,8 +71,20 @@ let test_counters () =
     (Robust.Counters.get_gauge ~stage:"t" "g" = Some 4.5);
   Alcotest.(check bool) "gauges listing" true
     (Robust.Counters.gauges () = [ ("t", "g", 4.5) ]);
-  let json = Robust.Counters.to_json () in
-  Alcotest.(check bool) "json has stage" true (contains json "\"t\"");
+  (* non-ASCII and control bytes in a key come back byte for byte
+     through the JSON writer and parser *)
+  let stage = "caf\xc3\xa9\001" and name = "n\xe2\x82\xac\001\"" in
+  Robust.Counters.add ~stage name 7;
+  let expected =
+    Robust.Json.(
+      Obj
+        [
+          (stage, Obj [ (name, Num 7.0) ]);
+          ("t", Obj [ ("ok", Num 2.0); ("retry", Num 3.0) ]);
+        ])
+  in
+  Alcotest.(check bool) "json round trip" true
+    (Robust.Json.(parse (to_string (Robust.Counters.to_json ()))) = Ok expected);
   Robust.Counters.reset ();
   Alcotest.(check int) "reset" 0 (Robust.Counters.get ~stage:"t" "ok");
   Alcotest.(check bool) "reset clears gauges" true

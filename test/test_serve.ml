@@ -44,10 +44,10 @@ let contains s sub =
 
 let rec json_eq a b =
   match (a, b) with
-  | Serve.Json.Num x, Serve.Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
-  | Serve.Json.Arr xs, Serve.Json.Arr ys ->
+  | Robust.Json.Num x, Robust.Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Robust.Json.Arr xs, Robust.Json.Arr ys ->
     List.length xs = List.length ys && List.for_all2 json_eq xs ys
-  | Serve.Json.Obj xs, Serve.Json.Obj ys ->
+  | Robust.Json.Obj xs, Robust.Json.Obj ys ->
     List.length xs = List.length ys
     && List.for_all2 (fun (k, v) (k', v') -> k = k' && json_eq v v') xs ys
   | _ -> a = b
@@ -62,10 +62,10 @@ let test_json_roundtrip () =
   in
   List.iter
     (fun s ->
-      match Serve.Json.parse s with
+      match Robust.Json.parse s with
       | Error e -> Alcotest.failf "parse %s: %s" s e
       | Ok v -> (
-        match Serve.Json.parse (Serve.Json.to_string v) with
+        match Robust.Json.parse (Robust.Json.to_string v) with
         | Error e -> Alcotest.failf "reparse %s: %s" s e
         | Ok v' ->
           Alcotest.(check bool) ("round trip " ^ s) true (json_eq v v')))
@@ -73,8 +73,8 @@ let test_json_roundtrip () =
   (* floats survive the emitter exactly *)
   List.iter
     (fun f ->
-      match Serve.Json.parse (Serve.Json.to_string (Serve.Json.Num f)) with
-      | Ok (Serve.Json.Num f') ->
+      match Robust.Json.parse (Robust.Json.to_string (Robust.Json.Num f)) with
+      | Ok (Robust.Json.Num f') ->
         Alcotest.(check bool)
           (Printf.sprintf "float %.17g" f)
           true
@@ -83,18 +83,18 @@ let test_json_roundtrip () =
     [ 0.1; -1.0 /. 3.0; Float.pi; 1e-300; 9.007199254740993e15 ]
 
 let test_json_unicode () =
-  (match Serve.Json.parse "\"\\u0041\\u00e9\"" with
-  | Ok (Serve.Json.Str s) -> Alcotest.(check string) "bmp escapes" "A\xc3\xa9" s
+  (match Robust.Json.parse "\"\\u0041\\u00e9\"" with
+  | Ok (Robust.Json.Str s) -> Alcotest.(check string) "bmp escapes" "A\xc3\xa9" s
   | _ -> Alcotest.fail "bmp escape parse");
-  match Serve.Json.parse "\"\\ud83d\\ude00\"" with
-  | Ok (Serve.Json.Str s) ->
+  match Robust.Json.parse "\"\\ud83d\\ude00\"" with
+  | Ok (Robust.Json.Str s) ->
     Alcotest.(check string) "surrogate pair to utf-8" "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "surrogate pair parse"
 
 let test_json_malformed () =
   List.iter
     (fun s ->
-      match Serve.Json.parse s with
+      match Robust.Json.parse s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected parse error for %s" s)
     [
@@ -103,14 +103,14 @@ let test_json_malformed () =
     ]
 
 let test_json_accessors () =
-  match Serve.Json.parse "{\"n\":3,\"s\":\"x\",\"b\":true,\"a\":[1]}" with
+  match Robust.Json.parse "{\"n\":3,\"s\":\"x\",\"b\":true,\"a\":[1]}" with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok v ->
-    Alcotest.(check (option int)) "int" (Some 3) (Serve.Json.mem_int "n" v);
-    Alcotest.(check (option string)) "str" (Some "x") (Serve.Json.mem_str "s" v);
-    Alcotest.(check (option bool)) "bool" (Some true) (Serve.Json.mem_bool "b" v);
-    Alcotest.(check (option int)) "shape mismatch" None (Serve.Json.mem_int "s" v);
-    Alcotest.(check (option int)) "missing member" None (Serve.Json.mem_int "zz" v)
+    Alcotest.(check (option int)) "int" (Some 3) (Robust.Json.mem_int "n" v);
+    Alcotest.(check (option string)) "str" (Some "x") (Robust.Json.mem_str "s" v);
+    Alcotest.(check (option bool)) "bool" (Some true) (Robust.Json.mem_bool "b" v);
+    Alcotest.(check (option int)) "shape mismatch" None (Robust.Json.mem_int "s" v);
+    Alcotest.(check (option int)) "missing member" None (Robust.Json.mem_int "zz" v)
 
 (* --------------------------------------------- json property round-trip *)
 
@@ -155,13 +155,13 @@ let gen_json rng =
   let rec go depth =
     let cap = if depth >= 6 then 4 else 6 in
     match Random.State.int rng cap with
-    | 0 -> Serve.Json.Null
-    | 1 -> Serve.Json.Bool (Random.State.bool rng)
-    | 2 -> Serve.Json.Num (gen_num rng)
-    | 3 -> Serve.Json.Str (gen_str rng)
-    | 4 -> Serve.Json.Arr (List.init (Random.State.int rng 5) (fun _ -> go (depth + 1)))
+    | 0 -> Robust.Json.Null
+    | 1 -> Robust.Json.Bool (Random.State.bool rng)
+    | 2 -> Robust.Json.Num (gen_num rng)
+    | 3 -> Robust.Json.Str (gen_str rng)
+    | 4 -> Robust.Json.Arr (List.init (Random.State.int rng 5) (fun _ -> go (depth + 1)))
     | _ ->
-      Serve.Json.Obj
+      Robust.Json.Obj
         (List.init (Random.State.int rng 5) (fun _ ->
              (* counter suffix keeps keys distinct within one object *)
              incr key_id;
@@ -173,31 +173,31 @@ let test_json_property_roundtrip () =
   let rng = Random.State.make [| 0x5eed; 2026 |] in
   for case = 1 to 512 do
     let v = gen_json rng in
-    let s = Serve.Json.to_string v in
-    match Serve.Json.parse s with
+    let s = Robust.Json.to_string v in
+    match Robust.Json.parse s with
     | Error e -> Alcotest.failf "case %d: reparse of %s failed: %s" case s e
     | Ok v' ->
       if not (json_eq v v') then
         Alcotest.failf "case %d: round trip mismatch\nemitted:  %s\nreparsed: %s" case s
-          (Serve.Json.to_string v')
+          (Robust.Json.to_string v')
   done;
   (* infinities have a parseable spelling; NaN collapses to null by design *)
   List.iter
     (fun f ->
-      match Serve.Json.parse (Serve.Json.to_string (Serve.Json.Num f)) with
-      | Ok (Serve.Json.Num f') ->
+      match Robust.Json.parse (Robust.Json.to_string (Robust.Json.Num f)) with
+      | Ok (Robust.Json.Num f') ->
         Alcotest.(check bool) "infinity round trips" true
           (Int64.bits_of_float f = Int64.bits_of_float f')
       | _ -> Alcotest.fail "infinity did not round trip")
     [ Float.infinity; Float.neg_infinity ];
-  match Serve.Json.parse (Serve.Json.to_string (Serve.Json.Num Float.nan)) with
-  | Ok Serve.Json.Null -> ()
+  match Robust.Json.parse (Robust.Json.to_string (Robust.Json.Num Float.nan)) with
+  | Ok Robust.Json.Null -> ()
   | _ -> Alcotest.fail "NaN must emit as null"
 
 let test_json_rejection_corpus () =
   let deep n = String.concat "" (List.init n (fun _ -> "[")) ^ "0" in
   let reject s label =
-    match Serve.Json.parse s with
+    match Robust.Json.parse s with
     | Ok _ -> Alcotest.failf "accepted %s" label
     | Error msg ->
       (* every rejection is a located error (never an exception) *)
@@ -216,10 +216,10 @@ let test_json_rejection_corpus () =
   (* NaN / Infinity have no JSON spelling on the way in *)
   List.iter (fun s -> reject s s) [ "NaN"; "Infinity"; "-Infinity"; "nan"; "inf" ];
   (* nesting: the cap admits max_depth levels and rejects one more *)
-  (match Serve.Json.parse (deep Serve.Json.max_depth ^ String.make Serve.Json.max_depth ']') with
+  (match Robust.Json.parse (deep Robust.Json.max_depth ^ String.make Robust.Json.max_depth ']') with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "depth %d should parse: %s" Serve.Json.max_depth e);
-  (match Serve.Json.parse (deep (Serve.Json.max_depth + 1)) with
+  | Error e -> Alcotest.failf "depth %d should parse: %s" Robust.Json.max_depth e);
+  (match Robust.Json.parse (deep (Robust.Json.max_depth + 1)) with
   | Ok _ -> Alcotest.fail "past-cap nesting accepted"
   | Error msg ->
     Alcotest.(check bool) "names the nesting cap" true (contains msg "nesting");
@@ -278,7 +278,7 @@ let test_protocol_parse_errors () =
   (* a malformed line still recovers the id when one is readable *)
   let p = Serve.Protocol.parse_line "{\"v\":1,\"id\":42,\"op\":\"nope\"}" in
   Alcotest.(check (option int)) "recovered id" (Some 42)
-    (Serve.Json.int p.Serve.Protocol.id)
+    (Robust.Json.int p.Serve.Protocol.id)
 
 let test_protocol_passes () =
   (* a custom plan parses into the op *)
@@ -365,7 +365,7 @@ let test_protocol_frame_cap () =
    | Error msg ->
      Alcotest.(check bool) "names the byte limit" true (contains msg "256-byte");
      Alcotest.(check bool) "says frame limit" true (contains msg "frame limit");
-     Alcotest.(check bool) "id not recovered" true (p.Serve.Protocol.id = Serve.Json.Null));
+     Alcotest.(check bool) "id not recovered" true (p.Serve.Protocol.id = Robust.Json.Null));
   (* at the limit exactly, the frame is processed normally *)
   let pad = String.make (limit - String.length "{\"v\":1,\"op\":\"stats\",\"pad\":\"\"}") 'y' in
   let exact = "{\"v\":1,\"op\":\"stats\",\"pad\":\"" ^ pad ^ "\"}" in
@@ -383,12 +383,12 @@ let test_protocol_frame_cap () =
   | Ok _ -> Alcotest.fail "default cap not enforced"
 
 let test_response_carries_version () =
-  let item = Serve.Protocol.ok_item ~op:"stats" Serve.Json.Null in
+  let item = Serve.Protocol.ok_item ~op:"stats" Robust.Json.Null in
   Alcotest.(check (option int)) "ok response v" (Some Serve.Protocol.version)
-    (Serve.Json.mem_int "v" item);
+    (Robust.Json.mem_int "v" item);
   let err = Serve.Protocol.error_item ~kind:"bad_request" ~stage:"t" "m" in
   Alcotest.(check (option int)) "error response v" (Some Serve.Protocol.version)
-    (Serve.Json.mem_int "v" err)
+    (Robust.Json.mem_int "v" err)
 
 (* --------------------------------------------------------------- server *)
 
@@ -431,8 +431,8 @@ let find_by_id lines id =
   match
     List.find_opt
       (fun l ->
-        match Serve.Json.parse l with
-        | Ok j -> Serve.Json.mem_int "id" j = Some id
+        match Robust.Json.parse l with
+        | Ok j -> Robust.Json.mem_int "id" j = Some id
         | Error _ -> false)
       lines
   with
@@ -499,16 +499,53 @@ let test_server_stats_obs_block () =
   Alcotest.(check bool) "obs has span map" true (contains l "\"spans\"");
   Alcotest.(check bool) "exec span for pulses present" true
     (contains l "serve.exec.pulses");
-  match Serve.Json.parse l with
+  match Robust.Json.parse l with
   | Error e -> Alcotest.failf "stats response not JSON: %s" e
   | Ok j -> (
-    match Serve.Json.member "result" j with
+    match Robust.Json.member "result" j with
     | Some r ->
       Alcotest.(check bool) "obs parses as object" true
-        (match Serve.Json.member "obs" r with
-        | Some (Serve.Json.Obj _) -> true
+        (match Robust.Json.member "obs" r with
+        | Some (Robust.Json.Obj _) -> true
         | _ -> false)
     | None -> Alcotest.fail "stats result missing")
+
+(* a cache under a non-ASCII directory: its stats render as real JSON
+   (the path comes back byte for byte), and the server's stats response
+   carries them as an object *)
+let test_server_stats_cache_path () =
+  disarm ();
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "caf\xc3\xa9-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "p.cache" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Unix.rmdir dir)
+  @@ fun () ->
+  match Cache.create ~path () with
+  | Error e -> Alcotest.failf "cannot create cache: %s" e
+  | Ok c -> (
+    let path_of j = Robust.Json.mem_str "path" j in
+    (match Robust.Json.parse (Robust.Json.to_string (Cache.stats_json c)) with
+    | Ok j -> Alcotest.(check (option string)) "stats_json path" (Some path) (path_of j)
+    | Error e -> Alcotest.failf "stats_json does not parse: %s" e);
+    (* the engine owns the cache from here and closes it on drain *)
+    let eng = Serve.Engine.create ~workers:1 ~cache:c ~seed:7L () in
+    let resp =
+      Serve.Engine.exec_once eng (Serve.Protocol.parse_line "{\"v\":1,\"id\":1,\"op\":\"stats\"}")
+    in
+    Serve.Engine.drain eng;
+    match Robust.Json.parse (Robust.Json.to_string resp) with
+    | Error e -> Alcotest.failf "stats response not JSON: %s" e
+    | Ok j -> (
+      match Option.bind (Robust.Json.member "result" j) (Robust.Json.member "cache") with
+      | Some (Robust.Json.Obj _ as cache) ->
+        Alcotest.(check (option string)) "stats cache path" (Some path) (path_of cache)
+      | _ -> Alcotest.fail "stats cache is not an object"))
 
 let test_server_malformed_request () =
   disarm ();
@@ -609,7 +646,7 @@ let plug_lines =
   ]
 
 let strip_id = function
-  | Serve.Json.Obj ms -> Serve.Json.Obj (List.filter (fun (k, _) -> k <> "id") ms)
+  | Robust.Json.Obj ms -> Robust.Json.Obj (List.filter (fun (k, _) -> k <> "id") ms)
   | v -> v
 
 (* run a K-request storm behind the plugs and hand back the storm
@@ -641,12 +678,12 @@ let check_storm_fanout ~stormers resps =
   Alcotest.(check int) "every waiter answered" stormers (List.length resps);
   let ids =
     List.sort compare
-      (List.filter_map (fun r -> Serve.Json.mem_int "id" r) resps)
+      (List.filter_map (fun r -> Robust.Json.mem_int "id" r) resps)
   in
   Alcotest.(check (list int)) "each waiter got its own id"
     (List.init stormers (fun i -> i + 1))
     ids;
-  match List.map (fun r -> Serve.Json.to_string (strip_id r)) resps with
+  match List.map (fun r -> Robust.Json.to_string (strip_id r)) resps with
   | [] -> Alcotest.fail "no storm responses"
   | first :: rest ->
     List.iter
@@ -720,9 +757,9 @@ let test_coalesce_differential () =
           ~respond:(fun r ->
             Mutex.lock lock;
             out :=
-              ( Serve.Json.to_string
-                  (Option.value ~default:Serve.Json.Null (Serve.Json.member "id" r)),
-                Serve.Json.to_string r )
+              ( Robust.Json.to_string
+                  (Option.value ~default:Robust.Json.Null (Robust.Json.member "id" r)),
+                Robust.Json.to_string r )
               :: !out;
             Mutex.unlock lock))
       lines;
@@ -794,7 +831,7 @@ let test_deadline_generous_and_invalid () =
       (Serve.Protocol.parse_line "{\"v\":1,\"id\":9,\"op\":\"stats\",\"deadline_ms\":0}")
   in
   Alcotest.(check bool) "exec_once honors deadline" true
-    (contains (Serve.Json.to_string resp) "deadline_exceeded");
+    (contains (Robust.Json.to_string resp) "deadline_exceeded");
   Serve.Engine.drain eng
 
 let test_worker_supervision () =
@@ -852,8 +889,8 @@ let test_coalesce_drain_waiters () =
     (Robust.Counters.get ~stage:"serve" "coalesce_hit" - hits0);
   let bodies =
     List.init stormers (fun i ->
-        match Serve.Json.parse (find_by_id resps (i + 1)) with
-        | Ok j -> Serve.Json.to_string (strip_id j)
+        match Robust.Json.parse (find_by_id resps (i + 1)) with
+        | Ok j -> Robust.Json.to_string (strip_id j)
         | Error e -> Alcotest.failf "waiter %d response not JSON: %s" (i + 1) e)
   in
   (match bodies with
@@ -894,6 +931,7 @@ let () =
           Alcotest.test_case "happy path" `Quick test_server_happy_path;
           Alcotest.test_case "version negotiation" `Quick test_server_version_negotiation;
           Alcotest.test_case "stats obs block" `Quick test_server_stats_obs_block;
+          Alcotest.test_case "stats cache path" `Quick test_server_stats_cache_path;
           Alcotest.test_case "malformed request" `Quick test_server_malformed_request;
           Alcotest.test_case "over budget" `Quick test_server_over_budget;
           Alcotest.test_case "solver fault" `Quick test_server_solver_fault;

@@ -5,7 +5,7 @@
    lifecycle guards — overload refusal, idle timeout, frame cap — as
    typed JSON errors followed by a graceful drain. *)
 
-module J = Serve.Json
+module J = Robust.Json
 module T = Serve.Transport
 module C = Serve.Client
 
