@@ -21,8 +21,7 @@ let variational () =
   hr "Variational: fixed 2Q basis + parametrized 1Q (Section 5.3.1)";
   let rng = Numerics.Rng.create 17L in
   let program = Benchmarks.Generators.qaoa ~seed:3 8 ~layers:2 in
-  let out = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng (Compiler.Pipeline.Pauli program) in
-  let su4 = out.Compiler.Pipeline.circuit in
+  let su4 = (Reqisc.compile_pauli_exn rng program).Reqisc.circuit in
   Printf.printf "%-22s %8s %10s %12s\n" "scheme" "#2Q" "distinct" "experiments";
   let show name c =
     let cost = Microarch.Calibration.estimate c in
@@ -47,10 +46,13 @@ let calibration () =
     "naive per-gate";
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
-      let input = Compiler.Pipeline.program_to_cnot_input b.program in
+      let input = Compiler.Pass.program_to_cnot_input b.program in
       if Circuit.count_2q input <= 120 then begin
-        let out = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-        let c = out.Compiler.Pipeline.circuit in
+        let out, _ =
+          Compiler.Passes.compile_plan_exn
+            ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Eff) rng b.program
+        in
+        let c = out.Compiler.Passes.circuit in
         let model = Microarch.Calibration.estimate c in
         let naive =
           Microarch.Calibration.estimate
@@ -73,10 +75,7 @@ let decoherence ~trajectories () =
   let bench = Benchmarks.Generators.tof 5 in
   let input = Decomp.lower_to_cx bench in
   let baseline = Compiler.Baselines.tket_like input in
-  let req =
-    (Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng (Compiler.Pipeline.Gates bench))
-      .Compiler.Pipeline.circuit
-  in
+  let req = (Reqisc.compile_exn rng bench).Reqisc.circuit in
   let tb = (Compiler.Metrics.report cnot_isa baseline).Compiler.Metrics.duration in
   let tr = (Compiler.Metrics.report su4_isa req).Compiler.Metrics.duration in
   Printf.printf "tof_5: baseline T=%.1f/g, ReQISC T=%.1f/g (%.2fx faster)\n" tb tr (tb /. tr);

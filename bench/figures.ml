@@ -2,6 +2,11 @@
 
 open Util
 
+(* The default plan of [mode] over [p]: how every figure compiles a
+   benchmark. *)
+let compile_mode mode rng p =
+  fst (Compiler.Passes.compile_plan_exn ~plan:(Compiler.Passes.plan_of_mode mode) rng p)
+
 (* -------------------------------------------------------------- Fig 4 *)
 
 let fig4 () =
@@ -189,18 +194,18 @@ let fig12 () =
           match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
           | None -> ()
           | Some b ->
-            let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-            let logical = eff.Compiler.Pipeline.circuit in
+            let eff = compile_mode Compiler.Passes.Eff rng b.program in
+            let logical = eff.Compiler.Passes.circuit in
             let n = logical.Circuit.n in
             let topo = topo_of n shape in
             let plain = Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo logical in
             let mir = Compiler.Routing.route ~mirror:true (Numerics.Rng.create 3L) topo logical in
             let cnt (r : Compiler.Routing.routed) = Circuit.count_2q r.Compiler.Routing.circuit in
             (* CNOT-ISA baseline: TKet-like circuit routed with plain SABRE *)
-            let cnot_in = Compiler.Pipeline.program_to_cnot_input b.program in
+            let cnot_in = Compiler.Pass.program_to_cnot_input b.program in
             let tket =
               match b.program with
-              | Compiler.Pipeline.Pauli p -> Compiler.Baselines.tket_like_pauli p
+              | Compiler.Pass.Pauli p -> Compiler.Baselines.tket_like_pauli p
               | _ -> Compiler.Baselines.tket_like cnot_in
             in
             let cx_routed =
@@ -240,18 +245,18 @@ let fig13 () =
   let eff_d = ref [] and full_d = ref [] in
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
-      let input = Compiler.Pipeline.program_to_cnot_input b.program in
+      let input = Compiler.Pass.program_to_cnot_input b.program in
       if Circuit.count_2q input <= 600 then begin
-        let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-        let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
-        let de = Circuit.distinct_2q eff.Compiler.Pipeline.circuit in
-        let df = Circuit.distinct_2q full.Compiler.Pipeline.circuit in
+        let eff = compile_mode Compiler.Passes.Eff rng b.program in
+        let full = compile_mode Compiler.Passes.Full rng b.program in
+        let de = Circuit.distinct_2q eff.Compiler.Passes.circuit in
+        let df = Circuit.distinct_2q full.Compiler.Passes.circuit in
         eff_d := float_of_int de :: !eff_d;
         full_d := float_of_int df :: !full_d;
         Printf.printf "%-14s %8d %12d %12d %12d %12d\n%!" b.name (Circuit.count_2q input)
-          (Circuit.count_2q eff.Compiler.Pipeline.circuit)
+          (Circuit.count_2q eff.Compiler.Passes.circuit)
           de
-          (Circuit.count_2q full.Compiler.Pipeline.circuit)
+          (Circuit.count_2q full.Compiler.Passes.circuit)
           df
       end)
     suite;
@@ -280,7 +285,7 @@ let fig14 () =
       match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
       | None -> ()
       | Some b ->
-        let input = Compiler.Pipeline.program_to_cnot_input b.program in
+        let input = Compiler.Pass.program_to_cnot_input b.program in
         let base = float_of_int (Circuit.count_2q input) in
         let red c = 100.0 *. (base -. float_of_int (Circuit.count_2q c)) /. base in
         let qs = Compiler.Baselines.qiskit_su4 input in
@@ -289,15 +294,15 @@ let fig14 () =
           Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
             ~target:Compiler.Baselines.To_su4 input
         in
-        let nc = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Nc rng b.program in
-        let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
+        let nc = compile_mode Compiler.Passes.Nc rng b.program in
+        let full = compile_mode Compiler.Passes.Full rng b.program in
         Printf.printf "%-12s %7.1f(%2d) %7.1f(%2d) %7.1f(%2d) %7.1f(%2d) %7.1f(%2d)\n%!"
           name (red qs) (Circuit.distinct_2q qs) (red ts) (Circuit.distinct_2q ts)
           (red bs) (Circuit.distinct_2q bs)
-          (red nc.Compiler.Pipeline.circuit)
-          (Circuit.distinct_2q nc.Compiler.Pipeline.circuit)
-          (red full.Compiler.Pipeline.circuit)
-          (Circuit.distinct_2q full.Compiler.Pipeline.circuit))
+          (red nc.Compiler.Passes.circuit)
+          (Circuit.distinct_2q nc.Compiler.Passes.circuit)
+          (red full.Compiler.Passes.circuit)
+          (Circuit.distinct_2q full.Compiler.Passes.circuit))
     names;
   paper
     "ReQISC-Full beats the SU(4)-variant baselines; BQSKit-SU4 reduces gates but \
@@ -335,14 +340,14 @@ let fig15 ~trajectories () =
           match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
           | None -> ()
           | Some b ->
-            let input = Compiler.Pipeline.program_to_cnot_input b.program in
+            let input = Compiler.Pass.program_to_cnot_input b.program in
             let tket =
               match b.program with
-              | Compiler.Pipeline.Pauli p -> Compiler.Baselines.tket_like_pauli p
+              | Compiler.Pass.Pauli p -> Compiler.Baselines.tket_like_pauli p
               | _ -> Compiler.Baselines.tket_like input
             in
-            let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-            let req = eff.Compiler.Pipeline.circuit in
+            let eff = compile_mode Compiler.Passes.Eff rng b.program in
+            let req = eff.Compiler.Passes.circuit in
             let tket, req =
               match shape with
               | `Logical -> (tket, req)
@@ -399,18 +404,18 @@ let fig16 () =
       match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
       | None -> ()
       | Some b ->
-        let input = Compiler.Pipeline.program_to_cnot_input b.program in
+        let input = Compiler.Pass.program_to_cnot_input b.program in
         if input.Circuit.n <= 9 then begin
           let u0 = Circuit.unitary input in
           let infid u =
             Quantum.Fidelity.infidelity u0 u
           in
           let plain c = infid (Circuit.unitary c) in
-          let mapped (out : Compiler.Pipeline.output) =
-            let fix = arrange_matrix input.Circuit.n out.Compiler.Pipeline.final_mapping in
+          let mapped (out : Compiler.Passes.output) =
+            let fix = arrange_matrix input.Circuit.n out.Compiler.Passes.final_mapping in
             infid
               (Numerics.Mat.mul (Numerics.Mat.dagger fix)
-                 (Circuit.unitary out.Compiler.Pipeline.circuit))
+                 (Circuit.unitary out.Compiler.Passes.circuit))
           in
           let q = plain (Compiler.Baselines.qiskit_like input) in
           let t = plain (Compiler.Baselines.tket_like input) in
@@ -419,8 +424,8 @@ let fig16 () =
               (Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
                  ~target:Compiler.Baselines.To_cnot input)
           in
-          let e = mapped (Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program) in
-          let f = mapped (Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program) in
+          let e = mapped (compile_mode Compiler.Passes.Eff rng b.program) in
+          let f = mapped (compile_mode Compiler.Passes.Full rng b.program) in
           Printf.printf "%-14s %11.2e %11.2e %11.2e %11.2e %11.2e\n%!" name q t bq e f
         end)
     names;
@@ -438,7 +443,7 @@ let fig16 () =
       match List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = name) suite with
       | None -> ()
       | Some b ->
-        let input = Compiler.Pipeline.program_to_cnot_input b.program in
+        let input = Compiler.Pass.program_to_cnot_input b.program in
         let _, tq = timeit (fun () -> Compiler.Baselines.qiskit_like input) in
         let _, tt = timeit (fun () -> Compiler.Baselines.tket_like input) in
         let _, tb =
@@ -447,10 +452,10 @@ let fig16 () =
                 ~target:Compiler.Baselines.To_cnot input)
         in
         let _, te =
-          timeit (fun () -> Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program)
+          timeit (fun () -> compile_mode Compiler.Passes.Eff rng b.program)
         in
         let _, tf =
-          timeit (fun () -> Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program)
+          timeit (fun () -> compile_mode Compiler.Passes.Full rng b.program)
         in
         Printf.printf "%-14s %8d %10.3f %10.3f %10.3f %10.3f %10.3f\n%!" name
           (Circuit.count_2q input) tq tt tb te tf)

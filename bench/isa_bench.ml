@@ -37,7 +37,7 @@ let isa_bench ?(limit = 4) ~big () =
               in
               match res with
               | Ok (out, _) ->
-                let c = out.Compiler.Pipeline.circuit in
+                let c = out.Compiler.Passes.circuit in
                 ( t,
                   Some
                     {

@@ -23,9 +23,10 @@ let workload ~limit ~big () =
     List.iter
       (fun (b : Benchmarks.Suite.bench) ->
         let rng = Numerics.Rng.create 1L in
-        match Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Eff rng b.program with
+        let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Eff in
+        match Compiler.Passes.compile_plan ~plan rng b.program with
         | Error _ -> ()
-        | Ok out -> ignore (Reqisc.pulse_outcomes xy out.Compiler.Pipeline.circuit))
+        | Ok (out, _) -> ignore (Reqisc.pulse_outcomes xy out.Compiler.Passes.circuit))
       suite
 
 let min_of xs = List.fold_left Float.min infinity xs

@@ -2,6 +2,11 @@
 
 open Util
 
+(* The default plan of [mode] over [p]: how every table compiles a
+   benchmark. *)
+let compile_mode mode rng p =
+  fst (Compiler.Passes.compile_plan_exn ~plan:(Compiler.Passes.plan_of_mode mode) rng p)
+
 (* ------------------------------------------------------------- Table 1 *)
 
 let table1 ~big () =
@@ -76,22 +81,22 @@ let sample_solver_outcomes (c : Circuit.t) =
          | Robust.Outcome.Failed _ -> (desc, "failed"))
 
 let table2_compute ((b : Benchmarks.Suite.bench), rng) =
-  let input = Compiler.Pipeline.program_to_cnot_input b.program in
+  let input = Compiler.Pass.program_to_cnot_input b.program in
   let base = Compiler.Metrics.report cnot_isa input in
   let qiskit = Compiler.Baselines.qiskit_like input in
   let tket =
     match b.program with
-    | Compiler.Pipeline.Pauli p -> Compiler.Baselines.tket_like_pauli p
-    | Compiler.Pipeline.Gates _ -> Compiler.Baselines.tket_like input
+    | Compiler.Pass.Pauli p -> Compiler.Baselines.tket_like_pauli p
+    | Compiler.Pass.Gates _ -> Compiler.Baselines.tket_like input
   in
   let bq =
     Compiler.Baselines.bqskit_like (Numerics.Rng.split rng)
       ~target:Compiler.Baselines.To_cnot input
   in
-  let eff = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff rng b.program in
-  let full = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Full rng b.program in
-  let eff_report = Compiler.Metrics.report su4_isa eff.Compiler.Pipeline.circuit in
-  let full_report = Compiler.Metrics.report su4_isa full.Compiler.Pipeline.circuit in
+  let eff = compile_mode Compiler.Passes.Eff rng b.program in
+  let full = compile_mode Compiler.Passes.Full rng b.program in
+  let eff_report = Compiler.Metrics.report su4_isa eff.Compiler.Passes.circuit in
+  let full_report = Compiler.Metrics.report su4_isa full.Compiler.Passes.circuit in
   let csv_row =
     [
       b.name; b.category;
@@ -99,8 +104,8 @@ let table2_compute ((b : Benchmarks.Suite.bench), rng) =
       string_of_int (Circuit.count_2q qiskit);
       string_of_int (Circuit.count_2q tket);
       string_of_int (Circuit.count_2q bq);
-      string_of_int (Circuit.count_2q eff.Compiler.Pipeline.circuit);
-      string_of_int (Circuit.count_2q full.Compiler.Pipeline.circuit);
+      string_of_int (Circuit.count_2q eff.Compiler.Passes.circuit);
+      string_of_int (Circuit.count_2q full.Compiler.Passes.circuit);
       Printf.sprintf "%.4f" base.Compiler.Metrics.duration;
       Printf.sprintf "%.4f" eff_report.Compiler.Metrics.duration;
       Printf.sprintf "%.4f" full_report.Compiler.Metrics.duration;
@@ -118,9 +123,9 @@ let table2_compute ((b : Benchmarks.Suite.bench), rng) =
         ("Full", full_report);
       ];
     csv_row;
-    eff_2q = Circuit.count_2q eff.Compiler.Pipeline.circuit;
-    full_2q = Circuit.count_2q full.Compiler.Pipeline.circuit;
-    solver_outcomes = sample_solver_outcomes eff.Compiler.Pipeline.circuit;
+    eff_2q = Circuit.count_2q eff.Compiler.Passes.circuit;
+    full_2q = Circuit.count_2q full.Compiler.Passes.circuit;
+    solver_outcomes = sample_solver_outcomes eff.Compiler.Passes.circuit;
   }
 
 (* One broken bench must not abort the whole sweep: failures come back as

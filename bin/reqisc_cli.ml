@@ -235,10 +235,11 @@ let cmd_compile name args =
   let b = find_bench name in
   let mode =
     match flag_value args "--mode" with
-    | Some "full" -> Compiler.Pipeline.Full
-    | Some "nc" -> Compiler.Pipeline.Nc
-    | Some "eff" | None -> Compiler.Pipeline.Eff
-    | Some other -> usage_error "unknown mode %s (expected eff|full|nc)" other
+    | None -> Compiler.Passes.Eff
+    | Some name -> (
+      match Compiler.Passes.mode_of_name name with
+      | Some mode -> mode
+      | None -> usage_error "unknown mode %s (expected eff|full|nc)" name)
   in
   let plan =
     match flag_value args "--passes" with
@@ -281,7 +282,7 @@ let cmd_compile name args =
     || isa_target <> None
   in
   let rng = Numerics.Rng.create 1L in
-  let input = Compiler.Pipeline.program_to_cnot_input b.program in
+  let input = Compiler.Pass.program_to_cnot_input b.program in
   let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
   Printf.printf "%s (%s), %d qubits\n" b.name b.category input.Circuit.n;
   Printf.printf "input (CNOT ISA):   %s\n"
@@ -298,7 +299,7 @@ let cmd_compile name args =
     | Some t ->
       (* metrics under the target's own cost model (fixed basis-gate tau,
          or cycle-quantized slots for eqasm) *)
-      let c = out.Compiler.Pipeline.circuit in
+      let c = out.Compiler.Passes.circuit in
       {
         Compiler.Metrics.count_2q = Circuit.count_2q c;
         depth_2q = Circuit.depth_2q c;
@@ -308,23 +309,23 @@ let cmd_compile name args =
     | None ->
       Compiler.Metrics.report
         (Compiler.Metrics.Su4_isa (Microarch.Coupling.xy ~g:1.0))
-        out.Compiler.Pipeline.circuit
+        out.Compiler.Passes.circuit
   in
   let label =
     match isa_target with
     | Some t -> Printf.sprintf "isa %s" t.Isa.name
     | None ->
       if custom_plan then Printf.sprintf "plan %s" (Reqisc.Plan.name plan)
-      else Compiler.Pipeline.mode_to_string mode
+      else Compiler.Passes.mode_to_string mode
   in
   Printf.printf "%s:  %s  (mirrored %d)\n" label
     (Format.asprintf "%a" Compiler.Metrics.pp_report r)
-    out.Compiler.Pipeline.mirrored;
+    out.Compiler.Passes.mirrored;
   (* the timed executable format gets its schedule printed: explicit
      pulse slots with start times and cycle-quantized durations *)
   (match isa_target with
   | Some t when t.Isa.name = "eqasm" ->
-    let lines = String.split_on_char '\n' (Isa.eqasm_text t out.Compiler.Pipeline.circuit) in
+    let lines = String.split_on_char '\n' (Isa.eqasm_text t out.Compiler.Passes.circuit) in
     let limit = 14 in
     List.iteri (fun i l -> if i < limit && l <> "" then print_endline l) lines;
     let extra = List.length lines - limit in
@@ -342,7 +343,7 @@ let cmd_compile name args =
   end;
   (match flag_value args "--route" with
   | Some kind ->
-    let n = out.Compiler.Pipeline.circuit.Circuit.n in
+    let n = out.Compiler.Passes.circuit.Circuit.n in
     let topo =
       if kind = "grid" then begin
         let cols = int_of_float (Float.ceil (sqrt (float_of_int n))) in
@@ -352,7 +353,7 @@ let cmd_compile name args =
       else usage_error "unknown topology %s (expected chain|grid)" kind
     in
     let routed =
-      match Reqisc.route ~mirror:true rng topo out.Compiler.Pipeline.circuit with
+      match Reqisc.route ~mirror:true rng topo out.Compiler.Passes.circuit with
       | Ok routed -> routed
       | Error e -> solver_error e
     in
@@ -361,7 +362,7 @@ let cmd_compile name args =
       routed.Compiler.Routing.swaps_inserted routed.Compiler.Routing.swaps_absorbed
   | None -> ());
   if List.mem "--pulses" args then
-    run_pulses (Microarch.Coupling.xy ~g:1.0) out.Compiler.Pipeline.circuit
+    run_pulses (Microarch.Coupling.xy ~g:1.0) out.Compiler.Passes.circuit
 
 let cmd_pulse name args =
   let gate =

@@ -1,6 +1,6 @@
 open Compiler
 
-type bench = { name : string; category : string; program : Pipeline.program }
+type bench = { name : string; category : string; program : Pass.program }
 
 let categories =
   [
@@ -9,8 +9,8 @@ let categories =
     "uccsd"; "urf";
   ]
 
-let g cat name c = { name; category = cat; program = Pipeline.Gates c }
-let p cat name prog = { name; category = cat; program = Pipeline.Pauli prog }
+let g cat name c = { name; category = cat; program = Pass.Gates c }
+let p cat name prog = { name; category = cat; program = Pass.Pauli prog }
 
 let suite ?(big = false) () =
   let base =
@@ -95,7 +95,7 @@ let table1 benches =
       let reports =
         List.map
           (fun b ->
-            let c = Pipeline.program_to_cnot_input b.program in
+            let c = Pass.program_to_cnot_input b.program in
             (c.Circuit.n, Metrics.report Metrics.Cnot_isa c))
           bs
       in

@@ -6,7 +6,7 @@ open Compiler
 type bench = {
   name : string;
   category : string;
-  program : Pipeline.program;
+  program : Pass.program;
 }
 
 (** [categories] in the paper's order. *)

@@ -2,6 +2,10 @@ open Numerics
 
 type program = Gates of Circuit.t | Pauli of Phoenix.program
 
+let program_to_cnot_input = function
+  | Gates c -> Decomp.lower_to_cx c
+  | Pauli p -> Phoenix.to_cx_circuit p
+
 type ir =
   | Source of program
   | Ccx of Circuit.t
@@ -42,12 +46,12 @@ let count_2q ir =
 let depth_2q ir =
   match circuit_of_ir ir with Some c -> Circuit.depth_2q c | None -> -1
 
-type ctx = { rng : Rng.t; lib : Template.library; mirror_threshold : float }
+type ctx = { rng : Rng.t; lib : Template.library }
 
-let make_ctx ?(mirror_threshold = Mirroring.default_threshold) rng =
+let make_ctx rng =
   (* one split, before anything else touches [rng]: the same RNG stream
      prefix the fused pipeline consumed, so plan runs replay it *)
-  { rng; lib = Template.create_library (Rng.split rng); mirror_threshold }
+  { rng; lib = Template.create_library (Rng.split rng) }
 
 type oracle = { tol : float; max_qubits : int }
 

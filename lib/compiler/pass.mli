@@ -20,6 +20,10 @@ open Numerics
     Type-II Pauli-rotation programs. *)
 type program = Gates of Circuit.t | Pauli of Phoenix.program
 
+(** [program_to_cnot_input p] is the CNOT-based form of the program (what
+    the baselines consume, and the reference for Table 1/2 metrics). *)
+val program_to_cnot_input : program -> Circuit.t
+
 (** The unified pipeline IR. [Mirrored] carries the wire permutation the
     mirroring pass leaves behind; its semantics ({!apply_ir}) undo the
     permutation, so every [ir] form denotes a unitary on the program's
@@ -58,16 +62,15 @@ val depth_2q : ir -> int
 
 (** Per-compilation pass context. [make_ctx rng] performs exactly the
     pipeline preamble the fused compiler performed — one [Rng.split] to
-    seed the template library — so a plan run and the historical
-    [Pipeline.compile] consume the RNG stream identically (the rung-0
-    byte-identity contract). *)
+    seed the template library — before any pass touches [rng], so every
+    plan run consumes the RNG stream in the order the [test_passes]
+    goldens pin (their gate-bit digests and restart counts). *)
 type ctx = {
   rng : Rng.t;  (** the pipeline stream (hierarchical resynthesis) *)
   lib : Template.library;  (** memoized 3Q template library *)
-  mirror_threshold : float;  (** near-identity radius for mirroring *)
 }
 
-val make_ctx : ?mirror_threshold:float -> Rng.t -> ctx
+val make_ctx : Rng.t -> ctx
 
 (** Semantic oracle attached to every pass: after the pass, the IR must
     still denote the source unitary within [tol] (statevector fidelity

@@ -93,9 +93,9 @@ let mirroring =
   pass ~name:"mirroring"
     ~doc:"replace near-identity 2Q gates by mirrored su4* + a wire swap"
     ~applies:(function Pass.Su4 _ -> true | _ -> false)
-    (fun ctx -> function
+    (fun _ctx -> function
       | Pass.Su4 c ->
-        let m = Mirroring.run ~r:ctx.Pass.mirror_threshold c in
+        let m = Mirroring.run c in
         Pass.Mirrored
           {
             circuit = m.Mirroring.circuit;
@@ -163,6 +163,9 @@ let plan_of_mode = function
       plan_name = "nc";
       passes = [ lower_3q; template; phoenix_to_su4; hierarchical_nc; mirroring ];
     }
+
+let mode_of_name name =
+  List.find_opt (fun m -> (plan_of_mode m).plan_name = name) [ Eff; Full; Nc ]
 
 (* The default plan retargeted at a named ISA: mirroring is dropped (it
    leaves a wire permutation the Can form does not carry) and the tail
@@ -315,10 +318,9 @@ let output_of_ir ctx ir =
 
 let pipeline_stage = "compiler.pipeline"
 
-let compile_plan_result ?(mirror_threshold = Mirroring.default_threshold)
-    ?start_from ?stop_after ~plan rng p =
+let compile_plan_result ?start_from ?stop_after ~plan rng p =
   Obs.Span.with_ ~stage:"compiler" ~name:"compile" @@ fun () ->
-  let ctx = Pass.make_ctx ~mirror_threshold rng in
+  let ctx = Pass.make_ctx rng in
   match run_plan ?start_from ?stop_after ctx plan (Pass.Source p) with
   | Error e -> Error e
   | Ok (ir, stats) -> (
@@ -328,8 +330,8 @@ let compile_plan_result ?(mirror_threshold = Mirroring.default_threshold)
       Robust.Counters.incr ~stage:pipeline_stage "ok";
       Ok (out, stats))
 
-let compile_plan ?mirror_threshold ?start_from ?stop_after ~plan rng p =
-  match compile_plan_result ?mirror_threshold ?start_from ?stop_after ~plan rng p with
+let compile_plan ?start_from ?stop_after ~plan rng p =
+  match compile_plan_result ?start_from ?stop_after ~plan rng p with
   | r -> r
   | exception Failure msg ->
     Robust.Counters.incr ~stage:pipeline_stage "failed";
@@ -338,7 +340,7 @@ let compile_plan ?mirror_threshold ?start_from ?stop_after ~plan rng p =
     Robust.Counters.incr ~stage:pipeline_stage "failed";
     Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
 
-let compile_plan_exn ?mirror_threshold ~plan rng p =
-  match compile_plan_result ?mirror_threshold ~plan rng p with
+let compile_plan_exn ~plan rng p =
+  match compile_plan_result ~plan rng p with
   | Ok r -> r
   | Error e -> failwith (Robust.Err.to_string e)

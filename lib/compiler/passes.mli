@@ -14,9 +14,9 @@ type mode = Eff | Full | Nc
 
 val mode_to_string : mode -> string
 
-(** The compiled result (re-exported by {!Pipeline} for compatibility).
-    Under the default plans [circuit] contains su4 + 1Q gates only; a
-    custom plan ending in [to_can] yields the {Can, U3} form instead. *)
+(** The compiled result. Under the default plans [circuit] contains su4 +
+    1Q gates only; a custom plan ending in [to_can] yields the {Can, U3}
+    form instead. *)
 type output = {
   circuit : Circuit.t;
   final_mapping : int array;
@@ -67,6 +67,11 @@ type plan = { plan_name : string; passes : Pass.t list }
 
 (** The default plan of each historical mode. *)
 val plan_of_mode : mode -> plan
+
+(** [mode_of_name name] is the mode whose default plan is named [name]
+    (["eff"], ["full"] or ["nc"]); [None] for any other name. The one
+    parser of the mode spelling: the protocol and the CLI both use it. *)
+val mode_of_name : string -> mode option
 
 (** [of_names names] builds a custom plan; an unknown name is a typed
     error (stage ["compiler.plan"]) naming every known pass. *)
@@ -119,12 +124,14 @@ val run_plan :
     0]; a plan that never left [Source] is a typed error. *)
 val output_of_ir : Pass.ctx -> Pass.ir -> (output, Robust.Err.t) result
 
-(** [compile_plan ~plan rng p] — the full entry point: context creation,
-    plan run, finish; synthesis breakdowns surface as
-    [Error (Ill_conditioned _)] at stage ["compiler.pipeline"], exactly
-    like the historical [Pipeline.compile_r]. *)
+(** [compile_plan ~plan rng p] — the one compile entry point: context
+    creation, plan run, finish. Synthesis breakdowns surface as
+    [Error (Ill_conditioned _)] at stage ["compiler.pipeline"]. Inside
+    the plan the hierarchical pass already degrades to the exact template
+    stage on failure (counter ["compiler.pipeline"/"hier_fallback"]), so
+    [Error] here means even exact synthesis broke. To run a mode, pass
+    [~plan:(plan_of_mode mode)]. *)
 val compile_plan :
-  ?mirror_threshold:float ->
   ?start_from:string ->
   ?stop_after:string ->
   plan:plan ->
@@ -132,10 +139,10 @@ val compile_plan :
   Pass.program ->
   (output * pass_stat list, Robust.Err.t) result
 
-(** [compile_plan_exn] raises on failure (the historical
-    [Pipeline.compile] contract). *)
+(** [compile_plan_exn] is {!compile_plan} that raises: a typed error is
+    raised as [Failure] of its rendering, and pass exceptions propagate
+    unchanged. *)
 val compile_plan_exn :
-  ?mirror_threshold:float ->
   plan:plan ->
   Rng.t ->
   Pass.program ->

@@ -1,8 +1,8 @@
 open Numerics
 
-type mode = Compiler.Pipeline.mode = Eff | Full | Nc
+type mode = Compiler.Passes.mode = Eff | Full | Nc
 
-type compiled = Compiler.Pipeline.output = {
+type compiled = Compiler.Passes.output = {
   circuit : Circuit.t;
   final_mapping : int array;
   mirrored : int;
@@ -43,16 +43,20 @@ let compile_program ?(mode = Eff) ?plan ?isa rng p =
   | Ok plan -> Result.map fst (Compiler.Passes.compile_plan ~plan rng p)
 
 let compile ?mode ?plan ?isa rng c =
-  compile_program ?mode ?plan ?isa rng (Compiler.Pipeline.Gates c)
+  compile_program ?mode ?plan ?isa rng (Compiler.Pass.Gates c)
 
 let compile_exn ?(mode = Eff) rng c =
-  Compiler.Pipeline.compile ~mode rng (Compiler.Pipeline.Gates c)
+  fst
+    (Compiler.Passes.compile_plan_exn ~plan:(Plan.default mode) rng
+       (Compiler.Pass.Gates c))
 
 let compile_pauli ?mode ?plan ?isa rng p =
-  compile_program ?mode ?plan ?isa rng (Compiler.Pipeline.Pauli p)
+  compile_program ?mode ?plan ?isa rng (Compiler.Pass.Pauli p)
 
 let compile_pauli_exn ?(mode = Eff) rng p =
-  Compiler.Pipeline.compile ~mode rng (Compiler.Pipeline.Pauli p)
+  fst
+    (Compiler.Passes.compile_plan_exn ~plan:(Plan.default mode) rng
+       (Compiler.Pass.Pauli p))
 
 let route_exn ?(mirror = true) rng topology c =
   Compiler.Routing.route ~mirror rng topology c
@@ -117,7 +121,7 @@ let pulses ?budget ?plan ?(seed = 1L) coupling (c : Circuit.t) =
       Result.map
         (fun ((o : compiled), _) -> o.circuit)
         (Compiler.Passes.compile_plan ~plan (Rng.create seed)
-           (Compiler.Pipeline.Gates c))
+           (Compiler.Pass.Gates c))
   in
   match through_plan with
   | Error e -> Error e

@@ -16,9 +16,9 @@ open Numerics
 
 (** {1 Compilation} *)
 
-type mode = Compiler.Pipeline.mode = Eff | Full | Nc
+type mode = Compiler.Passes.mode = Eff | Full | Nc
 
-type compiled = Compiler.Pipeline.output = {
+type compiled = Compiler.Passes.output = {
   circuit : Circuit.t;
   final_mapping : int array;
   mirrored : int;
@@ -50,7 +50,8 @@ module Plan : sig
 end
 
 (** [compile rng ~mode circuit] compiles a Type-I (CCX/CX/1Q) circuit to the
-    SU(4) ISA. Numerical breakdown inside the pipeline surfaces as a typed
+    SU(4) ISA by running the plan through {!Compiler.Passes.compile_plan}.
+    Numerical breakdown inside the pipeline surfaces as a typed
     [Error], never an exception. [?plan] overrides the default plan of
     [mode] (when given, [mode] is ignored). [?isa] names a target
     instruction set ({!Isa.known_names}): the plan gains the
@@ -66,7 +67,9 @@ val compile :
   Circuit.t ->
   (compiled, Robust.Err.t) result
 
-(** [compile_exn] is {!compile} that raises on pipeline failure. *)
+(** [compile_exn rng ~mode circuit] runs the default plan of [mode]
+    through {!Compiler.Passes.compile_plan_exn}: the same output as
+    {!compile} without [?plan]/[?isa], raising on pipeline failure. *)
 val compile_exn : ?mode:mode -> Rng.t -> Circuit.t -> compiled
 
 (** [compile_pauli rng ~mode p] compiles a Pauli-rotation program
@@ -79,6 +82,7 @@ val compile_pauli :
   Compiler.Phoenix.program ->
   (compiled, Robust.Err.t) result
 
+(** [compile_pauli_exn] is {!compile_exn} for a Pauli-rotation program. *)
 val compile_pauli_exn : ?mode:mode -> Rng.t -> Compiler.Phoenix.program -> compiled
 
 (** [route rng topology compiled] maps a compiled circuit onto hardware with

@@ -256,15 +256,9 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
     match isa_of_json isa with
     | Error msg -> Protocol.error_item ~kind:"bad_request" ~stage:Isa.stage msg
     | Ok target -> (
-    let mode_v =
-      match mode with
-      | "full" -> Compiler.Pipeline.Full
-      | "nc" -> Compiler.Pipeline.Nc
-      | _ -> Compiler.Pipeline.Eff
-    in
     let plan =
       match passes with
-      | None -> Ok (Compiler.Passes.plan_of_mode mode_v)
+      | None -> Ok (Compiler.Passes.plan_of_mode mode)
       | Some names -> plan_of_passes names
     in
     (* the isa retargets whichever plan was selected: the default mode
@@ -274,7 +268,7 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
       match (plan, target) with
       | Error _, _ | _, None -> plan
       | Ok _, Some tgt when passes = None ->
-        Ok (Compiler.Passes.plan_for_isa ~mode:mode_v tgt)
+        Ok (Compiler.Passes.plan_for_isa ~mode tgt)
       | Ok p, Some tgt -> Ok (Compiler.Passes.with_isa p tgt)
     in
     match plan with
@@ -284,26 +278,26 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
     match Compiler.Passes.compile_plan ~plan rng b.program with
     | Error e -> Protocol.err_item e
     | Ok (out, stats) ->
-      let input = Compiler.Pipeline.program_to_cnot_input b.program in
+      let input = Compiler.Pass.program_to_cnot_input b.program in
       let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
       let opt =
         match target with
-        | Some tgt -> isa_report tgt out.Compiler.Pipeline.circuit
+        | Some tgt -> isa_report tgt out.Compiler.Passes.circuit
         | None ->
           Compiler.Metrics.report (Compiler.Metrics.Su4_isa xy)
-            out.Compiler.Pipeline.circuit
+            out.Compiler.Passes.circuit
       in
       let fields =
         [
           ("bench", Json.Str b.name);
           ("category", Json.Str b.category);
           ("qubits", Json.Num (float_of_int input.Circuit.n));
-          ("mode", Json.Str mode);
+          ("mode", Json.Str (Compiler.Passes.plan_of_mode mode).plan_name);
           ("input", report_json base);
           ("compiled", report_json opt);
-          ("mirrored", Json.Num (float_of_int out.Compiler.Pipeline.mirrored));
+          ("mirrored", Json.Num (float_of_int out.Compiler.Passes.mirrored));
           ( "template_classes",
-            Json.Num (float_of_int out.Compiler.Pipeline.template_classes) );
+            Json.Num (float_of_int out.Compiler.Passes.template_classes) );
         ]
       in
       (* the isa field rides along only when requested, so default
@@ -325,7 +319,7 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
         else begin
           (* per-gate verdicts: a failing gate degrades the report, not
              the request *)
-          let outcomes = Reqisc.pulse_outcomes ?budget xy out.Compiler.Pipeline.circuit in
+          let outcomes = Reqisc.pulse_outcomes ?budget xy out.Compiler.Passes.circuit in
           let count k =
             List.length
               (List.filter

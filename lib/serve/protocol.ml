@@ -4,7 +4,7 @@ type target = Gate of string | Coords of float * float * float
 type op =
   | Compile of {
       bench : string;
-      mode : string;
+      mode : Compiler.Passes.mode;
       pulses : bool;
       passes : string list option;
       isa : Json.t option;
@@ -127,7 +127,6 @@ let rec parse_body ?(depth = 0) json =
       match Json.mem_str "bench" json with
       | None -> Error "compile needs a bench name"
       | Some bench -> (
-        let mode = Option.value ~default:"eff" (Json.mem_str "mode" json) in
         let pulses = Option.value ~default:false (Json.mem_bool "pulses" json) in
         let* passes = parse_passes json in
         (* the isa member rides along verbatim: the engine validates it,
@@ -138,9 +137,15 @@ let rec parse_body ?(depth = 0) json =
           | None | Some Json.Null -> None
           | Some v -> Some v
         in
-        match mode with
-        | "eff" | "full" | "nc" -> Ok (Compile { bench; mode; pulses; passes; isa })
-        | m -> Error (Printf.sprintf "unknown mode %S (expected eff|full|nc)" m)))
+        let* mode =
+          match Json.mem_str "mode" json with
+          | None -> Ok Compiler.Passes.Eff
+          | Some m -> (
+            match Compiler.Passes.mode_of_name m with
+            | Some mode -> Ok mode
+            | None -> Error (Printf.sprintf "unknown mode %S (expected eff|full|nc)" m))
+        in
+        Ok (Compile { bench; mode; pulses; passes; isa })))
     | Some "pulses" -> (
       let* target = parse_target json in
       let* passes = parse_passes json in
@@ -229,6 +234,8 @@ let body_key (b : body) =
     in
     Some (F.key (budget (with_passes (F.str fp coupling) passes)))
   | Compile { bench; mode; pulses; passes; isa } ->
+    (* the mode folds as its plan name, the string it was parsed from *)
+    let mode = (Compiler.Passes.plan_of_mode mode).plan_name in
     let fp = F.create "serve.compile.v1" in
     Some
       (F.key

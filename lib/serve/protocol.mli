@@ -19,11 +19,11 @@ val version : int
 
 (**
 
-    - [compile]: ["bench"] (suite name), ["mode"] ("eff"|"full"|"nc",
-      default "eff"), ["pulses"] (bool, default false), ["passes"] (an
-      optional non-empty array of registered pass names — a custom
-      compilation plan; an unknown name is a [bad_request] naming every
-      known pass), ["isa"] (an optional target-ISA name,
+    - [compile]: ["bench"] (suite name), ["mode"] (a default plan's name,
+      read by {!Compiler.Passes.mode_of_name}; default eff), ["pulses"]
+      (bool, default false), ["passes"] (an optional non-empty array of
+      registered pass names — a custom compilation plan; an unknown name
+      is a [bad_request] naming every known pass), ["isa"] (an optional target-ISA name,
       {!Isa.known_names}: the compiled circuit is lowered to that
       target's native gates; a non-string or unknown name is a
       [bad_request] at stage ["compiler.isa"]). The ["isa"] member is
@@ -47,7 +47,7 @@ type target = Gate of string | Coords of float * float * float
 type op =
   | Compile of {
       bench : string;
-      mode : string;
+      mode : Compiler.Passes.mode;
       pulses : bool;
       passes : string list option;
       isa : Json.t option;

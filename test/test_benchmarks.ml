@@ -15,7 +15,7 @@ let test_suite_covers_categories () =
 let test_all_programs_valid () =
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
-      let c = Compiler.Pipeline.program_to_cnot_input b.program in
+      let c = Compiler.Pass.program_to_cnot_input b.program in
       Alcotest.(check bool) (b.name ^ " nonempty") true (Circuit.count_2q c > 0);
       Alcotest.(check bool) (b.name ^ " lowered to cx+1q") true
         (List.for_all
@@ -128,7 +128,7 @@ let test_pauli_programs_hermitian_strings () =
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
       match b.program with
-      | Compiler.Pipeline.Pauli p ->
+      | Compiler.Pass.Pauli p ->
         List.iter
           (fun (t : Compiler.Phoenix.term) ->
             Alcotest.(check bool) (b.name ^ " nonzero weight") true

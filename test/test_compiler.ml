@@ -323,17 +323,20 @@ let test_bqskit_su4 () =
 (* ------------------------------------------------------------- pipeline *)
 
 let test_pipeline_eff_toffoli_chain () =
-  let out = Pipeline.compile ~mode:Pipeline.Eff rng (Pipeline.Gates toffoli_chain) in
-  Alcotest.(check bool) "<=2q" true (Circuit.max_arity out.Pipeline.circuit <= 2);
-  let fix = arrange_matrix 4 out.Pipeline.final_mapping in
+  let out, _ =
+    Passes.compile_plan_exn ~plan:(Passes.plan_of_mode Passes.Eff) rng
+      (Pass.Gates toffoli_chain)
+  in
+  Alcotest.(check bool) "<=2q" true (Circuit.max_arity out.Passes.circuit <= 2);
+  let fix = arrange_matrix 4 out.Passes.final_mapping in
   check_phase ~tol:1e-3 "pipeline preserves semantics"
     (Circuit.unitary toffoli_chain)
-    (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Pipeline.circuit));
+    (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Passes.circuit));
   let baseline = Circuit.count_2q (Baselines.qiskit_like (Decomp.lower_to_cx toffoli_chain)) in
   Alcotest.(check bool)
-    (Printf.sprintf "beats qiskit-like (%d vs %d)" (Circuit.count_2q out.Pipeline.circuit) baseline)
+    (Printf.sprintf "beats qiskit-like (%d vs %d)" (Circuit.count_2q out.Passes.circuit) baseline)
     true
-    (Circuit.count_2q out.Pipeline.circuit < baseline)
+    (Circuit.count_2q out.Passes.circuit < baseline)
 
 let test_pipeline_pauli () =
   let p =
@@ -348,11 +351,13 @@ let test_pipeline_pauli () =
           ];
       }
   in
-  let out = Pipeline.compile ~mode:Pipeline.Eff rng (Pipeline.Pauli p) in
+  let out, _ =
+    Passes.compile_plan_exn ~plan:(Passes.plan_of_mode Passes.Eff) rng (Pass.Pauli p)
+  in
   let reference = Circuit.unitary (Phoenix.to_cx_circuit p) in
-  let fix = arrange_matrix 3 out.Pipeline.final_mapping in
+  let fix = arrange_matrix 3 out.Passes.final_mapping in
   check_phase ~tol:1e-6 "pauli pipeline preserves" reference
-    (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Pipeline.circuit))
+    (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Passes.circuit))
 
 (* -------------------------------------------------------------- metrics *)
 

@@ -112,9 +112,9 @@ let test_big_suite_instantiates () =
   List.iter
     (fun (b : Benchmarks.Suite.bench) ->
       match b.program with
-      | Compiler.Pipeline.Gates c ->
+      | Compiler.Pass.Gates c ->
         Alcotest.(check bool) (b.name ^ " nonempty") true (Circuit.gate_count c > 0)
-      | Compiler.Pipeline.Pauli p ->
+      | Compiler.Pass.Pauli p ->
         Alcotest.(check bool) (b.name ^ " nonempty") true
           (List.length p.Compiler.Phoenix.terms > 0))
     big

@@ -66,10 +66,9 @@ let test_qasm_errors () =
 let test_qasm_compiled_circuit () =
   (* a full compiled circuit (su4 gates) round-trips *)
   let out =
-    Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 1L)
-      (Compiler.Pipeline.Gates (Benchmarks.Generators.tof 4))
+    Reqisc.compile_exn (Rng.create 1L) (Benchmarks.Generators.tof 4)
   in
-  let c = out.Compiler.Pipeline.circuit in
+  let c = out.Reqisc.circuit in
   let c' = Qasm.of_string (Qasm.to_string c) in
   check_phase ~tol:1e-12 "compiled roundtrip" (Circuit.unitary c) (Circuit.unitary c')
 
@@ -116,11 +115,10 @@ let test_real_through_compiler () =
   let src = ".numvars 4\n.variables w x y z\n.begin\nt3 w x y\nt2 y z\nt3 x y z\n.end\n" in
   let c = Benchmarks.Real_format.of_string src in
   let out =
-    Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 2L)
-      (Compiler.Pipeline.Gates c)
+    Reqisc.compile_exn (Rng.create 2L) c
   in
   Alcotest.(check bool) "produced 2q circuit" true
-    (Circuit.max_arity out.Compiler.Pipeline.circuit <= 2)
+    (Circuit.max_arity out.Reqisc.circuit <= 2)
 
 (* ------------------------------------------------------------- schedule *)
 
@@ -154,10 +152,9 @@ let test_schedule_parallel () =
 let test_schedule_matches_duration_metric () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
   let out =
-    Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 3L)
-      (Compiler.Pipeline.Gates (Benchmarks.Generators.tof 4))
+    Reqisc.compile_exn (Rng.create 3L) (Benchmarks.Generators.tof 4)
   in
-  let c = out.Compiler.Pipeline.circuit in
+  let c = out.Reqisc.circuit in
   match Microarch.Schedule.schedule xy c with
   | Error e -> Alcotest.fail e
   | Ok s ->

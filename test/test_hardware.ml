@@ -65,10 +65,9 @@ let test_su4_to_can () =
 
 let test_to_can_isa_circuit () =
   let out =
-    Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 3L)
-      (Compiler.Pipeline.Gates (Benchmarks.Generators.tof 4))
+    Reqisc.compile_exn (Rng.create 3L) (Benchmarks.Generators.tof 4)
   in
-  let su4_c = out.Compiler.Pipeline.circuit in
+  let su4_c = out.Reqisc.circuit in
   let can_c = Decomp.to_can_isa su4_c in
   check_phase ~tol:1e-6 "isa emission preserves" (Circuit.unitary su4_c)
     (Circuit.unitary can_c);

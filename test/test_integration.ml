@@ -144,22 +144,21 @@ let test_pipeline_random_programs () =
   for k = 1 to 4 do
     let r = Rng.create (Int64.of_int (1000 + k)) in
     let c = random_ccx_program r 4 10 in
-    let out = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff r (Compiler.Pipeline.Gates c) in
-    let fix = arrange_matrix 4 out.Compiler.Pipeline.final_mapping in
+    let out = Reqisc.compile_exn r c in
+    let fix = arrange_matrix 4 out.Reqisc.final_mapping in
     check_phase ~tol:1e-3
       (Printf.sprintf "random program %d" k)
       (Circuit.unitary c)
-      (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Compiler.Pipeline.circuit))
+      (Mat.mul (Mat.dagger fix) (Circuit.unitary out.Reqisc.circuit))
   done
 
 let test_pipeline_deterministic () =
   let c = random_ccx_program (Rng.create 55L) 4 8 in
   let run () =
     let out =
-      Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 9L)
-        (Compiler.Pipeline.Gates c)
+      Reqisc.compile_exn (Rng.create 9L) c
     in
-    (Circuit.count_2q out.Compiler.Pipeline.circuit, out.Compiler.Pipeline.final_mapping)
+    (Circuit.count_2q out.Reqisc.circuit, out.Reqisc.final_mapping)
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same count" (fst a) (fst b);
@@ -170,10 +169,9 @@ let test_full_no_worse_than_eff () =
     (fun seed ->
       let c = random_ccx_program (Rng.create (Int64.of_int seed)) 4 12 in
       let compile mode =
-        (Compiler.Pipeline.compile ~mode (Rng.create 2L) (Compiler.Pipeline.Gates c))
-          .Compiler.Pipeline.circuit |> Circuit.count_2q
+        (Reqisc.compile_exn ~mode (Rng.create 2L) c).Reqisc.circuit |> Circuit.count_2q
       in
-      let eff = compile Compiler.Pipeline.Eff and full = compile Compiler.Pipeline.Full in
+      let eff = compile Reqisc.Eff and full = compile Reqisc.Full in
       Alcotest.(check bool)
         (Printf.sprintf "full (%d) <= eff (%d)" full eff)
         true (full <= eff))
@@ -182,12 +180,12 @@ let test_full_no_worse_than_eff () =
 let test_pulses_for_compiled_circuit () =
   (* the whole chain: compile, then Algorithm 1 on every gate succeeds *)
   let c = random_ccx_program (Rng.create 66L) 4 8 in
-  let out = Compiler.Pipeline.compile ~mode:Compiler.Pipeline.Eff (Rng.create 3L) (Compiler.Pipeline.Gates c) in
-  match Reqisc.pulses Reqisc.xy_coupling out.Compiler.Pipeline.circuit with
+  let out = Reqisc.compile_exn (Rng.create 3L) c in
+  match Reqisc.pulses Reqisc.xy_coupling out.Reqisc.circuit with
   | Error e -> Alcotest.fail (Robust.Err.to_string e)
   | Ok instrs ->
     Alcotest.(check int) "one pulse per 2q gate"
-      (Circuit.count_2q out.Compiler.Pipeline.circuit)
+      (Circuit.count_2q out.Reqisc.circuit)
       (List.length instrs);
     List.iter
       (fun (i : Reqisc.pulse_instruction) ->

@@ -208,8 +208,9 @@ let test_chrome_trace_of_compile () =
   let b = List.hd (Benchmarks.Suite.suite ()) in
   let out, r =
     Obs.Recorder.with_recorder (fun () ->
-        Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Eff (Numerics.Rng.create 1L)
-          b.Benchmarks.Suite.program)
+        Compiler.Passes.compile_plan
+          ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Eff)
+          (Numerics.Rng.create 1L) b.Benchmarks.Suite.program)
   in
   Alcotest.(check bool) "compile ok" true (Result.is_ok out);
   let trace = Robust.Json.to_string (Obs.Export.chrome_trace (Obs.Recorder.events r)) in

@@ -214,16 +214,24 @@ let test_slicing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "of_names accepted an unknown pass"
 
-(* default plans must reproduce the historical fused pipeline exactly,
-   and every pass they execute must show as its own stage="compiler"
-   span in a recorded trace *)
-let test_plan_matches_pipeline () =
+(* the facade's raising entry points run exactly the default plans, for
+   both program kinds, and every pass a default plan executes shows as
+   its own stage="compiler" span in a recorded trace *)
+let test_plan_matches_facade () =
+  let same what (facade : Reqisc.compiled) (plan : Passes.output) =
+    Alcotest.(check int)
+      (what ^ " same 2q count")
+      (Circuit.count_2q facade.Reqisc.circuit)
+      (Circuit.count_2q plan.Passes.circuit);
+    Alcotest.(check (array int))
+      (what ^ " same mapping") facade.Reqisc.final_mapping plan.Passes.final_mapping
+  in
   List.iter
-    (fun (mode, pmode) ->
+    (fun mode ->
+      let plan = Passes.plan_of_mode mode in
       let (out_plan, stats), recorder =
         Obs.Recorder.with_recorder (fun () ->
-            Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode)
-              (Rng.create 7L) (Pass.Gates toffoli_chain))
+            Passes.compile_plan_exn ~plan (Rng.create 7L) (Pass.Gates toffoli_chain))
       in
       let spans =
         List.filter_map
@@ -238,14 +246,12 @@ let test_plan_matches_pipeline () =
           Alcotest.(check bool) (s.Passes.pass ^ " has its own span") true
             (List.mem s.Passes.pass spans))
         executed;
-      let out_pipe = Pipeline.compile ~mode:pmode (Rng.create 7L) (Pipeline.Gates toffoli_chain) in
-      Alcotest.(check int)
-        "same 2q count"
-        (Circuit.count_2q out_pipe.Pipeline.circuit)
-        (Circuit.count_2q out_plan.Passes.circuit);
-      Alcotest.(check (array int))
-        "same mapping" out_pipe.Pipeline.final_mapping out_plan.Passes.final_mapping)
-    [ (Passes.Eff, Pipeline.Eff); (Passes.Full, Pipeline.Full) ]
+      same "gates" (Reqisc.compile_exn ~mode (Rng.create 7L) toffoli_chain) out_plan;
+      let pauli_plan, _ =
+        Passes.compile_plan_exn ~plan (Rng.create 7L) (Pass.Pauli pauli_prog)
+      in
+      same "pauli" (Reqisc.compile_pauli_exn ~mode (Rng.create 7L) pauli_prog) pauli_plan)
+    [ Passes.Eff; Passes.Full ]
 
 (* Compiled gates pinned by the MD5 of every gate's qubits and float
    bits, and the synthesis search pinned by its [compiler.synth] restart
@@ -345,8 +351,8 @@ let () =
       ( "plans",
         [
           Alcotest.test_case "slicing and strict names" `Quick test_slicing;
-          Alcotest.test_case "default plans match pipeline" `Slow
-            test_plan_matches_pipeline;
+          Alcotest.test_case "default plans match facade" `Slow
+            test_plan_matches_facade;
         ] );
       ("golden", golden_cases);
       ("props", List.map (QCheck_alcotest.to_alcotest ~long:false) props);

@@ -380,11 +380,12 @@ let test_hier_fallback () =
   Robust.Counters.reset ();
   with_faults "hier_fail:0" (fun () ->
       let rng = Rng.create 1L in
-      match Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Full rng (small_circuit ()) with
+      let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Full in
+      match Compiler.Passes.compile_plan ~plan rng (small_circuit ()) with
       | Error e -> Alcotest.fail (Robust.Err.to_string e)
-      | Ok out ->
+      | Ok (out, _) ->
         Alcotest.(check bool) "circuit non-empty" true
-          (out.Compiler.Pipeline.circuit.Circuit.gates <> []);
+          (out.Compiler.Passes.circuit.Circuit.gates <> []);
         Alcotest.(check bool) "hier_fail fired" true
           (List.assoc "hier_fail" (Robust.Fault.hits ()) >= 1);
         Alcotest.(check bool) "fallback counted" true
@@ -397,12 +398,13 @@ let test_pipeline_under_faults () =
   with_faults "expm_nan:2,jacobi_stall:2,ea_noconv:1,nd_noconv:1,ham_perturb:1:0.05,hier_fail:3"
     (fun () ->
       let rng = Rng.create 2L in
-      match Compiler.Pipeline.compile_r ~mode:Compiler.Pipeline.Full rng (small_circuit ()) with
+      let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Full in
+      match Compiler.Passes.compile_plan ~plan rng (small_circuit ()) with
       | Error e ->
         (* a typed failure is an acceptable structured outcome *)
         Alcotest.(check bool) "typed" true (String.length (Robust.Err.to_string e) > 0)
-      | Ok out ->
-        let outcomes = Reqisc.pulse_outcomes xy out.Compiler.Pipeline.circuit in
+      | Ok (out, _) ->
+        let outcomes = Reqisc.pulse_outcomes xy out.Compiler.Passes.circuit in
         List.iter
           (fun (o : Reqisc.gate_outcome) ->
             Alcotest.(check bool) "structured per-gate outcome" true

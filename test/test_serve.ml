@@ -235,7 +235,7 @@ let test_protocol_parse_ok () =
   (match parse_body "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"mode\":\"full\",\"pulses\":true}" with
   | Ok { Serve.Protocol.op = Serve.Protocol.Compile { bench; mode; pulses; _ }; budget; _ } ->
     Alcotest.(check string) "bench" "alu_2" bench;
-    Alcotest.(check string) "mode" "full" mode;
+    Alcotest.(check bool) "mode" true (mode = Compiler.Passes.Full);
     Alcotest.(check bool) "pulses" true pulses;
     Alcotest.(check bool) "no budget" true (budget = None)
   | _ -> Alcotest.fail "compile body");
@@ -331,7 +331,28 @@ let test_protocol_passes () =
   Alcotest.(check bool) "legacy = explicit-null key" true (key base = key with_null);
   Alcotest.(check bool) "plan changes the key" true (key base <> key planned);
   Alcotest.(check bool) "distinct plans, distinct keys" true (key planned <> key planned2);
-  Alcotest.(check bool) "same plan, same key" true (key planned = key planned)
+  Alcotest.(check bool) "same plan, same key" true (key planned = key planned);
+  (* the mode is parsed once, into a typed value, and folded by its plan
+     name: an absent mode is eff, and each mode keys apart *)
+  let moded m =
+    Printf.sprintf "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"mode\":\"%s\"}" m
+  in
+  Alcotest.(check bool) "absent mode = eff key" true (key base = key (moded "eff"));
+  Alcotest.(check bool) "full keys apart from eff" true (key (moded "full") <> key base);
+  Alcotest.(check bool) "nc keys apart from eff" true (key (moded "nc") <> key base);
+  Alcotest.(check bool) "full keys apart from nc" true
+    (key (moded "full") <> key (moded "nc"));
+  (* and the response echoes the mode by the same name *)
+  let eng = Serve.Engine.create ~workers:1 ~seed:7L () in
+  let resp =
+    Serve.Engine.exec_once eng
+      (Serve.Protocol.parse_line
+         "{\"v\":1,\"id\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"mode\":\"full\"}")
+  in
+  Serve.Engine.drain eng;
+  let resp = Robust.Json.to_string resp in
+  Alcotest.(check bool) ("full compile ok: " ^ resp) true (contains resp "\"ok\":true");
+  Alcotest.(check bool) "echoes mode full" true (contains resp "\"mode\":\"full\"")
 
 let test_protocol_version () =
   (* no "v" at all *)
