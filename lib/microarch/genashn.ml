@@ -433,7 +433,7 @@ let cache_replay (e : Pulse_cache.entry) =
     Robust.Outcome.Degraded
       (p, { Robust.Outcome.residual = e.residual; retries = e.retries; note = e.note })
 
-let cache_store key (oc : pulse Robust.Outcome.t) =
+let cache_store key (oc : (pulse * _ * _) Robust.Outcome.t) =
   let entry solved (p : pulse) residual retries note =
     {
       Pulse_cache.solved;
@@ -448,8 +448,8 @@ let cache_store key (oc : pulse Robust.Outcome.t) =
     }
   in
   match oc with
-  | Robust.Outcome.Solved p -> Pulse_cache.store key (entry true p 0.0 0 "")
-  | Robust.Outcome.Degraded (p, i) ->
+  | Robust.Outcome.Solved (p, _, _) -> Pulse_cache.store key (entry true p 0.0 0 "")
+  | Robust.Outcome.Degraded ((p, _, _), i) ->
     Pulse_cache.store key
       (entry false p i.Robust.Outcome.residual i.Robust.Outcome.retries
          i.Robust.Outcome.note)
@@ -489,31 +489,34 @@ let solve_coords_uncached ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
         Robust.Counters.incr ~stage "failed";
         Robust.Outcome.Failed e
       | (Robust.Outcome.Solved p | Robust.Outcome.Degraded (p, _)) as oc -> (
-        (* end-to-end check: the evolution really lands in the target class *)
+        (* end-to-end check: the evolution really lands in the target class.
+           Its unitary and KAK are the class-determined tail of [solve_r],
+           so the outcome carries them. *)
         let realized = evolve h p in
-        match Weyl.Kak.coords_of_r realized with
+        match Weyl.Kak.decompose_r realized with
         | Error e ->
           Robust.Counters.incr ~stage "failed";
           Robust.Outcome.Failed e
-        | Ok got ->
-          let d = Weyl.Coords.dist got coords in
+        | Ok kak ->
+          let d = Weyl.Coords.dist kak.Weyl.Kak.coords coords in
+          let tail = (p, realized, kak) in
           let retries =
             match oc with Robust.Outcome.Degraded (_, i) -> i.retries | _ -> 0
           in
           if d < strict_class_tol && retries = 0 then begin
             Robust.Counters.incr ~stage "ok";
-            Robust.Outcome.Solved p
+            Robust.Outcome.Solved tail
           end
           else if d < strict_class_tol then begin
             (* recovered by a retry rung: correct answer, flagged as such *)
             Robust.Counters.incr ~stage "ok";
             Robust.Outcome.Degraded
-              (p, { Robust.Outcome.residual = d; retries; note = "recovered after retries" })
+              (tail, { Robust.Outcome.residual = d; retries; note = "recovered after retries" })
           end
           else if d < loose_class_tol then begin
             Robust.Counters.incr ~stage "degraded";
             Robust.Outcome.Degraded
-              ( p,
+              ( tail,
                 {
                   Robust.Outcome.residual = d;
                   retries;
@@ -542,13 +545,19 @@ let solve_coords_uncached ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
    The key is the exact bits of (h, coords), not the cache's 1e-9
    fingerprint: two targets that agree to 1e-9 can still solve to
    different pulses, and a hit must return the bytes a fresh solve would.
+   An entry holds the pulse, the unitary it realizes and that unitary's
+   KAK, so a hit in [solve_r] runs neither an expm nor a second KAK. Its
+   matrices are shared and read-only: [solve_r] hands out a copy.
    The solve is deterministic without a budget or armed faults, so only
    those solves are memoized. The lock covers lookups and inserts, never
    a solve: two domains missing on one class both solve it and store the
    same outcome. *)
 let memo_capacity = 1024
 
-let memo : (int64 * int64 * int64 * int64 * int64 * int64, pulse Robust.Outcome.t) Cache.Lru.t =
+let memo :
+    ( int64 * int64 * int64 * int64 * int64 * int64,
+      (pulse * Mat.t * Weyl.Kak.t) Robust.Outcome.t )
+    Cache.Lru.t =
   Cache.Lru.create ~capacity:memo_capacity
 
 let memo_lock = Mutex.create ()
@@ -581,9 +590,12 @@ let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
    verdict bit for bit and skips Algorithm 1 entirely (no grid, no
    Newton, no end-to-end class check — the pulse was verified when it was
    stored). Without one, unbudgeted fault-free solves go through the
-   class memo. *)
-let solve_coords_r ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
+   class memo. [solve_class] keeps the class-determined tail (realized
+   unitary, its KAK) when the solve has one; a cache hit has only the
+   pulse ([None]), and only [solve_r] pays to evolve it. *)
+let solve_class ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
   Obs.Span.with_ ~stage:"solver" ~name:"solve_coords" @@ fun () ->
+  let with_tail = Robust.Outcome.map (fun (p, realized, kak) -> (p, Some (realized, kak))) in
   match validate h coords with
   | Error e ->
     Robust.Counters.incr ~stage "failed";
@@ -591,18 +603,20 @@ let solve_coords_r ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
   | Ok () -> (
     match Pulse_cache.installed () with
     | None when Option.is_none budget && not (Robust.Fault.enabled ()) ->
-      solve_coords_memo h coords
-    | None -> solve_coords_uncached ?budget h coords
+      with_tail (solve_coords_memo h coords)
+    | None -> with_tail (solve_coords_uncached ?budget h coords)
     | Some _ -> (
       let key = cache_fingerprint h coords in
       match Pulse_cache.lookup key with
       | Some e ->
         Robust.Counters.incr ~stage "cache_hit";
-        cache_replay e
+        Robust.Outcome.map (fun p -> (p, None)) (cache_replay e)
       | None ->
         let oc = solve_coords_uncached ?budget h coords in
         cache_store key oc;
-        oc))
+        with_tail oc))
+
+let solve_coords_r ?budget h coords = Robust.Outcome.map fst (solve_class ?budget h coords)
 
 let kak_decompose_r u = Obs.Span.with_ ~stage:"solver" ~name:"kak" (fun () -> Weyl.Kak.decompose_r u)
 
@@ -610,13 +624,20 @@ let solve_r ?budget h u =
   match kak_decompose_r u with
   | Error e -> Robust.Outcome.Failed e
   | Ok du -> (
-    match solve_coords_r ?budget h du.Weyl.Kak.coords with
+    match solve_class ?budget h du.Weyl.Kak.coords with
     | Robust.Outcome.Failed e -> Robust.Outcome.Failed e
-    | (Robust.Outcome.Solved pulse | Robust.Outcome.Degraded (pulse, _)) as oc -> (
-      let realized = evolve h pulse in
-      match kak_decompose_r realized with
+    | (Robust.Outcome.Solved (pulse, tail) | Robust.Outcome.Degraded ((pulse, tail), _)) as oc
+      -> (
+      let tail =
+        match tail with
+        | Some (realized, dw) -> Ok (Mat.copy realized, dw)
+        | None ->
+          let realized = evolve h pulse in
+          Result.map (fun dw -> (realized, dw)) (kak_decompose_r realized)
+      in
+      match tail with
       | Error e -> Robust.Outcome.Failed e
-      | Ok dw ->
+      | Ok (realized, dw) ->
         let d = Weyl.Coords.dist du.Weyl.Kak.coords dw.Weyl.Kak.coords in
         if d > loose_class_tol then
           Robust.Outcome.Failed

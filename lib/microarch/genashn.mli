@@ -71,13 +71,17 @@ val solve : Coupling.t -> Mat.t -> (result, string) Stdlib.result
       ({!Pulse_cache.install}): the target's {!cache_fingerprint} is
       looked up first; a hit replays the stored Solved/Degraded verdict
       bit for bit and skips the root search (counter ["cache_hit"]); a
-      miss solves and stores the verdict. The memo is not consulted.
+      miss solves and stores the verdict. The memo is not consulted. A
+      hit here replays only the pulse: no expm and no KAK.
     - with no cache installed, the process-wide class memo: a bounded
       ({!memo_capacity}) LRU keyed on the exact float bits of the
-      coupling and the coordinates, holding the full outcome. It answers
-      only when [budget] is absent and no fault site is armed, so
-      [Budget_exceeded] and every fault stay reachable. A hit returns
-      the outcome a fresh solve would, byte for byte. Counters
+      coupling and the coordinates, holding the full outcome together
+      with the unitary the pulse realizes and that unitary's KAK, so a
+      hit in {!solve_r} costs one KAK of the target and four local
+      products. It answers only when [budget] is absent and no fault
+      site is armed, so [Budget_exceeded] and every fault stay
+      reachable. A hit returns the outcome a fresh solve would, byte for
+      byte. Counters
       ["memo_hit"], ["memo_miss"] and ["memo_evict"].
     - the solve itself (counter ["solve_run"], one per root search
       actually run). *)
@@ -96,7 +100,8 @@ val memo_clear : unit -> unit
 
 (** [solve_r coupling u] is the typed-outcome variant of {!solve}: KAK
     errors surface as [Failed (Ill_conditioned _ | Nan_detected _)] and the
-    solver ladder behaves as in {!solve_coords_r}. *)
+    solver ladder behaves as in {!solve_coords_r}. The result's [realized]
+    is the caller's own copy, never the memo's. *)
 val solve_r : ?budget:Robust.Budget.t -> Coupling.t -> Mat.t -> result Robust.Outcome.t
 
 (** [cache_fingerprint h c] is the canonical pulse-cache key for steering

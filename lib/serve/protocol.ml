@@ -100,6 +100,16 @@ let parse_passes json =
     end
   | Some _ -> Error "passes must be an array of pass names"
 
+(* an optional member: absent or null is [None]; a value of another type
+   is a bad_request naming the field, never a silent default *)
+let optional k conv ~expected json =
+  match Json.member k json with
+  | None | Some Json.Null -> Ok None
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok (Some x)
+    | None -> Error (Printf.sprintf "%s must be %s" k expected))
+
 let parse_target json =
   match (Json.member "gate" json, Json.member "coords" json) with
   | Some _, Some _ -> Error "give either gate or coords, not both"
@@ -127,7 +137,8 @@ let rec parse_body ?(depth = 0) json =
       match Json.mem_str "bench" json with
       | None -> Error "compile needs a bench name"
       | Some bench -> (
-        let pulses = Option.value ~default:false (Json.mem_bool "pulses" json) in
+        let* pulses = optional "pulses" Json.bool ~expected:"a boolean" json in
+        let pulses = Option.value ~default:false pulses in
         let* passes = parse_passes json in
         (* the isa member rides along verbatim: the engine validates it,
            so a bad value is a typed error at the compiler's stage
@@ -137,8 +148,9 @@ let rec parse_body ?(depth = 0) json =
           | None | Some Json.Null -> None
           | Some v -> Some v
         in
+        let* mode = optional "mode" Json.str ~expected:"a string" json in
         let* mode =
-          match Json.mem_str "mode" json with
+          match mode with
           | None -> Ok Compiler.Passes.Eff
           | Some m -> (
             match Compiler.Passes.mode_of_name m with
@@ -155,9 +167,9 @@ let rec parse_body ?(depth = 0) json =
           Error "passes applies only to gate targets (coords have no circuit)"
         | _ -> Ok ()
       in
-      let coupling = Option.value ~default:"xy" (Json.mem_str "coupling" json) in
-      match coupling with
-      | "xy" | "xx" -> Ok (Pulses { target; coupling; passes })
+      let* coupling = optional "coupling" Json.str ~expected:"a string" json in
+      match Option.value ~default:"xy" coupling with
+      | ("xy" | "xx") as coupling -> Ok (Pulses { target; coupling; passes })
       | c -> Error (Printf.sprintf "unknown coupling %S (expected xy|xx)" c))
     | Some "batch" -> (
       if depth > 0 then Error "nested batch requests are not allowed"

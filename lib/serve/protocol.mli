@@ -36,6 +36,9 @@ val version : int
       batches); executed in order inside one job.
     - [stats], [shutdown]: no extra fields.
 
+    An absent or null ["mode"], ["pulses"] or ["coupling"] takes its
+    default; a value of the wrong type is a [bad_request] naming the field.
+
     Responses: [{"id": .., "ok": true, "op": .., "result": ..}] or
     [{"id": .., "ok": false, "error": {"kind": .., "stage": ..,
     "message": ..}}]. Error kinds are {!Robust.Err.kind} tags plus

@@ -268,19 +268,21 @@ let pauli_eff_pulse_digest = "91dd2c3e90b8d4226d129da340b3c074"
 
 let xy = Coupling.xy ~g:1.0
 
+let add_float_bits b x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x))
+
+let add_mat_bits b m =
+  for i = 0 to Mat.rows m - 1 do
+    for j = 0 to Mat.cols m - 1 do
+      add_float_bits b (Mat.get_re m i j);
+      add_float_bits b (Mat.get_im m i j)
+    done
+  done
+
 let pauli_eff_digest () =
   let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Eff in
   let suite = Benchmarks.Suite.suite () in
   let b = Buffer.create 65536 in
-  let fl x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)) in
-  let mat m =
-    for i = 0 to Mat.rows m - 1 do
-      for j = 0 to Mat.cols m - 1 do
-        fl (Mat.get_re m i j);
-        fl (Mat.get_im m i j)
-      done
-    done
-  in
+  let fl = add_float_bits b and mat = add_mat_bits b in
   let pair = Option.iter (fun (u, v) -> mat u; mat v) in
   List.iter
     (fun name ->
@@ -336,9 +338,23 @@ let outcome_bits (o : Genashn.pulse Robust.Outcome.t) =
       i.retries i.note
   | Robust.Outcome.Failed e -> "failed " ^ Robust.Err.to_string e
 
-let haar_classes n =
+(* a solve_r outcome as bytes: the pulse outcome, then the float bits of
+   the class and of every matrix of the result *)
+let result_bits (o : Genashn.result Robust.Outcome.t) =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (outcome_bits (Robust.Outcome.map (fun (r : Genashn.result) -> r.pulse) o));
+  (match o with
+  | Robust.Outcome.Solved r | Robust.Outcome.Degraded (r, _) ->
+    List.iter (add_float_bits b) [ r.coords.x; r.coords.y; r.coords.z ];
+    List.iter (add_mat_bits b) [ r.realized; r.a1; r.a2; r.b1; r.b2 ]
+  | Robust.Outcome.Failed _ -> ());
+  Buffer.contents b
+
+let haar_unitaries n =
   let r = Rng.create 17L in
-  List.init n (fun _ -> Weyl.Kak.coords_of (Quantum.Haar.su4 r))
+  List.init n (fun _ -> Quantum.Haar.su4 r)
+
+let haar_classes n = List.map Weyl.Kak.coords_of (haar_unitaries n)
 
 let named_gates =
   Quantum.Gates.[ cnot; cz; iswap; sqisw; b_gate; swap ]
@@ -372,20 +388,29 @@ let test_memo_hit_identical () =
       Alcotest.(check int) "no root search on a hit" runs0 (solve_runs ());
       Alcotest.(check int) "hit counted" (hits0 + 1) (memo_hits ()))
     (haar_classes 8);
-  List.iteri
-    (fun k g ->
-      Genashn.memo_clear ();
-      let bits = function
-        | Robust.Outcome.Solved (r : Genashn.result) | Robust.Outcome.Degraded (r, _) ->
-          outcome_bits (Robust.Outcome.Solved r.pulse)
-        | Robust.Outcome.Failed e -> Robust.Err.to_string e
-      in
-      let fresh = bits (Genashn.solve_r xy g) in
-      let runs0 = solve_runs () in
-      let hit = bits (Genashn.solve_r xy g) in
-      Alcotest.(check string) (Printf.sprintf "named gate %d bytes" k) fresh hit;
-      Alcotest.(check int) "no root search on a hit" runs0 (solve_runs ()))
-    named_gates
+  (* solve_r, every field: cold memo, warm memo, a fresh pulse cache
+     (miss, then hit) and a 2-domain map all give the same bytes *)
+  let gates = named_gates @ haar_unitaries 3 in
+  let solve g = result_bits (Genashn.solve_r xy g) in
+  Genashn.memo_clear ();
+  let cold = List.map solve gates in
+  let runs0 = solve_runs () in
+  Alcotest.(check (list string)) "warm solve_r bytes" cold (List.map solve gates);
+  Alcotest.(check int) "no root search on a warm pass" runs0 (solve_runs ());
+  (match Cache.create () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    let miss, hit =
+      Pulse_cache.with_cache c (fun () ->
+          let miss = List.map solve gates in
+          (miss, List.map solve gates))
+    in
+    Cache.close c;
+    Alcotest.(check (list string)) "pulse-cache miss bytes" cold miss;
+    Alcotest.(check (list string)) "pulse-cache hit bytes" cold hit);
+  Genashn.memo_clear ();
+  Alcotest.(check (list string)) "2-domain solve_r bytes" (cold @ cold)
+    (Par.parallel_map ~domains:2 solve (gates @ gates))
 
 let test_memo_keeps_budget () =
   Robust.Fault.configure None;
@@ -429,6 +454,97 @@ let test_memo_bounded () =
   let runs0 = solve_runs () in
   ignore (Genashn.solve_coords_r xy (List.hd classes));
   Alcotest.(check int) "least recently used class was evicted" (runs0 + 1) (solve_runs ())
+
+let ea_gate () = Weyl.Kak.canonical (Lazy.force ea_class)
+
+let test_memo_solve_r_faults () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  let clean = result_bits (Genashn.solve_r xy (ea_gate ())) in
+  List.iter
+    (fun site ->
+      Genashn.memo_clear ();
+      Fun.protect ~finally:(fun () -> Robust.Fault.configure None) (fun () ->
+          Robust.Fault.configure (Some (site ^ ":1"));
+          ignore (Genashn.solve_r xy (ea_gate ()));
+          Alcotest.(check int) (site ^ " fired") 1 (List.assoc site (Robust.Fault.hits ())));
+      Alcotest.(check int) (site ^ " outcome not stored") 0 (Genashn.memo_length ());
+      let runs0 = solve_runs () in
+      Alcotest.(check string) (site ^ " then a clean solve") clean
+        (result_bits (Genashn.solve_r xy (ea_gate ())));
+      Alcotest.(check int) (site ^ " then a real root search") (runs0 + 1) (solve_runs ()))
+    [ "ea_noconv"; "expm_nan" ]
+
+let test_memo_solve_r_bounded () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  (* CNOT-like classes 1e-7 apart: distinct keys after the target's KAK *)
+  let k = 3 in
+  let gates =
+    List.init (Genashn.memo_capacity + k) (fun i ->
+        Weyl.Kak.canonical
+          (Weyl.Coords.make (Weyl.Coords.cnot.x -. (1e-7 *. float_of_int (i + 1))) 0.0 0.0))
+  in
+  let evict0 = genashn_count "memo_evict" in
+  let first = result_bits (Genashn.solve_r xy (List.hd gates)) in
+  List.iter (fun g -> ignore (Genashn.solve_r xy g)) (List.tl gates);
+  Alcotest.(check int) "held at capacity" Genashn.memo_capacity (Genashn.memo_length ());
+  Alcotest.(check int) "evictions counted" k (genashn_count "memo_evict" - evict0);
+  let runs0 = solve_runs () in
+  Alcotest.(check string) "evicted class solves to the same bytes" first
+    (result_bits (Genashn.solve_r xy (List.hd gates)));
+  Alcotest.(check int) "least recently used class was evicted" (runs0 + 1) (solve_runs ())
+
+let test_memo_realized_private () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  let scribble = function
+    | Robust.Outcome.Solved (r : Genashn.result) | Robust.Outcome.Degraded (r, _) ->
+      for i = 0 to 3 do
+        for j = 0 to 3 do
+          Mat.set r.realized i j (Cx.mk 42.0 42.0)
+        done
+      done
+    | Robust.Outcome.Failed e -> Alcotest.fail (Robust.Err.to_string e)
+  in
+  let cold = Genashn.solve_r xy Quantum.Gates.cnot in
+  let bits = result_bits cold in
+  scribble cold;
+  let hit = Genashn.solve_r xy Quantum.Gates.cnot in
+  Alcotest.(check string) "writing a cold result leaves the memo" bits (result_bits hit);
+  scribble hit;
+  Alcotest.(check string) "writing a hit leaves the memo" bits
+    (result_bits (Genashn.solve_r xy Quantum.Gates.cnot))
+
+(* (solver/kak spans, solver/solve_coords spans) recorded while [f] runs *)
+let solver_spans f =
+  let (), r = Obs.Recorder.with_recorder f in
+  let count name =
+    List.length
+      (List.filter
+         (fun (e : Obs.Sink.span_event) -> e.stage = "solver" && e.name = name)
+         (Obs.Recorder.events r))
+  in
+  (count "kak", count "solve_coords")
+
+let test_memo_kak_spans () =
+  Robust.Fault.configure None;
+  (match Cache.create () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+    Pulse_cache.with_cache c (fun () ->
+        ignore (Genashn.solve_coords_r xy (Lazy.force ea_class));
+        let kak, solves =
+          solver_spans (fun () -> ignore (Genashn.solve_coords_r xy (Lazy.force ea_class)))
+        in
+        Alcotest.(check int) "the hit is recorded" 1 solves;
+        Alcotest.(check int) "a pulse-cache hit in solve_coords_r runs no KAK" 0 kak);
+    Cache.close c);
+  Genashn.memo_clear ();
+  ignore (Genashn.solve_r xy Quantum.Gates.cnot);
+  let kak, solves = solver_spans (fun () -> ignore (Genashn.solve_r xy Quantum.Gates.cnot)) in
+  Alcotest.(check int) "one class lookup" 1 solves;
+  Alcotest.(check int) "a warm-memo solve_r runs only the target's KAK" 1 kak
 
 let test_memo_off_under_pulse_cache () =
   Robust.Fault.configure None;
@@ -527,6 +643,10 @@ let () =
           Alcotest.test_case "bounded with evictions" `Quick test_memo_bounded;
           Alcotest.test_case "off under a pulse cache" `Quick test_memo_off_under_pulse_cache;
           Alcotest.test_case "2-domain map deterministic" `Quick test_memo_parallel_deterministic;
+          Alcotest.test_case "solve_r faults not stored" `Quick test_memo_solve_r_faults;
+          Alcotest.test_case "solve_r evicts" `Quick test_memo_solve_r_bounded;
+          Alcotest.test_case "realized is a copy" `Quick test_memo_realized_private;
+          Alcotest.test_case "kak spans per path" `Quick test_memo_kak_spans;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

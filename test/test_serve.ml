@@ -280,6 +280,28 @@ let test_protocol_parse_errors () =
   Alcotest.(check (option int)) "recovered id" (Some 42)
     (Robust.Json.int p.Serve.Protocol.id)
 
+(* mode, pulses and coupling: a wrong type names the field, an absent
+   field keeps its default *)
+let test_protocol_typed_fields () =
+  let expect_err line field =
+    match parse_body line with
+    | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s names %s" line field) true (contains msg field)
+    | Ok _ -> Alcotest.failf "expected a bad_request for %s" line
+  in
+  expect_err "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"mode\":42}" "mode";
+  expect_err "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"pulses\":\"yes\"}" "pulses";
+  expect_err "{\"v\":1,\"op\":\"pulses\",\"gate\":\"cz\",\"coupling\":7}" "coupling";
+  (match parse_body "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\"}" with
+  | Ok { Serve.Protocol.op = Serve.Protocol.Compile { mode; pulses; _ }; _ } ->
+    Alcotest.(check bool) "absent mode is eff" true (mode = Compiler.Passes.Eff);
+    Alcotest.(check bool) "absent pulses is false" false pulses
+  | _ -> Alcotest.fail "compile with defaults");
+  match parse_body "{\"v\":1,\"op\":\"pulses\",\"gate\":\"cz\"}" with
+  | Ok { Serve.Protocol.op = Serve.Protocol.Pulses { coupling; _ }; _ } ->
+    Alcotest.(check string) "absent coupling is xy" "xy" coupling
+  | _ -> Alcotest.fail "pulses with defaults"
+
 let test_protocol_passes () =
   (* a custom plan parses into the op *)
   (match
@@ -942,6 +964,7 @@ let () =
         [
           Alcotest.test_case "parse ok" `Quick test_protocol_parse_ok;
           Alcotest.test_case "parse errors" `Quick test_protocol_parse_errors;
+          Alcotest.test_case "typed fields" `Quick test_protocol_typed_fields;
           Alcotest.test_case "custom pass plans" `Quick test_protocol_passes;
           Alcotest.test_case "version negotiation" `Quick test_protocol_version;
           Alcotest.test_case "frame cap" `Quick test_protocol_frame_cap;
