@@ -21,7 +21,7 @@ let variational () =
   hr "Variational: fixed 2Q basis + parametrized 1Q (Section 5.3.1)";
   let rng = Numerics.Rng.create 17L in
   let program = Benchmarks.Generators.qaoa ~seed:3 8 ~layers:2 in
-  let su4 = (Reqisc.compile_pauli_exn rng program).Reqisc.circuit in
+  let su4 = (compile_mode Compiler.Passes.Eff rng (Compiler.Pass.Pauli program)).circuit in
   Printf.printf "%-22s %8s %10s %12s\n" "scheme" "#2Q" "distinct" "experiments";
   let show name c =
     let cost = Microarch.Calibration.estimate c in
@@ -48,10 +48,7 @@ let calibration () =
     (fun (b : Benchmarks.Suite.bench) ->
       let input = Compiler.Pass.program_to_cnot_input b.program in
       if Circuit.count_2q input <= 120 then begin
-        let out, _ =
-          Compiler.Passes.compile_plan_exn
-            ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Eff) rng b.program
-        in
+        let out = compile_mode Compiler.Passes.Eff rng b.program in
         let c = out.Compiler.Passes.circuit in
         let model = Microarch.Calibration.estimate c in
         let naive =
@@ -75,7 +72,7 @@ let decoherence ~trajectories () =
   let bench = Benchmarks.Generators.tof 5 in
   let input = Decomp.lower_to_cx bench in
   let baseline = Compiler.Baselines.tket_like input in
-  let req = (Reqisc.compile_exn rng bench).Reqisc.circuit in
+  let req = (compile_mode Compiler.Passes.Eff rng (Compiler.Pass.Gates bench)).circuit in
   let tb = (Compiler.Metrics.report cnot_isa baseline).Compiler.Metrics.duration in
   let tr = (Compiler.Metrics.report su4_isa req).Compiler.Metrics.duration in
   Printf.printf "tof_5: baseline T=%.1f/g, ReQISC T=%.1f/g (%.2fx faster)\n" tb tr (tb /. tr);
@@ -107,7 +104,7 @@ let calibrate () =
     (fun (name, coords, u, g_true) ->
       let device = { Microarch.Tomography.true_coupling = Microarch.Coupling.xy ~g:g_true } in
       match Microarch.Tomography.calibrate device ~model coords with
-      | Error e -> Printf.printf "%-10s failed: %s\n" name e
+      | Error e -> Printf.printf "%-10s failed: %s\n" name (Robust.Err.to_string e)
       | Ok (tuned, initial, final) ->
         let f = Microarch.Tomography.corrected_fidelity device tuned u in
         Printf.printf "%-10s %13.1f%% %12.2e %12.2e %14.8f\n" name
@@ -131,8 +128,8 @@ let leakage_study () =
   Printf.printf "\n";
   List.iter
     (fun (name, c) ->
-      match Microarch.Genashn.solve_coords xy c with
-      | Error e -> Printf.printf "%-8s %s\n" name e
+      match Robust.Outcome.to_result (Microarch.Genashn.solve_coords_r xy c) with
+      | Error e -> Printf.printf "%-8s %s\n" name (Robust.Err.to_string e)
       | Ok p ->
         Printf.printf "%-8s" name;
         List.iter

@@ -2,11 +2,6 @@
 
 open Util
 
-(* The default plan of [mode] over [p]: how every figure compiles a
-   benchmark. *)
-let compile_mode mode rng p =
-  fst (Compiler.Passes.compile_plan_exn ~plan:(Compiler.Passes.plan_of_mode mode) rng p)
-
 (* -------------------------------------------------------------- Fig 4 *)
 
 let fig4 () =
@@ -19,11 +14,11 @@ let fig4 () =
       Printf.printf "  omega = %8.4f   delta = %8.4f   penalty = %8.4f\n" om de
         ((2.0 *. om) +. de))
     roots;
-  (match Microarch.Genashn.solve_coords xxc Weyl.Coords.swap with
+  (match Robust.Outcome.to_result (Microarch.Genashn.solve_coords_r xxc Weyl.Coords.swap) with
   | Ok p ->
     Printf.printf "selected by the solver (minimal penalty): omega = %.4f delta = %.4f\n"
       p.Microarch.Genashn.drive_x1 p.Microarch.Genashn.delta
-  | Error e -> Printf.printf "solver failed: %s\n" e);
+  | Error e -> Printf.printf "solver failed: %s\n" (Robust.Err.to_string e));
   (* coarse residual landscape, as in the figure's contour plot *)
   let grid = Microarch.Genashn.ea_grid xxc Weyl.Coords.swap ~n:13 in
   Printf.printf "\n|residual| landscape (omega down, delta across, 0..3g):\n     ";
@@ -71,7 +66,7 @@ let fig5 () =
       (fun (g : Gate.t) ->
         (not (Gate.is_2q g))
         ||
-        match Microarch.Genashn.solve xy g.Gate.mat with Ok _ -> true | Error _ -> false)
+        Robust.Outcome.is_ok (Microarch.Genashn.solve_r xy g.Gate.mat))
       m.Compiler.Mirroring.circuit.Circuit.gates
   in
   Printf.printf "all mirrored gates solvable by genAshN under XY: %b\n" solvable;
@@ -144,13 +139,13 @@ let fig6 ~haar_n () =
       Printf.printf "%-6.2f" s;
       List.iter
         (fun c ->
-          match Microarch.Genashn.solve_coords xy c with
-          | Ok p ->
+          match Robust.Outcome.value (Microarch.Genashn.solve_coords_r xy c) with
+          | Some p ->
             Printf.printf " | %6.2f %6.2f %6.2f"
               (-2.0 *. p.Microarch.Genashn.drive_x1)
               (-2.0 *. p.Microarch.Genashn.drive_x2)
               p.Microarch.Genashn.delta
-          | Error _ -> Printf.printf " |    (unsolved: mirror)")
+          | None -> Printf.printf " |    (unsolved: mirror)")
         fam;
       print_newline ())
     [ 0.4; 0.6; 0.8; 1.0 ];
@@ -479,7 +474,7 @@ let fig16 () =
         Test.make ~name:"genashn_solve_cnot"
           (Staged.stage (fun () ->
                Microarch.Genashn.memo_clear ();
-               ignore (Microarch.Genashn.solve_coords xy Weyl.Coords.cnot)));
+               ignore (Microarch.Genashn.solve_coords_r xy Weyl.Coords.cnot)));
         Test.make ~name:"statevector_8q_cx"
           (let st = State.zero 8 in
            Staged.stage (fun () -> State.apply_gate_arr ~n:8 st (Gate.cx 3 4)));

@@ -10,12 +10,7 @@
 
 open Util
 
-type cell = {
-  count_2q : int;
-  depth_2q : int;
-  duration : float;
-  wall_s : float;
-}
+type cell = { m : Compiler.Metrics.report; wall_s : float }
 
 let isa_bench ?(limit = 4) ~big () =
   hr "isa: cross-ISA compilation matrix";
@@ -37,15 +32,10 @@ let isa_bench ?(limit = 4) ~big () =
               in
               match res with
               | Ok (out, _) ->
-                let c = out.Compiler.Passes.circuit in
-                ( t,
-                  Some
-                    {
-                      count_2q = Circuit.count_2q c;
-                      depth_2q = Circuit.depth_2q c;
-                      duration = Isa.duration t c;
-                      wall_s = wall;
-                    } )
+                let m =
+                  Compiler.Metrics.report (Compiler.Metrics.Target t) out.Compiler.Passes.circuit
+                in
+                (t, Some { m; wall_s = wall })
               | Error e ->
                 incr failures;
                 Printf.printf "  %s/%s failed: %s\n" b.Benchmarks.Suite.name
@@ -66,7 +56,7 @@ let isa_bench ?(limit = 4) ~big () =
       List.iter
         (fun ((_ : Isa.target), cell) ->
           match cell with
-          | Some c -> Printf.printf " %6d/%7.1f" c.count_2q c.duration
+          | Some c -> Printf.printf " %6d/%7.1f" c.m.count_2q c.m.duration
           | None -> Printf.printf " %14s" "-")
         cells;
       Printf.printf "\n")
@@ -82,8 +72,8 @@ let isa_bench ?(limit = 4) ~big () =
           List.filter_map
             (fun ((t : Isa.target), cell) ->
               match cell with
-              | Some c when t.Isa.name <> "native" && c.count_2q < native.count_2q ->
-                Some (Printf.sprintf "%s: %s %d < native %d" bench t.Isa.name c.count_2q native.count_2q)
+              | Some c when t.Isa.name <> "native" && c.m.count_2q < native.m.count_2q ->
+                Some (Printf.sprintf "%s: %s %d < native %d" bench t.Isa.name c.m.count_2q native.m.count_2q)
               | _ -> None)
             cells
         | _ -> [ Printf.sprintf "%s: no native result" bench ])
@@ -98,8 +88,8 @@ let isa_bench ?(limit = 4) ~big () =
     | Some c ->
       Json.Obj
         [
-          ("count_2q", int c.count_2q); ("depth_2q", int c.depth_2q);
-          ("duration", Json.Num c.duration); ("wall_seconds", Json.Num c.wall_s);
+          ("count_2q", int c.m.count_2q); ("depth_2q", int c.m.depth_2q);
+          ("duration", Json.Num c.m.duration); ("wall_seconds", Json.Num c.wall_s);
         ]
     | None -> Json.Null
   in
@@ -134,7 +124,7 @@ let isa_bench ?(limit = 4) ~big () =
          :: List.concat_map
               (fun ((_ : Isa.target), cell) ->
                 match cell with
-                | Some c -> [ string_of_int c.count_2q; Printf.sprintf "%.4f" c.duration ]
+                | Some c -> [ string_of_int c.m.count_2q; Printf.sprintf "%.4f" c.m.duration ]
                 | None -> [ "-"; "-" ])
               cells)
        rows)

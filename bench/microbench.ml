@@ -183,14 +183,10 @@ let () =
     |> List.map (fun (b : Benchmarks.Suite.bench) ->
            let crng = Rng.create 7L in
            let t0 = Unix.gettimeofday () in
-           ignore
-             (Compiler.Passes.compile_plan_exn
-                ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Eff) crng b.program);
+           ignore (Util.compile_mode Compiler.Passes.Eff crng b.program);
            let eff_s = Unix.gettimeofday () -. t0 in
            let t0 = Unix.gettimeofday () in
-           ignore
-             (Compiler.Passes.compile_plan_exn
-                ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Full) crng b.program);
+           ignore (Util.compile_mode Compiler.Passes.Full crng b.program);
            let full_s = Unix.gettimeofday () -. t0 in
            Printf.printf "end-to-end  %-14s eff %7.3f s   full %7.3f s\n%!" b.name eff_s
              full_s;

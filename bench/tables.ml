@@ -2,11 +2,6 @@
 
 open Util
 
-(* The default plan of [mode] over [p]: how every table compiles a
-   benchmark. *)
-let compile_mode mode rng p =
-  fst (Compiler.Passes.compile_plan_exn ~plan:(Compiler.Passes.plan_of_mode mode) rng p)
-
 (* ------------------------------------------------------------- Table 1 *)
 
 let table1 ~big () =

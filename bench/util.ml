@@ -35,6 +35,13 @@ let xy = Microarch.Coupling.xy ~g:1.0
 let su4_isa = Compiler.Metrics.Su4_isa xy
 let cnot_isa = Compiler.Metrics.Cnot_isa
 
+(* The default plan of [mode] over [p]: how every table and figure
+   compiles a benchmark. A typed error ends the run. *)
+let compile_mode mode rng p =
+  match Compiler.Passes.compile_plan ~plan:(Compiler.Passes.plan_of_mode mode) rng p with
+  | Ok (out, _) -> out
+  | Error e -> failwith (Robust.Err.to_string e)
+
 (* ------------------------------------------------------- JSON reports *)
 
 module Json = Robust.Json

@@ -241,16 +241,16 @@ let cmd_compile name args =
       | Some mode -> mode
       | None -> usage_error "unknown mode %s (expected eff|full|nc)" name)
   in
-  let plan =
+  let custom =
     match flag_value args "--passes" with
-    | None -> Reqisc.Plan.default mode
+    | None -> None
     | Some spec ->
       if flag_value args "--mode" <> None then
         usage_error "give either --mode or --passes, not both";
       let names = String.split_on_char ',' spec in
       List.iter (check_pass_name "--passes") names;
       (match Reqisc.Plan.of_names names with
-      | Ok plan -> plan
+      | Ok plan -> Some plan
       | Error e -> usage_error "--passes: %s" (Robust.Err.to_string e))
   in
   (* target-ISA lowering: --isa retargets the default plan of the mode
@@ -260,19 +260,14 @@ let cmd_compile name args =
     match flag_value args "--isa" with
     | None -> None
     | Some name ->
-      if flag_value args "--passes" <> None then
-        usage_error "give either --passes or --isa, not both";
+      if custom <> None then usage_error "give either --passes or --isa, not both";
       (match Isa.find name with
       | Some t -> Some t
       | None ->
         usage_error "unknown isa %s (known targets: %s)" name
           (String.concat ", " Isa.known_names))
   in
-  let plan =
-    match isa_target with
-    | None -> plan
-    | Some t -> Compiler.Passes.plan_for_isa ~mode t
-  in
+  let plan = Compiler.Passes.resolve_plan ~mode ~plan:custom ~isa:isa_target in
   let start_from = flag_value args "--start-from" in
   let stop_after = flag_value args "--stop-after" in
   Option.iter (check_pass_name "--start-from") start_from;
@@ -294,23 +289,12 @@ let cmd_compile name args =
     | Ok (out, stats) -> (out, stats)
     | Error e -> solver_error e
   in
-  let r =
+  let isa =
     match isa_target with
-    | Some t ->
-      (* metrics under the target's own cost model (fixed basis-gate tau,
-         or cycle-quantized slots for eqasm) *)
-      let c = out.Compiler.Passes.circuit in
-      {
-        Compiler.Metrics.count_2q = Circuit.count_2q c;
-        depth_2q = Circuit.depth_2q c;
-        duration = Isa.duration t c;
-        distinct_2q = Circuit.distinct_2q c;
-      }
-    | None ->
-      Compiler.Metrics.report
-        (Compiler.Metrics.Su4_isa (Microarch.Coupling.xy ~g:1.0))
-        out.Compiler.Passes.circuit
+    | Some t -> Compiler.Metrics.Target t
+    | None -> Compiler.Metrics.Su4_isa (Microarch.Coupling.xy ~g:1.0)
   in
+  let r = Compiler.Metrics.report isa out.Compiler.Passes.circuit in
   let label =
     match isa_target with
     | Some t -> Printf.sprintf "isa %s" t.Isa.name
@@ -366,14 +350,11 @@ let cmd_compile name args =
 
 let cmd_pulse name args =
   let gate =
-    match name with
-    | "cnot" -> Quantum.Gates.cnot
-    | "cz" -> Quantum.Gates.cz
-    | "iswap" -> Quantum.Gates.iswap
-    | "sqisw" -> Quantum.Gates.sqisw
-    | "b" -> Quantum.Gates.b_gate
-    | "swap" -> Quantum.Gates.swap
-    | g -> usage_error "unknown gate %s (expected cnot|cz|iswap|sqisw|b|swap)" g
+    match Quantum.Gates.of_name name with
+    | Some gate -> gate
+    | None ->
+      usage_error "unknown gate %s (expected %s)" name
+        (String.concat "|" Quantum.Gates.named_2q)
   in
   let coupling =
     match flag_value args "--coupling" with

@@ -31,13 +31,19 @@ let () =
   Qasm.save qasm_path out.Reqisc.circuit;
   Printf.printf "wrote %s (%d su4 gates)\n" qasm_path
     (Circuit.count_2q out.Reqisc.circuit);
-  let roundtrip = Qasm.load qasm_path in
+  let roundtrip =
+    match Qasm.parse_file qasm_path with
+    | Ok c -> c
+    | Error e ->
+      Printf.eprintf "%s: %s\n" qasm_path (Qasm.parse_error_to_string e);
+      exit 3
+  in
   Printf.printf "  reqasm roundtrip: %d gates, width %d\n"
     (Circuit.gate_count roundtrip) roundtrip.Circuit.n;
 
   (* pulse schedule for an XY-coupled device *)
   match Microarch.Schedule.schedule Reqisc.xy_coupling out.Reqisc.circuit with
-  | Error e -> Printf.printf "scheduling failed: %s\n" e
+  | Error e -> Printf.printf "scheduling failed: %s\n" (Robust.Err.to_string e)
   | Ok s ->
     let sched_path = Filename.concat dir "ripple_add_2.pulses" in
     let oc = open_out sched_path in

@@ -22,8 +22,8 @@ let show coupling label =
   Printf.printf "%-7s %-5s %9s %9s %9s %9s %9s\n" "gate" "mode" "tau" "x1" "x2" "delta" "|err|";
   List.iter
     (fun (name, u) ->
-      match Genashn.solve coupling u with
-      | Error e -> Printf.printf "%-7s failed: %s\n" name e
+      match Robust.Outcome.to_result (Genashn.solve_r coupling u) with
+      | Error e -> Printf.printf "%-7s failed: %s\n" name (Robust.Err.to_string e)
       | Ok r ->
         let p = r.Genashn.pulse in
         let err = Mat.frobenius_dist (Genashn.reconstruct r) u in
@@ -60,8 +60,8 @@ let () =
   List.iter
     (fun s ->
       let c = Weyl.Coords.make (s *. Float.pi /. 4.0) (s *. Float.pi /. 8.0) 0.0 in
-      match Genashn.solve_coords xy c with
-      | Error e -> Printf.printf "%-6.2f %s\n" s e
+      match Robust.Outcome.to_result (Genashn.solve_coords_r xy c) with
+      | Error e -> Printf.printf "%-6.2f %s\n" s (Robust.Err.to_string e)
       | Ok p ->
         Printf.printf "%-6.2f %9.4f %9.4f %9.4f %9.4f\n" s p.Genashn.tau
           (-2.0 *. p.Genashn.drive_x1) (-2.0 *. p.Genashn.drive_x2) p.Genashn.delta)

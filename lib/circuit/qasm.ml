@@ -212,11 +212,6 @@ let parse s =
     else Ok (Circuit.create !n (List.rev !gates))
   with Parse_failure e -> Error e
 
-let of_string s =
-  match parse s with
-  | Ok c -> c
-  | Error e -> failwith (Printf.sprintf "Qasm.of_string: %s" (parse_error_to_string e))
-
 let save path c =
   let oc = open_out path in
   output_string oc (to_string c);
@@ -229,5 +224,4 @@ let read_file path =
   close_in ic;
   s
 
-let load path = of_string (read_file path)
 let parse_file path = parse (read_file path)

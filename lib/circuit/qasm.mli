@@ -18,14 +18,8 @@ val parse_error_to_string : parse_error -> string
     input as a located {!parse_error} instead of raising. *)
 val parse : string -> (Circuit.t, parse_error) result
 
-(** [of_string s] is [parse] for legacy callers.
-    @raise Failure with the rendered {!parse_error} on malformed input. *)
-val of_string : string -> Circuit.t
-
-(** [save path c] / [load path] file convenience wrappers. *)
+(** [save path c] writes [to_string c] to [path]. *)
 val save : string -> Circuit.t -> unit
-
-val load : string -> Circuit.t
 
 (** [parse_file path] is {!parse} on the file's contents. *)
 val parse_file : string -> (Circuit.t, parse_error) result

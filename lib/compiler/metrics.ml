@@ -1,4 +1,4 @@
-type isa = Cnot_isa | Su4_isa of Microarch.Coupling.t
+type isa = Cnot_isa | Su4_isa of Microarch.Coupling.t | Target of Isa.target
 
 type report = {
   count_2q : int;
@@ -14,12 +14,18 @@ let gate_tau isa (g : Gate.t) =
     | Cnot_isa -> Microarch.Duration.conventional_cnot_tau ~g:1.0
     | Su4_isa coupling ->
       Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
+    | Target t -> t.Isa.gate_tau g
 
 let report isa c =
+  let duration =
+    match isa with
+    | Target t -> Isa.duration t c
+    | Cnot_isa | Su4_isa _ -> Circuit.duration ~tau:(gate_tau isa) c
+  in
   {
     count_2q = Circuit.count_2q c;
     depth_2q = Circuit.depth_2q c;
-    duration = Circuit.duration ~tau:(gate_tau isa) c;
+    duration;
     distinct_2q = Circuit.distinct_2q c;
   }
 

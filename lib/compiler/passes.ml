@@ -191,6 +191,13 @@ let with_isa plan (t : Isa.target) =
     passes = plan.passes @ [ to_can; lower_isa t ];
   }
 
+let resolve_plan ~mode ~plan ~isa =
+  match (plan, isa) with
+  | None, None -> plan_of_mode mode
+  | Some p, None -> p
+  | None, Some t -> plan_for_isa ~mode t
+  | Some p, Some t -> with_isa p t
+
 let plan_stage = "compiler.plan"
 
 let unknown_pass_error what name =
@@ -318,29 +325,23 @@ let output_of_ir ctx ir =
 
 let pipeline_stage = "compiler.pipeline"
 
-let compile_plan_result ?start_from ?stop_after ~plan rng p =
-  Obs.Span.with_ ~stage:"compiler" ~name:"compile" @@ fun () ->
-  let ctx = Pass.make_ctx rng in
-  match run_plan ?start_from ?stop_after ctx plan (Pass.Source p) with
-  | Error e -> Error e
-  | Ok (ir, stats) -> (
-    match output_of_ir ctx ir with
-    | Error e -> Error e
-    | Ok out ->
-      Robust.Counters.incr ~stage:pipeline_stage "ok";
-      Ok (out, stats))
-
 let compile_plan ?start_from ?stop_after ~plan rng p =
-  match compile_plan_result ?start_from ?stop_after ~plan rng p with
+  let failed msg =
+    Robust.Counters.incr ~stage:pipeline_stage "failed";
+    Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
+  in
+  match
+    Obs.Span.with_ ~stage:"compiler" ~name:"compile" @@ fun () ->
+    let ctx = Pass.make_ctx rng in
+    match run_plan ?start_from ?stop_after ctx plan (Pass.Source p) with
+    | Error e -> Error e
+    | Ok (ir, stats) -> (
+      match output_of_ir ctx ir with
+      | Error e -> Error e
+      | Ok out ->
+        Robust.Counters.incr ~stage:pipeline_stage "ok";
+        Ok (out, stats))
+  with
   | r -> r
-  | exception Failure msg ->
-    Robust.Counters.incr ~stage:pipeline_stage "failed";
-    Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
-  | exception Invalid_argument msg ->
-    Robust.Counters.incr ~stage:pipeline_stage "failed";
-    Error (Robust.Err.Ill_conditioned { stage = pipeline_stage; detail = msg })
-
-let compile_plan_exn ~plan rng p =
-  match compile_plan_result ~plan rng p with
-  | Ok r -> r
-  | Error e -> failwith (Robust.Err.to_string e)
+  | exception Failure msg -> failed msg
+  | exception Invalid_argument msg -> failed msg

@@ -88,6 +88,12 @@ val plan_for_isa : ?mode:mode -> Isa.target -> plan
     ends in [mirroring] records it as skipped rather than lowering. *)
 val with_isa : plan -> Isa.target -> plan
 
+(** [resolve_plan ~mode ~plan ~isa] is the plan a compile request runs:
+    [plan] when given, else the default plan of [mode]; an [isa]
+    retargets it — {!plan_for_isa} for the default plan, {!with_isa} for
+    a given one. *)
+val resolve_plan : mode:mode -> plan:plan option -> isa:Isa.target option -> plan
+
 (** {1 Running} *)
 
 (** Per-pass execution record. [ran = false] means the pass's [applies]
@@ -138,12 +144,3 @@ val compile_plan :
   Rng.t ->
   Pass.program ->
   (output * pass_stat list, Robust.Err.t) result
-
-(** [compile_plan_exn] is {!compile_plan} that raises: a typed error is
-    raised as [Failure] of its rendering, and pass exceptions propagate
-    unchanged. *)
-val compile_plan_exn :
-  plan:plan ->
-  Rng.t ->
-  Pass.program ->
-  output * pass_stat list

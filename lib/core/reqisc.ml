@@ -22,47 +22,29 @@ module Plan = struct
     List.map (fun (ps : Compiler.Pass.t) -> ps.Compiler.Pass.name) p.Compiler.Passes.passes
 end
 
-(* Resolve the effective plan from mode / custom plan / target ISA: an
-   ISA name builds (or extends) the plan with the [to_can; lower_isa]
-   tail; an unknown name is a typed error at stage "compiler.isa". *)
-let resolve_plan ~mode ~plan ~isa =
-  match isa with
-  | None -> Ok (Option.value ~default:(Plan.default mode) plan)
-  | Some name -> (
-    match Isa.find name with
-    | None -> Error (Isa.unknown_error name)
-    | Some t ->
-      Ok
-        (match plan with
-        | None -> Compiler.Passes.plan_for_isa ~mode t
-        | Some p -> Compiler.Passes.with_isa p t))
-
 let compile_program ?(mode = Eff) ?plan ?isa rng p =
-  match resolve_plan ~mode ~plan ~isa with
+  let isa =
+    match isa with
+    | None -> Ok None
+    | Some name -> (
+      match Isa.find name with
+      | Some t -> Ok (Some t)
+      | None -> Error (Isa.unknown_error name))
+  in
+  match isa with
   | Error e -> Error e
-  | Ok plan -> Result.map fst (Compiler.Passes.compile_plan ~plan rng p)
+  | Ok isa ->
+    let plan = Compiler.Passes.resolve_plan ~mode ~plan ~isa in
+    Result.map fst (Compiler.Passes.compile_plan ~plan rng p)
 
 let compile ?mode ?plan ?isa rng c =
   compile_program ?mode ?plan ?isa rng (Compiler.Pass.Gates c)
 
-let compile_exn ?(mode = Eff) rng c =
-  fst
-    (Compiler.Passes.compile_plan_exn ~plan:(Plan.default mode) rng
-       (Compiler.Pass.Gates c))
-
 let compile_pauli ?mode ?plan ?isa rng p =
   compile_program ?mode ?plan ?isa rng (Compiler.Pass.Pauli p)
 
-let compile_pauli_exn ?(mode = Eff) rng p =
-  fst
-    (Compiler.Passes.compile_plan_exn ~plan:(Plan.default mode) rng
-       (Compiler.Pass.Pauli p))
-
-let route_exn ?(mirror = true) rng topology c =
-  Compiler.Routing.route ~mirror rng topology c
-
-let route ?mirror rng topology c =
-  match route_exn ?mirror rng topology c with
+let route ?(mirror = true) rng topology c =
+  match Compiler.Routing.route ~mirror rng topology c with
   | r -> Ok r
   | exception Failure msg ->
     Error (Robust.Err.Ill_conditioned { stage = "compiler.routing"; detail = msg })
@@ -105,9 +87,9 @@ let pulses_compiled ?budget coupling c =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | (o : gate_outcome) :: rest -> (
-      match o.outcome with
-      | Robust.Outcome.Solved i | Robust.Outcome.Degraded (i, _) -> go (i :: acc) rest
-      | Robust.Outcome.Failed e -> Error e)
+      match Robust.Outcome.to_result o.outcome with
+      | Ok i -> go (i :: acc) rest
+      | Error e -> Error e)
   in
   go [] (pulse_outcomes ?budget coupling c)
 
@@ -126,11 +108,6 @@ let pulses ?budget ?plan ?(seed = 1L) coupling (c : Circuit.t) =
   match through_plan with
   | Error e -> Error e
   | Ok c -> pulses_compiled ?budget coupling c
-
-let pulses_exn ?budget coupling c =
-  match pulses ?budget coupling c with
-  | Ok instrs -> instrs
-  | Error e -> failwith (Robust.Err.to_string e)
 
 let with_pulse_cache cache f = Microarch.Pulse_cache.with_cache cache f
 

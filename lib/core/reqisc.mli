@@ -8,9 +8,9 @@
 
     The facade is result-first: every fallible entry point returns
     [(_, Robust.Err.t) result] (or per-gate {!Robust.Outcome.t} verdicts)
-    so callers branch on typed errors instead of catching exceptions. The
-    raising forms survive as [*_exn] for scripts and tests that prefer to
-    crash. *)
+    so callers branch on typed errors instead of catching exceptions.
+    Each entry point has this one signature; there are no raising
+    twins. *)
 
 open Numerics
 
@@ -67,11 +67,6 @@ val compile :
   Circuit.t ->
   (compiled, Robust.Err.t) result
 
-(** [compile_exn rng ~mode circuit] runs the default plan of [mode]
-    through {!Compiler.Passes.compile_plan_exn}: the same output as
-    {!compile} without [?plan]/[?isa], raising on pipeline failure. *)
-val compile_exn : ?mode:mode -> Rng.t -> Circuit.t -> compiled
-
 (** [compile_pauli rng ~mode p] compiles a Pauli-rotation program
     ([?isa] as in {!compile}). *)
 val compile_pauli :
@@ -82,9 +77,6 @@ val compile_pauli :
   Compiler.Phoenix.program ->
   (compiled, Robust.Err.t) result
 
-(** [compile_pauli_exn] is {!compile_exn} for a Pauli-rotation program. *)
-val compile_pauli_exn : ?mode:mode -> Rng.t -> Compiler.Phoenix.program -> compiled
-
 (** [route rng topology compiled] maps a compiled circuit onto hardware with
     mirroring-SABRE. A circuit wider than the device (or a routing
     breakdown) is an [Ill_conditioned] error at stage ["compiler.routing"]. *)
@@ -94,10 +86,6 @@ val route :
   Compiler.Routing.topology ->
   Circuit.t ->
   (Compiler.Routing.routed, Robust.Err.t) result
-
-val route_exn :
-  ?mirror:bool -> Rng.t -> Compiler.Routing.topology -> Circuit.t ->
-  Compiler.Routing.routed
 
 (** {1 Pulse generation (the microarchitecture)} *)
 
@@ -136,11 +124,6 @@ val pulses :
   Microarch.Coupling.t ->
   Circuit.t ->
   (pulse_instruction list, Robust.Err.t) result
-
-(** [pulses_exn] raises [Failure] on the first unsolvable gate. *)
-val pulses_exn :
-  ?budget:Robust.Budget.t -> Microarch.Coupling.t -> Circuit.t ->
-  pulse_instruction list
 
 (** [with_pulse_cache cache f] runs [f] with [cache] installed as the
     process-global pulse-synthesis cache ({!Microarch.Pulse_cache}): every

@@ -1,47 +1,39 @@
 open Numerics
 
-let rescale_r (h : Coupling.t) =
+let rescale (h : Coupling.t) =
+  let fail e = invalid_arg (Printf.sprintf "Ea_param.rescale: %s" (Robust.Err.to_string e)) in
   let denom = h.a -. h.c in
   if not (Float.is_finite denom) then
-    Error (Robust.Err.Nan_detected { stage = "ea_param"; site = "coupling" })
+    fail (Robust.Err.Nan_detected { stage = "ea_param"; site = "coupling" })
   else if denom < 1e-12 then
-    Error
+    fail
       (Robust.Err.Invalid_hamiltonian
          { stage = "ea_param"; detail = "isotropic coupling (a = c): rescale undefined" })
   else begin
     let k = 1.0 /. denom in
     let a' = k *. h.a in
     let eta = k *. (h.a -. h.b) in
-    Ok (k, a', eta)
+    (k, a', eta)
   end
-
-let rescale h =
-  match rescale_r h with
-  | Ok r -> r
-  | Error e -> invalid_arg (Printf.sprintf "Ea_param.rescale: %s" (Robust.Err.to_string e))
 
 let in_domain ~eta (alpha, beta) =
   alpha >= -1e-12 && alpha <= 1.0 +. 1e-12 && beta >= -1e-12
   && alpha +. beta >= eta -. 1e-12
 
-let drives_of_r ~eta (alpha, beta) =
+let drives_of ~eta (alpha, beta) =
+  let fail e = invalid_arg (Printf.sprintf "Ea_param.drives_of: %s" (Robust.Err.to_string e)) in
   if not (Float.is_finite alpha && Float.is_finite beta && Float.is_finite eta) then
-    Error (Robust.Err.Nan_detected { stage = "ea_param"; site = "drives_of" })
+    fail (Robust.Err.Nan_detected { stage = "ea_param"; site = "drives_of" })
   else if not (in_domain ~eta (alpha, beta)) then
-    Error
+    fail
       (Robust.Err.Ill_conditioned
          { stage = "ea_param"; detail = "(alpha, beta) outside the domain Q_eta" })
   else begin
     let clamp x = Float.max 0.0 x in
     let omega = sqrt (clamp ((1.0 -. alpha) *. beta *. (1.0 -. eta +. alpha +. beta))) in
     let delta = sqrt (clamp (alpha *. (1.0 +. beta) *. (alpha +. beta -. eta))) in
-    Ok (omega, delta)
+    (omega, delta)
   end
-
-let drives_of ~eta (alpha, beta) =
-  match drives_of_r ~eta (alpha, beta) with
-  | Ok d -> d
-  | Error e -> invalid_arg (Printf.sprintf "Ea_param.drives_of: %s" (Robust.Err.to_string e))
 
 let spectrum ~a ~eta (alpha, beta) =
   let s =

@@ -24,25 +24,17 @@
 
 (** [rescale h] returns [(k, a', eta)] with [k = 1/(a - c)] so that the
     rescaled coupling [k·h] has [c' = a' - 1] and [eta = a' - b'].
-    @raise Invalid_argument for isotropic couplings (a = c). *)
+    @raise Invalid_argument for isotropic couplings (a = c) or
+    non-finite entries. *)
 val rescale : Coupling.t -> float * float * float
 
 (** [drives_of ~eta (alpha, beta)] is the closed-form [(Ω, delta)] in
     rescaled units.
-    @raise Invalid_argument outside [Q_eta]. *)
+    @raise Invalid_argument outside [Q_eta] or on non-finite input. *)
 val drives_of : eta:float -> float * float -> float * float
 
 (** [in_domain ~eta (alpha, beta)] tests membership of [Q_eta]. *)
 val in_domain : eta:float -> float * float -> bool
-
-(** [rescale_r h] is {!rescale} with typed errors: [Invalid_hamiltonian]
-    for isotropic couplings, [Nan_detected] for non-finite entries. *)
-val rescale_r : Coupling.t -> (float * float * float, Robust.Err.t) result
-
-(** [drives_of_r ~eta p] is {!drives_of} with typed errors instead of
-    raising. *)
-val drives_of_r :
-  eta:float -> float * float -> (float * float, Robust.Err.t) result
 
 (** [params_of h ~omega ~delta] inverts the map for a physical (unscaled)
     drive pair under coupling [h]: computes the spectrum of the driven

@@ -675,36 +675,6 @@ let solve_r ?budget h u =
                 } )
         end))
 
-(* ------------------------------------------------- legacy string API *)
-
-(* The historical entry points keep their exact semantics: [Ok] only for a
-   strict, first-attempt solve (bit-identical to the original single-shot
-   search), [Error] otherwise — recovered/degraded answers are reported
-   through the [_r] API. The one intended difference: retry-rung recoveries
-   that land strictly inside tolerance also surface as [Ok]. *)
-
-let solve_coords h coords =
-  match solve_coords_r h coords with
-  | Robust.Outcome.Solved p -> Ok p
-  | Robust.Outcome.Degraded (p, i) when i.Robust.Outcome.residual < strict_class_tol ->
-    Ok p
-  | Robust.Outcome.Degraded (_, i) ->
-    Error
-      (Printf.sprintf "genAshN: degraded solution only (class distance %.2g)"
-         i.Robust.Outcome.residual)
-  | Robust.Outcome.Failed e -> Error (Robust.Err.to_string e)
-
-let solve h u =
-  match solve_r h u with
-  | Robust.Outcome.Solved r -> Ok r
-  | Robust.Outcome.Degraded (r, i) when i.Robust.Outcome.residual < strict_class_tol ->
-    Ok r
-  | Robust.Outcome.Degraded (_, i) ->
-    Error
-      (Printf.sprintf "genAshN: degraded solution only (class distance %.2g)"
-         i.Robust.Outcome.residual)
-  | Robust.Outcome.Failed e -> Error (Robust.Err.to_string e)
-
 let reconstruct r =
   Mat.mul3 (Mat.kron r.a1 r.a2) r.realized (Mat.kron r.b1 r.b2)
 

@@ -39,19 +39,11 @@ val hamiltonian : Coupling.t -> pulse -> Mat.t
 (** [evolve coupling p] is [exp(-i tau H_total)]. *)
 val evolve : Coupling.t -> pulse -> Mat.t
 
-(** [solve_coords coupling c] finds the pulse steering to the class [c].
-    Fails (with a message) for near-identity classes whose optimal-time
-    realization needs amplitudes beyond the solver's search bound — those
-    are the gates the compiler must mirror (§4.3). *)
-val solve_coords : Coupling.t -> Weyl.Coords.t -> (pulse, string) Stdlib.result
-
-(** [solve coupling u] runs the full Algorithm 1 on a 4x4 unitary: pulse plus
-    exact single-qubit corrections. *)
-val solve : Coupling.t -> Mat.t -> (result, string) Stdlib.result
-
-(** [solve_coords_r coupling c] is the fault-tolerant entry point. The EA
-    search runs a deterministic retry ladder — baseline grid + Newton
-    (bit-identical to {!solve_coords}), a half-cell reseeded grid, a widened
+(** [solve_coords_r coupling c] finds the pulse steering to the class [c].
+    Near-identity classes whose optimal-time realization needs amplitudes
+    beyond the search bound fail: those are the gates the compiler must
+    mirror (§4.3). The EA search runs a deterministic retry ladder —
+    baseline grid + Newton, a half-cell reseeded grid, a widened
     window, and a long Nelder-Mead escalation — under the optional
     [budget]; the ND scheme retries with a 3x wider sinc scan window.
     Outcomes:
@@ -98,9 +90,10 @@ val memo_length : unit -> int
     must time or count real root searches. *)
 val memo_clear : unit -> unit
 
-(** [solve_r coupling u] is the typed-outcome variant of {!solve}: KAK
-    errors surface as [Failed (Ill_conditioned _ | Nan_detected _)] and the
-    solver ladder behaves as in {!solve_coords_r}. The result's [realized]
+(** [solve_r coupling u] runs the full Algorithm 1 on a 4x4 unitary: pulse
+    plus exact single-qubit corrections. KAK errors surface as
+    [Failed (Ill_conditioned _ | Nan_detected _)] and the solver ladder
+    behaves as in {!solve_coords_r}. The result's [realized]
     is the caller's own copy, never the memo's. *)
 val solve_r : ?budget:Robust.Budget.t -> Coupling.t -> Mat.t -> result Robust.Outcome.t
 

@@ -8,8 +8,11 @@ let schedule coupling (c : Circuit.t) =
     | (g : Gate.t) :: rest ->
       if not (Gate.is_2q g) then go acc rest
       else begin
-        match Genashn.solve_coords coupling (Weyl.Kak.coords_of g.mat) with
-        | Error e -> Error (Printf.sprintf "%s: %s" (Gate.to_string g) e)
+        match
+          Result.bind (Weyl.Kak.coords_of_r g.mat) (fun coords ->
+              Robust.Outcome.to_result (Genashn.solve_coords_r coupling coords))
+        with
+        | Error e -> Error e
         | Ok pulse ->
           let a = g.qubits.(0) and b = g.qubits.(1) in
           let start = Float.max wire_free.(a) wire_free.(b) in

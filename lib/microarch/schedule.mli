@@ -15,10 +15,13 @@ type t = {
   makespan : float;  (** total schedule length *)
 }
 
-(** [schedule coupling c] solves every 2Q gate with Algorithm 1 and places
-    it as early as its wires allow. Fails on unsolvable (near-identity)
-    gates — mirror them at compile time first. *)
-val schedule : Coupling.t -> Circuit.t -> (t, string) result
+(** [schedule coupling c] solves every 2Q gate with Algorithm 1
+    ({!Genashn.solve_coords_r}) and places it as early as its wires allow.
+    A degraded pulse is kept, as {!Robust.Outcome.to_result} does; the
+    first gate that fails is the typed error: a gate matrix the KAK
+    rejects (non-unitary, NaN) or a class the solver cannot reach
+    (near-identity gates fail — mirror them at compile time first). *)
+val schedule : Coupling.t -> Circuit.t -> (t, Robust.Err.t) result
 
 (** [to_string s] renders a human-readable timetable. *)
 val to_string : t -> string

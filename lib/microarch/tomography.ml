@@ -6,7 +6,7 @@ let realized device pulse = Genashn.evolve device.true_coupling pulse
 let measured_coords device pulse = Weyl.Kak.coords_of (realized device pulse)
 
 let calibrate ?(max_iter = 400) device ~model target =
-  match Genashn.solve_coords model target with
+  match Robust.Outcome.to_result (Genashn.solve_coords_r model target) with
   | Error e -> Error e
   | Ok p0 ->
     let dist_of (p : Genashn.pulse) = Weyl.Coords.dist (measured_coords device p) target in

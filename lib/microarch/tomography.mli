@@ -18,13 +18,14 @@ val measured_coords : device -> Genashn.pulse -> Weyl.Coords.t
 (** [calibrate device ~model target] starts from the model-derived pulse and
     tunes (x1, x2, delta, tau) to minimize the Euclidean coordinate distance
     to [target]. Returns the tuned pulse together with the initial and final
-    distances. [Error] when the model-based solve itself fails. *)
+    distances. [Error] when the model-based solve itself fails; a
+    degraded model pulse is kept as the starting point. *)
 val calibrate :
   ?max_iter:int ->
   device ->
   model:Coupling.t ->
   Weyl.Coords.t ->
-  (Genashn.pulse * float * float, string) result
+  (Genashn.pulse * float * float, Robust.Err.t) result
 
 (** [corrected_fidelity device pulse target_u] is the trace fidelity against
     [target_u] after the experimentally-free 1Q corrections (the residual

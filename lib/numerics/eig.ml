@@ -107,23 +107,6 @@ let jacobi_into ?(max_sweeps = 100) ~a ~v ~w () =
   done;
   residual
 
-let jacobi_into_r ?max_sweeps ~a ~v ~w () =
-  let tol_for m = 1e-12 *. (1.0 +. Mat.max_abs m) in
-  let loose = tol_for a in
-  let residual = jacobi_into ?max_sweeps ~a ~v ~w () in
-  if Float.is_nan residual then
-    Error (Robust.Err.Nan_detected { stage = "eig.jacobi"; site = "offdiag_norm" })
-  else if residual > loose then
-    Error
-      (Robust.Err.Non_convergence
-         {
-           stage = "eig.jacobi";
-           target = None;
-           iterations = Option.value max_sweeps ~default:100;
-           residual;
-         })
-  else Ok residual
-
 let jacobi a0 =
   let n = Mat.rows a0 in
   if n <> Mat.cols a0 then invalid_arg "Eig: non-square matrix";
@@ -146,29 +129,6 @@ let hermitian m =
   if not (Mat.is_hermitian ~tol m) then invalid_arg "Eig.hermitian: not Hermitian";
   sort_eig (jacobi m)
 
-let hermitian_r m =
-  if Mat.rows m <> Mat.cols m then
-    Error
-      (Robust.Err.Ill_conditioned { stage = "eig.hermitian"; detail = "non-square matrix" })
-  else if Mat.has_nan m then
-    Error (Robust.Err.Nan_detected { stage = "eig.hermitian"; site = "input" })
-  else begin
-    let tol = 1e-8 *. (1.0 +. Mat.max_abs m) in
-    if not (Mat.is_hermitian ~tol m) then
-      Error
-        (Robust.Err.Invalid_hamiltonian
-           { stage = "eig.hermitian"; detail = "matrix is not Hermitian" })
-    else begin
-      let n = Mat.rows m in
-      let a = Mat.copy m in
-      let v = Mat.create n n in
-      let w = Array.make n 0.0 in
-      match jacobi_into_r ~a ~v ~w () with
-      | Error e -> Error e
-      | Ok _ -> Ok (sort_eig (w, v))
-    end
-  end
-
 let symmetric_real m = sort_eig (jacobi m)
 
 let is_joint_diagonalizer v a b =
@@ -176,26 +136,22 @@ let is_joint_diagonalizer v a b =
   let da = Mat.mul3 (Mat.transpose v) a v and db = Mat.mul3 (Mat.transpose v) b v in
   offdiag_norm da <= tol a && offdiag_norm db <= tol b
 
-let simultaneous_real_r a b =
+let simultaneous_real a b =
   (* Deterministic sequence of mixing angles; a generic angle separates the
      joint spectrum of a commuting pair with probability 1. *)
   let angles = [ 0.7853; 1.1234; 0.3141; 2.0345; 0.5555; 1.7771; 2.9113; 0.1000 ] in
   let rec try_angles = function
     | [] ->
-      Error
-        (Robust.Err.Ill_conditioned
-           {
-             stage = "eig.simultaneous";
-             detail = "no mixing angle separated the joint spectrum";
-           })
+      failwith
+        (Robust.Err.to_string
+           (Robust.Err.Ill_conditioned
+              {
+                stage = "eig.simultaneous";
+                detail = "no mixing angle separated the joint spectrum";
+              }))
     | t :: rest ->
       let c = Mat.add (Mat.rsmul (cos t) a) (Mat.rsmul (sin t) b) in
       let _, v = symmetric_real c in
-      if is_joint_diagonalizer v a b then Ok v else try_angles rest
+      if is_joint_diagonalizer v a b then v else try_angles rest
   in
   try_angles angles
-
-let simultaneous_real a b =
-  match simultaneous_real_r a b with
-  | Ok v -> v
-  | Error e -> failwith (Robust.Err.to_string e)

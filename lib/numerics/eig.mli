@@ -8,12 +8,6 @@
     @raise Invalid_argument if [m] is not square. *)
 val hermitian : Mat.t -> float array * Mat.t
 
-(** [hermitian_r m] is {!hermitian} with typed errors instead of raising:
-    [Ill_conditioned] (non-square), [Nan_detected] (poisoned input),
-    [Invalid_hamiltonian] (not Hermitian) or [Non_convergence] (sweep cap
-    hit with the off-diagonal residual still large). *)
-val hermitian_r : Mat.t -> (float array * Mat.t, Robust.Err.t) result
-
 (** [symmetric_real m] diagonalizes a real symmetric matrix (given as a
     complex matrix with zero imaginary parts): [m = v * diag(w) * vᵀ] with
     [v] real orthogonal and [w] sorted ascending. *)
@@ -25,10 +19,6 @@ val symmetric_real : Mat.t -> float array * Mat.t
     mixing angles to break degeneracies.
     @raise Failure if no mixing angle separates the joint spectrum. *)
 val simultaneous_real : Mat.t -> Mat.t -> Mat.t
-
-(** [simultaneous_real_r a b] is {!simultaneous_real} returning a typed
-    [Ill_conditioned] error instead of raising. *)
-val simultaneous_real_r : Mat.t -> Mat.t -> (Mat.t, Robust.Err.t) result
 
 (** [offdiag_norm m] is the Frobenius norm of the strictly off-diagonal part;
     useful for asserting diagonalization quality in tests. *)
@@ -46,10 +36,3 @@ val offdiag_norm : Mat.t -> float
     input, which exits on the first sweep check.
     @raise Invalid_argument on non-square input or mis-sized buffers. *)
 val jacobi_into : ?max_sweeps:int -> a:Mat.t -> v:Mat.t -> w:float array -> unit -> float
-
-(** [jacobi_into_r] is {!jacobi_into} mapping a large final residual to
-    [Non_convergence] and a NaN residual to [Nan_detected]. [Ok] carries
-    the achieved off-diagonal residual. *)
-val jacobi_into_r :
-  ?max_sweeps:int ->
-  a:Mat.t -> v:Mat.t -> w:float array -> unit -> (float, Robust.Err.t) result

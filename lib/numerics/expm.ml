@@ -89,23 +89,6 @@ let herm_expi_into ws ~dst h ~t =
   assemble ws ~dst;
   poison_if_armed dst
 
-(* checked variant for the robust solver paths: shape errors and NaNs come
-   back as typed errors instead of exceptions / silent garbage *)
-let herm_expi_into_r ws ~dst h ~t =
-  let n = ws.dim in
-  if Mat.rows h <> n || Mat.cols h <> n || Mat.rows dst <> n || Mat.cols dst <> n then
-    Error
-      (Robust.Err.Ill_conditioned
-         { stage = "expm"; detail = "workspace/output shape mismatch" })
-  else if Mat.has_nan h then
-    Error (Robust.Err.Nan_detected { stage = "expm"; site = "input" })
-  else begin
-    herm_expi_into ws ~dst h ~t;
-    if Mat.has_nan dst then
-      Error (Robust.Err.Nan_detected { stage = "expm"; site = "output" })
-    else Ok ()
-  end
-
 let herm_apply h f =
   let n = Mat.rows h in
   let ws = make_ws n in

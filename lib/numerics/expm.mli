@@ -31,10 +31,3 @@ val herm_expi_into : ws -> dst:Mat.t -> Mat.t -> t:float -> unit
 (** [herm_apply_into ws ~dst h f] computes [v diag(f w_k) v†] into [dst]
     using only [ws] for scratch; [dst] may alias [h]. *)
 val herm_apply_into : ws -> dst:Mat.t -> Mat.t -> (float -> Cx.t) -> unit
-
-(** [herm_expi_into_r] is {!herm_expi_into} with typed errors instead of
-    exceptions: [Ill_conditioned] on shape mismatch, [Nan_detected] when
-    the input or the assembled exponential carries a NaN (e.g. under the
-    ["expm_nan"] fault-injection site). *)
-val herm_expi_into_r :
-  ws -> dst:Mat.t -> Mat.t -> t:float -> (unit, Robust.Err.t) result

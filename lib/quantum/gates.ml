@@ -96,6 +96,13 @@ let can cx cy cz =
   Expm.herm_expi hgen ~t:1.0
 
 let b_gate = can (Float.pi /. 4.0) (Float.pi /. 8.0) 0.0
+
+let named_table =
+  [ ("cnot", cnot); ("cz", cz); ("iswap", iswap); ("sqisw", sqisw); ("b", b_gate); ("swap", swap) ]
+
+let named_2q = List.map fst named_table
+let of_name name = List.assoc_opt name named_table
+
 let cphase theta = Mat.of_arrays (Array.init 4 (fun i -> Array.init 4 (fun j -> if i <> j then zc else if i = 3 then Cx.expi theta else oc)))
 let rxx theta = can (theta /. 2.0) 0.0 0.0
 let ryy theta = can 0.0 (theta /. 2.0) 0.0

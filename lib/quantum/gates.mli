@@ -46,6 +46,13 @@ val sqisw : Mat.t
     [can (pi/4) (pi/8) 0]. *)
 val b_gate : Mat.t
 
+(** The 2Q gates callers name on a command line or in a request, in
+    order: ["cnot"; "cz"; "iswap"; "sqisw"; "b"; "swap"]. *)
+val named_2q : string list
+
+(** [of_name name] is the gate {!named_2q} lists under [name]. *)
+val of_name : string -> Mat.t option
+
 (** [can x y z = exp(-i (x XX + y YY + z ZZ))]. *)
 val can : float -> float -> float -> Mat.t
 

@@ -39,9 +39,4 @@ let factor ?(tol = 1e-8) m =
     end
   end
 
-let factor_exn ?tol m =
-  match factor ?tol m with
-  | Some ab -> ab
-  | None -> failwith "Local.factor_exn: matrix is not a tensor product"
-
 let is_local ?tol m = Option.is_some (factor ?tol m)

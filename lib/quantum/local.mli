@@ -11,10 +11,6 @@ open Numerics
     [b] is unitary; any global phase of the input ends up in [a]. *)
 val factor : ?tol:float -> Mat.t -> (Mat.t * Mat.t) option
 
-(** [factor_exn m] is [factor m] or
-    @raise Failure when [m] is not a tensor product. *)
-val factor_exn : ?tol:float -> Mat.t -> Mat.t * Mat.t
-
 (** [is_local m] tests whether the 4x4 unitary [m] is a tensor product of
     1-qubit gates (up to global phase). *)
 val is_local : ?tol:float -> Mat.t -> bool

@@ -4,8 +4,9 @@
    is one of these variants, each carrying enough context (stage name,
    target Weyl coordinates when applicable, iterations spent, best residual
    reached) to drive a retry ladder upstream or to print a useful
-   diagnostic downstream. Stringly errors remain only at the outermost
-   legacy entry points, as renderings of these values. *)
+   diagnostic downstream. Every fallible entry point of the stack returns
+   one of these (or an Outcome carrying one); strings appear only as
+   renderings of these values at the CLI, the server and the bench. *)
 
 type t =
   | Non_convergence of {

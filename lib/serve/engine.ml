@@ -48,32 +48,42 @@ let budget_of_spec ?remaining_s spec =
 
 (* ------------------------------------------------------------- pulses *)
 
-let named_gate = function
-  | "cnot" -> Some Quantum.Gates.cnot
-  | "cz" -> Some Quantum.Gates.cz
-  | "iswap" -> Some Quantum.Gates.iswap
-  | "sqisw" -> Some Quantum.Gates.sqisw
-  | "b" -> Some Quantum.Gates.b_gate
-  | "swap" -> Some Quantum.Gates.swap
-  | _ -> None
+let pulse_json (p : Microarch.Genashn.pulse) (info : Robust.Outcome.info option) =
+  let verdict, extra =
+    match info with
+    | None -> ("ok", [])
+    | Some i ->
+      ( "degraded",
+        [
+          ("residual", Json.Num i.residual);
+          ("retries", Json.Num (float_of_int i.retries));
+          ("note", Json.Str i.note);
+        ] )
+  in
+  Json.Obj
+    ([
+       ("verdict", Json.Str verdict);
+       ("mode", Json.Str (Microarch.Tau.subscheme_to_string p.subscheme));
+       ("tau", Json.Num p.tau);
+       ("a1", Json.Num (-2.0 *. p.drive_x1));
+       ("a2", Json.Num (-2.0 *. p.drive_x2));
+       ("delta", Json.Num p.delta);
+     ]
+    @ extra)
 
-let pulse_json ?residual ?retries ?note ~verdict (p : Microarch.Genashn.pulse) =
-  let base =
-    [
-      ("verdict", Json.Str verdict);
-      ("mode", Json.Str (Microarch.Tau.subscheme_to_string p.subscheme));
-      ("tau", Json.Num p.tau);
-      ("a1", Json.Num (-2.0 *. p.drive_x1));
-      ("a2", Json.Num (-2.0 *. p.drive_x2));
-      ("delta", Json.Num p.delta);
-    ]
-  in
-  let extra =
-    (match residual with Some r -> [ ("residual", Json.Num r) ] | None -> [])
-    @ (match retries with Some r -> [ ("retries", Json.Num (float_of_int r)) ] | None -> [])
-    @ match note with Some n -> [ ("note", Json.Str n) ] | None -> []
-  in
-  Json.Obj (base @ extra)
+(* the ["class"] and ["pulse"] fields of one solver verdict; a failed
+   verdict is its typed error *)
+let verdict_fields = function
+  | Robust.Outcome.Failed e -> Error e
+  | Robust.Outcome.Solved (c, p) ->
+    Ok [ ("class", Json.Str (Weyl.Coords.to_string c)); ("pulse", pulse_json p None) ]
+  | Robust.Outcome.Degraded ((c, p), i) ->
+    Ok [ ("class", Json.Str (Weyl.Coords.to_string c)); ("pulse", pulse_json p (Some i)) ]
+
+let solve_gate ?budget coupling mat =
+  Robust.Outcome.map
+    (fun (r : Microarch.Genashn.result) -> (r.coords, r.pulse))
+    (Microarch.Genashn.solve_r ?budget coupling mat)
 
 (* the request's custom plan; parse-time validation makes this
    infallible, but keep the typed error path anyway *)
@@ -97,29 +107,9 @@ let exec_pulses_plan t ~budget ~coupling ~name ~mat names =
       let rec solve acc = function
         | [] -> Ok (List.rev acc)
         | (g : Gate.t) :: rest -> (
-          match Microarch.Genashn.solve_r ?budget coupling g.mat with
-          | Robust.Outcome.Failed e -> Error e
-          | Robust.Outcome.Solved r ->
-            solve
-              (Json.Obj
-                 [
-                   ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-                   ("pulse", pulse_json ~verdict:"ok" r.Microarch.Genashn.pulse);
-                 ]
-              :: acc)
-              rest
-          | Robust.Outcome.Degraded (r, i) ->
-            solve
-              (Json.Obj
-                 [
-                   ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-                   ( "pulse",
-                     pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                       ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note
-                       r.Microarch.Genashn.pulse );
-                 ]
-              :: acc)
-              rest)
+          match verdict_fields (solve_gate ?budget coupling g.mat) with
+          | Error e -> Error e
+          | Ok fields -> solve (Json.Obj fields :: acc) rest)
       in
       match solve [] gates with
       | Error e -> Protocol.err_item e
@@ -137,61 +127,31 @@ let exec_pulses t ~budget ~target ~coupling ~passes =
   let coupling =
     match coupling with "xx" -> Microarch.Coupling.xx ~g:1.0 | _ -> xy
   in
+  let respond head oc =
+    match verdict_fields oc with
+    | Error e -> Protocol.err_item e
+    | Ok fields -> Protocol.ok_item ~op:"pulses" (Json.Obj (head @ fields))
+  in
   match target with
   | Protocol.Gate name -> (
-    match named_gate name with
+    match Quantum.Gates.of_name name with
     | None ->
       Protocol.error_item ~kind:"bad_request" ~stage:"serve.pulses"
-        (Printf.sprintf "unknown gate %S (expected cnot|cz|iswap|sqisw|b|swap)" name)
+        (Printf.sprintf "unknown gate %S (expected %s)" name
+           (String.concat "|" Quantum.Gates.named_2q))
     | Some mat when passes <> None ->
       exec_pulses_plan t ~budget ~coupling ~name ~mat (Option.get passes)
-    | Some mat -> (
-      match Microarch.Genashn.solve_r ?budget coupling mat with
-      | Robust.Outcome.Failed e -> Protocol.err_item e
-      | Robust.Outcome.Solved r ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("gate", Json.Str name);
-               ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-               ("pulse", pulse_json ~verdict:"ok" r.Microarch.Genashn.pulse);
-             ])
-      | Robust.Outcome.Degraded (r, i) ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("gate", Json.Str name);
-               ("class", Json.Str (Weyl.Coords.to_string r.Microarch.Genashn.coords));
-               ( "pulse",
-                 pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                   ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note
-                   r.Microarch.Genashn.pulse );
-             ])))
-  | Protocol.Coords (x, y, z) -> (
+    | Some mat -> respond [ ("gate", Json.Str name) ] (solve_gate ?budget coupling mat))
+  | Protocol.Coords (x, y, z) ->
     let c = Weyl.Coords.make x y z in
     if not (Weyl.Coords.in_chamber ~tol:1e-9 c) then
       Protocol.error_item ~kind:"bad_request" ~stage:"serve.pulses"
         (Printf.sprintf "coords %s are outside the canonical Weyl chamber"
            (Weyl.Coords.to_string c))
     else
-      match Microarch.Genashn.solve_coords_r ?budget coupling c with
-      | Robust.Outcome.Failed e -> Protocol.err_item e
-      | Robust.Outcome.Solved p ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("class", Json.Str (Weyl.Coords.to_string c));
-               ("pulse", pulse_json ~verdict:"ok" p);
-             ])
-      | Robust.Outcome.Degraded (p, i) ->
-        Protocol.ok_item ~op:"pulses"
-          (Json.Obj
-             [
-               ("class", Json.Str (Weyl.Coords.to_string c));
-               ( "pulse",
-                 pulse_json ~verdict:"degraded" ~residual:i.Robust.Outcome.residual
-                   ~retries:i.Robust.Outcome.retries ~note:i.Robust.Outcome.note p );
-             ]))
+      respond []
+        (Robust.Outcome.map (fun p -> (c, p))
+           (Microarch.Genashn.solve_coords_r ?budget coupling c))
 
 (* ------------------------------------------------------------ compile *)
 
@@ -234,17 +194,6 @@ let isa_of_json = function
           (Printf.sprintf "unknown isa %S (known targets: %s)" name
              (String.concat ", " Isa.known_names))))
 
-(* metrics under the target's own cost model: the lowered circuit's 2Q
-   count / depth, with durations charged per the ISA (fixed basis-gate
-   tau, or cycle-quantized slots for eqasm) *)
-let isa_report (target : Isa.target) c =
-  {
-    Compiler.Metrics.count_2q = Circuit.count_2q c;
-    depth_2q = Circuit.depth_2q c;
-    duration = Isa.duration target c;
-    distinct_2q = Circuit.distinct_2q c;
-  }
-
 let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
   match
     List.find_opt (fun (b : Benchmarks.Suite.bench) -> b.name = bench) t.suite
@@ -256,37 +205,27 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
     match isa_of_json isa with
     | Error msg -> Protocol.error_item ~kind:"bad_request" ~stage:Isa.stage msg
     | Ok target -> (
-    let plan =
+    let custom =
       match passes with
-      | None -> Ok (Compiler.Passes.plan_of_mode mode)
-      | Some names -> plan_of_passes names
+      | None -> Ok None
+      | Some names -> Result.map Option.some (plan_of_passes names)
     in
-    (* the isa retargets whichever plan was selected: the default mode
-       plan swaps mirroring for the lowering tail; a custom plan gets
-       the tail appended *)
-    let plan =
-      match (plan, target) with
-      | Error _, _ | _, None -> plan
-      | Ok _, Some tgt when passes = None ->
-        Ok (Compiler.Passes.plan_for_isa ~mode tgt)
-      | Ok p, Some tgt -> Ok (Compiler.Passes.with_isa p tgt)
-    in
-    match plan with
+    match custom with
     | Error e -> Protocol.err_item e
-    | Ok plan ->
+    | Ok custom ->
+    let plan = Compiler.Passes.resolve_plan ~mode ~plan:custom ~isa:target in
     let rng = Numerics.Rng.create t.seed in
     match Compiler.Passes.compile_plan ~plan rng b.program with
     | Error e -> Protocol.err_item e
     | Ok (out, stats) ->
       let input = Compiler.Pass.program_to_cnot_input b.program in
       let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
-      let opt =
+      let isa =
         match target with
-        | Some tgt -> isa_report tgt out.Compiler.Passes.circuit
-        | None ->
-          Compiler.Metrics.report (Compiler.Metrics.Su4_isa xy)
-            out.Compiler.Passes.circuit
+        | Some tgt -> Compiler.Metrics.Target tgt
+        | None -> Compiler.Metrics.Su4_isa xy
       in
+      let opt = Compiler.Metrics.report isa out.Compiler.Passes.circuit in
       let fields =
         [
           ("bench", Json.Str b.name);

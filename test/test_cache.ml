@@ -364,7 +364,7 @@ let alu_1_circuit () =
       (Benchmarks.Suite.suite ())
   in
   let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Eff in
-  (fst (Compiler.Passes.compile_plan_exn ~plan (Rng.create 1L) b.Benchmarks.Suite.program))
+  (fst (Expect.ok (Compiler.Passes.compile_plan ~plan (Rng.create 1L) b.Benchmarks.Suite.program)))
     .Compiler.Passes.circuit
 
 (* the program's pulses through the facade, reduced to per-gate verdicts

@@ -324,8 +324,8 @@ let test_bqskit_su4 () =
 
 let test_pipeline_eff_toffoli_chain () =
   let out, _ =
-    Passes.compile_plan_exn ~plan:(Passes.plan_of_mode Passes.Eff) rng
-      (Pass.Gates toffoli_chain)
+    Expect.ok
+      (Passes.compile_plan ~plan:(Passes.plan_of_mode Passes.Eff) rng (Pass.Gates toffoli_chain))
   in
   Alcotest.(check bool) "<=2q" true (Circuit.max_arity out.Passes.circuit <= 2);
   let fix = arrange_matrix 4 out.Passes.final_mapping in
@@ -352,7 +352,7 @@ let test_pipeline_pauli () =
       }
   in
   let out, _ =
-    Passes.compile_plan_exn ~plan:(Passes.plan_of_mode Passes.Eff) rng (Pass.Pauli p)
+    Expect.ok (Passes.compile_plan ~plan:(Passes.plan_of_mode Passes.Eff) rng (Pass.Pauli p))
   in
   let reference = Circuit.unitary (Phoenix.to_cx_circuit p) in
   let fix = arrange_matrix 3 out.Passes.final_mapping in

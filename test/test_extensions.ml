@@ -79,18 +79,16 @@ let test_swap_root_in_alpha_beta () =
   (* the Fig-4 minimal root of SWAP under XX, reported in the paper's
      coordinates, lies inside Q_eta *)
   let xxc = Microarch.Coupling.xx ~g:1.0 in
-  match Microarch.Genashn.solve_coords xxc Weyl.Coords.swap with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let alpha, beta =
-      Microarch.Ea_param.params_of xxc ~omega:p.Microarch.Genashn.drive_x1
-        ~delta:p.Microarch.Genashn.delta
-    in
-    let _, _, eta = Microarch.Ea_param.rescale xxc in
-    Alcotest.(check bool)
-      (Printf.sprintf "(%.4f, %.4f) in Q_%.1f" alpha beta eta)
-      true
-      (Microarch.Ea_param.in_domain ~eta (alpha, beta))
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xxc Weyl.Coords.swap) in
+  let alpha, beta =
+    Microarch.Ea_param.params_of xxc ~omega:p.Microarch.Genashn.drive_x1
+      ~delta:p.Microarch.Genashn.delta
+  in
+  let _, _, eta = Microarch.Ea_param.rescale xxc in
+  Alcotest.(check bool)
+    (Printf.sprintf "(%.4f, %.4f) in Q_%.1f" alpha beta eta)
+    true
+    (Microarch.Ea_param.in_domain ~eta (alpha, beta))
 
 (* ----------------------------------------------------------- variational *)
 

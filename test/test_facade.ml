@@ -7,34 +7,21 @@ let rng = Rng.create 60606L
 
 (* ----------------------------------------------------------------- facade *)
 
-(* the facade is result-first: unwrap typed errors into test failures *)
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail (Robust.Err.to_string e)
-
 let test_facade_compile_and_pulse () =
   let circuit = Circuit.create 3 [ Gate.h 0; Gate.ccx 0 1 2; Gate.cx 1 2 ] in
-  let out = ok (Reqisc.compile ~mode:Reqisc.Eff (Rng.create 1L) circuit) in
+  let out = Expect.ok (Reqisc.compile ~mode:Reqisc.Eff (Rng.create 1L) circuit) in
   Alcotest.(check bool) "produced gates" true (Circuit.count_2q out.Reqisc.circuit > 0);
-  let instrs = ok (Reqisc.pulses Reqisc.xy_coupling out.Reqisc.circuit) in
+  let instrs = Expect.ok (Reqisc.pulses Reqisc.xy_coupling out.Reqisc.circuit) in
   Alcotest.(check int) "pulse per gate" (Circuit.count_2q out.Reqisc.circuit)
     (List.length instrs);
   let r = Reqisc.metrics (Compiler.Metrics.Su4_isa Reqisc.xy_coupling) out.Reqisc.circuit in
   Alcotest.(check bool) "positive duration" true (r.Compiler.Metrics.duration > 0.0)
 
-let test_facade_exn_matches_result () =
-  (* the raising form is the same computation as the result form *)
-  let circuit = Circuit.create 2 [ Gate.cx 0 1 ] in
-  let a = ok (Reqisc.compile ~mode:Reqisc.Eff (Rng.create 9L) circuit) in
-  let b = Reqisc.compile_exn ~mode:Reqisc.Eff (Rng.create 9L) circuit in
-  Alcotest.(check int) "same 2q count" (Circuit.count_2q a.Reqisc.circuit)
-    (Circuit.count_2q b.Reqisc.circuit)
-
 let test_facade_route () =
   let circuit = Circuit.create 4 [ Gate.cx 0 3; Gate.cx 1 2; Gate.cx 0 2 ] in
-  let out = ok (Reqisc.compile (Rng.create 2L) circuit) in
+  let out = Expect.ok (Reqisc.compile (Rng.create 2L) circuit) in
   let topo = Compiler.Routing.chain 4 in
-  let routed = ok (Reqisc.route (Rng.create 3L) topo out.Reqisc.circuit) in
+  let routed = Expect.ok (Reqisc.route (Rng.create 3L) topo out.Reqisc.circuit) in
   List.iter
     (fun (g : Gate.t) ->
       if Gate.is_2q g then
@@ -57,7 +44,7 @@ let test_facade_pauli () =
     Compiler.Phoenix.
       { n = 2; terms = [ { pauli = Quantum.Pauli.of_string "XX"; angle = 0.5 } ] }
   in
-  let out = ok (Reqisc.compile_pauli (Rng.create 4L) p) in
+  let out = Expect.ok (Reqisc.compile_pauli (Rng.create 4L) p) in
   Alcotest.(check int) "one su4" 1 (Circuit.count_2q out.Reqisc.circuit)
 
 (* ----------------------------------------------------- planner invariants *)
@@ -101,7 +88,7 @@ let test_synthesis_tau_definition () =
 let test_qasm_three_qubit_unitary () =
   let g = Gate.make "blk" [| 0; 2; 1 |] Quantum.Gates.ccx in
   let c = Circuit.create 3 [ g ] in
-  let c' = Qasm.of_string (Qasm.to_string c) in
+  let c' = Expect.qasm (Qasm.to_string c) in
   Alcotest.(check bool) "roundtrip 3q unitary" true
     (Mat.allclose_up_to_phase ~tol:1e-10 (Circuit.unitary c) (Circuit.unitary c'))
 
@@ -125,7 +112,6 @@ let () =
       ( "reqisc",
         [
           Alcotest.test_case "compile + pulses" `Slow test_facade_compile_and_pulse;
-          Alcotest.test_case "exn matches result" `Quick test_facade_exn_matches_result;
           Alcotest.test_case "route" `Quick test_facade_route;
           Alcotest.test_case "route too wide" `Quick test_facade_route_too_wide;
           Alcotest.test_case "pauli" `Quick test_facade_pauli;

@@ -19,7 +19,7 @@ let test_qasm_roundtrip_named () =
       [ Gate.h 0; Gate.cx 0 1; Gate.ccx 0 1 2; Gate.t 2; Gate.swap 1 2; Gate.sdg 0 ]
   in
   let s = Qasm.to_string c in
-  let c' = Qasm.of_string s in
+  let c' = Expect.qasm s in
   Alcotest.(check int) "same width" c.Circuit.n c'.Circuit.n;
   Alcotest.(check int) "same gate count" (Circuit.gate_count c) (Circuit.gate_count c');
   check_phase "same unitary" (Circuit.unitary c) (Circuit.unitary c')
@@ -35,7 +35,7 @@ let test_qasm_roundtrip_parametrized () =
         Gate.u3 1 0.1 0.2 0.3;
       ]
   in
-  let c' = Qasm.of_string (Qasm.to_string c) in
+  let c' = Expect.qasm (Qasm.to_string c) in
   check_phase ~tol:1e-12 "exact roundtrip" (Circuit.unitary c) (Circuit.unitary c')
 
 let test_qasm_handwritten () =
@@ -43,7 +43,7 @@ let test_qasm_handwritten () =
     "REQASM 1.0;\nqreg q[2];\n// comment line\nh q[0];\nrz(1.5707963267948966) \
      q[1];\ncan(0.5,0.3,0.1) q[0],q[1];\ncp(0.25) q[0],q[1];\n"
   in
-  let c = Qasm.of_string src in
+  let c = Expect.qasm src in
   Alcotest.(check int) "4 gates" 4 (Circuit.gate_count c);
   let expected =
     Circuit.create 2
@@ -54,9 +54,9 @@ let test_qasm_handwritten () =
 let test_qasm_errors () =
   List.iter
     (fun src ->
-      match Qasm.of_string src with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail ("accepted malformed input: " ^ src))
+      match Qasm.parse src with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail ("accepted malformed input: " ^ src))
     [
       "qreg q[2];\nfrobnicate q[0];\n";
       "qreg q[2];\nu3(0.1) q[0];\n";
@@ -65,11 +65,9 @@ let test_qasm_errors () =
 
 let test_qasm_compiled_circuit () =
   (* a full compiled circuit (su4 gates) round-trips *)
-  let out =
-    Reqisc.compile_exn (Rng.create 1L) (Benchmarks.Generators.tof 4)
-  in
+  let out = Expect.ok (Reqisc.compile (Rng.create 1L) (Benchmarks.Generators.tof 4)) in
   let c = out.Reqisc.circuit in
-  let c' = Qasm.of_string (Qasm.to_string c) in
+  let c' = Expect.qasm (Qasm.to_string c) in
   check_phase ~tol:1e-12 "compiled roundtrip" (Circuit.unitary c) (Circuit.unitary c')
 
 (* ----------------------------------------------------------------- real *)
@@ -114,9 +112,7 @@ let test_real_through_compiler () =
   (* parse a .real file and compile it end to end *)
   let src = ".numvars 4\n.variables w x y z\n.begin\nt3 w x y\nt2 y z\nt3 x y z\n.end\n" in
   let c = Benchmarks.Real_format.of_string src in
-  let out =
-    Reqisc.compile_exn (Rng.create 2L) c
-  in
+  let out = Expect.ok (Reqisc.compile (Rng.create 2L) c) in
   Alcotest.(check bool) "produced 2q circuit" true
     (Circuit.max_arity out.Reqisc.circuit <= 2)
 
@@ -125,44 +121,36 @@ let test_real_through_compiler () =
 let test_schedule_sequential () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
   let c = Circuit.create 2 [ Gate.cx 0 1; Gate.cx 0 1 ] in
-  match Microarch.Schedule.schedule xy c with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    Alcotest.(check int) "2 pulses" 2 (List.length s.Microarch.Schedule.events);
-    Alcotest.(check (float 1e-9)) "makespan = 2 tau" Float.pi s.Microarch.Schedule.makespan;
-    (match s.Microarch.Schedule.events with
-    | [ e1; e2 ] ->
-      Alcotest.(check (float 1e-9)) "first starts at 0" 0.0 e1.Microarch.Schedule.start;
-      Alcotest.(check (float 1e-9)) "second starts after first" (Float.pi /. 2.0)
-        e2.Microarch.Schedule.start
-    | _ -> Alcotest.fail "wrong event count")
+  let s = Expect.ok (Microarch.Schedule.schedule xy c) in
+  Alcotest.(check int) "2 pulses" 2 (List.length s.Microarch.Schedule.events);
+  Alcotest.(check (float 1e-9)) "makespan = 2 tau" Float.pi s.Microarch.Schedule.makespan;
+  (match s.Microarch.Schedule.events with
+  | [ e1; e2 ] ->
+    Alcotest.(check (float 1e-9)) "first starts at 0" 0.0 e1.Microarch.Schedule.start;
+    Alcotest.(check (float 1e-9)) "second starts after first" (Float.pi /. 2.0)
+      e2.Microarch.Schedule.start
+  | _ -> Alcotest.fail "wrong event count")
 
 let test_schedule_parallel () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
   let c = Circuit.create 4 [ Gate.cx 0 1; Gate.cx 2 3 ] in
-  match Microarch.Schedule.schedule xy c with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    Alcotest.(check (float 1e-9)) "parallel makespan = 1 tau" (Float.pi /. 2.0)
-      s.Microarch.Schedule.makespan;
-    List.iter
-      (fun e -> Alcotest.(check (float 1e-9)) "both start at 0" 0.0 e.Microarch.Schedule.start)
-      s.Microarch.Schedule.events
+  let s = Expect.ok (Microarch.Schedule.schedule xy c) in
+  Alcotest.(check (float 1e-9)) "parallel makespan = 1 tau" (Float.pi /. 2.0)
+    s.Microarch.Schedule.makespan;
+  List.iter
+    (fun e -> Alcotest.(check (float 1e-9)) "both start at 0" 0.0 e.Microarch.Schedule.start)
+    s.Microarch.Schedule.events
 
 let test_schedule_matches_duration_metric () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
-  let out =
-    Reqisc.compile_exn (Rng.create 3L) (Benchmarks.Generators.tof 4)
-  in
+  let out = Expect.ok (Reqisc.compile (Rng.create 3L) (Benchmarks.Generators.tof 4)) in
   let c = out.Reqisc.circuit in
-  match Microarch.Schedule.schedule xy c with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    let metric =
-      (Compiler.Metrics.report (Compiler.Metrics.Su4_isa xy) c).Compiler.Metrics.duration
-    in
-    Alcotest.(check (float 1e-6)) "makespan = duration metric" metric
-      s.Microarch.Schedule.makespan
+  let s = Expect.ok (Microarch.Schedule.schedule xy c) in
+  let metric =
+    (Compiler.Metrics.report (Compiler.Metrics.Su4_isa xy) c).Compiler.Metrics.duration
+  in
+  Alcotest.(check (float 1e-6)) "makespan = duration metric" metric
+    s.Microarch.Schedule.makespan
 
 (* ----------------------------------------------------------- calibration *)
 

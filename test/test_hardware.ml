@@ -64,9 +64,7 @@ let test_su4_to_can () =
   done
 
 let test_to_can_isa_circuit () =
-  let out =
-    Reqisc.compile_exn (Rng.create 3L) (Benchmarks.Generators.tof 4)
-  in
+  let out = Expect.ok (Reqisc.compile (Rng.create 3L) (Benchmarks.Generators.tof 4)) in
   let su4_c = out.Reqisc.circuit in
   let can_c = Decomp.to_can_isa su4_c in
   check_phase ~tol:1e-6 "isa emission preserves" (Circuit.unitary su4_c)
@@ -89,20 +87,18 @@ let test_calibration_closes_model_error () =
   let model = Microarch.Coupling.xy ~g:1.0 in
   let device = { Microarch.Tomography.true_coupling = Microarch.Coupling.xy ~g:1.04 } in
   let target = Weyl.Coords.cnot in
-  match Microarch.Tomography.calibrate device ~model target with
-  | Error e -> Alcotest.fail e
-  | Ok (tuned, initial, final) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "initial miss is visible (%.2g)" initial)
-      true (initial > 1e-3);
-    Alcotest.(check bool)
-      (Printf.sprintf "calibration closes the gap (%.2g -> %.2g)" initial final)
-      true
-      (final < 1e-6);
-    let f =
-      Microarch.Tomography.corrected_fidelity device tuned Quantum.Gates.cnot
-    in
-    Alcotest.(check bool) (Printf.sprintf "fidelity %.8f" f) true (f > 0.999999)
+  let tuned, initial, final = Expect.ok (Microarch.Tomography.calibrate device ~model target) in
+  Alcotest.(check bool)
+    (Printf.sprintf "initial miss is visible (%.2g)" initial)
+    true (initial > 1e-3);
+  Alcotest.(check bool)
+    (Printf.sprintf "calibration closes the gap (%.2g -> %.2g)" initial final)
+    true
+    (final < 1e-6);
+  let f =
+    Microarch.Tomography.corrected_fidelity device tuned Quantum.Gates.cnot
+  in
+  Alcotest.(check bool) (Printf.sprintf "fidelity %.8f" f) true (f > 0.999999)
 
 let test_calibration_anisotropic_model_error () =
   (* the device has a stray ZZ term the model does not know about *)
@@ -111,73 +107,61 @@ let test_calibration_anisotropic_model_error () =
     { Microarch.Tomography.true_coupling = Microarch.Coupling.make 0.5 0.5 0.03 }
   in
   let target = Weyl.Coords.make 0.6 0.3 0.1 in
-  match Microarch.Tomography.calibrate device ~model target with
-  | Error e -> Alcotest.fail e
-  | Ok (_, initial, final) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "improves (%.2g -> %.2g)" initial final)
-      true
-      (final < initial /. 5.0)
+  let _, initial, final = Expect.ok (Microarch.Tomography.calibrate device ~model target) in
+  Alcotest.(check bool)
+    (Printf.sprintf "improves (%.2g -> %.2g)" initial final)
+    true
+    (final < initial /. 5.0)
 
 let test_perfect_model_needs_no_tuning () =
   let model = Microarch.Coupling.xy ~g:1.0 in
   let device = { Microarch.Tomography.true_coupling = model } in
-  match Microarch.Tomography.calibrate device ~model Weyl.Coords.iswap with
-  | Error e -> Alcotest.fail e
-  | Ok (_, initial, final) ->
-    Alcotest.(check bool) "already calibrated" true (initial < 1e-7 && final <= initial +. 1e-12)
+  let _, initial, final = Expect.ok (Microarch.Tomography.calibrate device ~model Weyl.Coords.iswap) in
+  Alcotest.(check bool) "already calibrated" true (initial < 1e-7 && final <= initial +. 1e-12)
 
 (* appended: qutrit leakage model tests *)
 let test_transmon_unitary () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
-  match Microarch.Genashn.solve_coords xy Weyl.Coords.cnot with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let params = { Microarch.Transmon.anharmonicity = -30.0; g = 1.0 } in
-    let u = Microarch.Transmon.evolve params p in
-    Alcotest.(check bool) "9x9 unitary" true (Mat.is_unitary ~tol:1e-7 u);
-    Alcotest.(check bool) "hermitian generator" true
-      (Mat.is_hermitian (Microarch.Transmon.hamiltonian params p))
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xy Weyl.Coords.cnot) in
+  let params = { Microarch.Transmon.anharmonicity = -30.0; g = 1.0 } in
+  let u = Microarch.Transmon.evolve params p in
+  Alcotest.(check bool) "9x9 unitary" true (Mat.is_unitary ~tol:1e-7 u);
+  Alcotest.(check bool) "hermitian generator" true
+    (Mat.is_hermitian (Microarch.Transmon.hamiltonian params p))
 
 let test_transmon_leakage_decreases () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
-  match Microarch.Genashn.solve_coords xy Weyl.Coords.swap with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let leak alpha =
-      Microarch.Transmon.leakage { Microarch.Transmon.anharmonicity = alpha; g = 1.0 } p
-    in
-    let l10 = leak (-10.0) and l40 = leak (-40.0) and l150 = leak (-150.0) in
-    Alcotest.(check bool)
-      (Printf.sprintf "monotone-ish (%.2e > %.2e > %.2e)" l10 l40 l150)
-      true
-      (l10 > l40 && l40 > l150);
-    Alcotest.(check bool) "small at realistic anharmonicity" true (l40 < 0.02)
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xy Weyl.Coords.swap) in
+  let leak alpha =
+    Microarch.Transmon.leakage { Microarch.Transmon.anharmonicity = alpha; g = 1.0 } p
+  in
+  let l10 = leak (-10.0) and l40 = leak (-40.0) and l150 = leak (-150.0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "monotone-ish (%.2e > %.2e > %.2e)" l10 l40 l150)
+    true
+    (l10 > l40 && l40 > l150);
+  Alcotest.(check bool) "small at realistic anharmonicity" true (l40 < 0.02)
 
 let test_transmon_fidelity_limit () =
   let xy = Microarch.Coupling.xy ~g:1.0 in
-  match Microarch.Genashn.solve_coords xy Weyl.Coords.b_gate with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let f =
-      Microarch.Transmon.model_fidelity
-        { Microarch.Transmon.anharmonicity = -2000.0; g = 1.0 }
-        p
-    in
-    Alcotest.(check bool) (Printf.sprintf "two-level limit (%.6f)" f) true (f > 0.9999)
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xy Weyl.Coords.b_gate) in
+  let f =
+    Microarch.Transmon.model_fidelity
+      { Microarch.Transmon.anharmonicity = -2000.0; g = 1.0 }
+      p
+  in
+  Alcotest.(check bool) (Printf.sprintf "two-level limit (%.6f)" f) true (f > 0.9999)
 
 let test_transmon_undriven_leakage_tiny () =
   (* with no drives (iSWAP family) the only leakage channel is the coupling
      itself: it conserves total excitation and |11> <-> |02>/|20> mixing is
      suppressed by the anharmonicity gap *)
   let xy = Microarch.Coupling.xy ~g:1.0 in
-  match Microarch.Genashn.solve_coords xy Weyl.Coords.iswap with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let l =
-      Microarch.Transmon.leakage { Microarch.Transmon.anharmonicity = -30.0; g = 1.0 } p
-    in
-    Alcotest.(check bool) (Printf.sprintf "iswap leakage %.2e" l) true (l < 5e-3)
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xy Weyl.Coords.iswap) in
+  let l =
+    Microarch.Transmon.leakage { Microarch.Transmon.anharmonicity = -30.0; g = 1.0 } p
+  in
+  Alcotest.(check bool) (Printf.sprintf "iswap leakage %.2e" l) true (l < 5e-3)
 
 let () =
   Alcotest.run "hardware"

@@ -61,19 +61,17 @@ let test_ea_roots_ladder () =
     (Printf.sprintf "found %d roots" (List.length roots))
     true
     (List.length roots >= 3);
-  (match Microarch.Genashn.solve_coords xxc Weyl.Coords.swap with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    let min_pen =
-      List.fold_left
-        (fun acc (o, d) -> Float.min acc ((2.0 *. o) +. d))
-        infinity roots
-    in
-    let pen = (2.0 *. Float.abs p.Microarch.Genashn.drive_x1) +. Float.abs p.Microarch.Genashn.delta in
-    Alcotest.(check bool)
-      (Printf.sprintf "selected penalty %.4f = min %.4f" pen min_pen)
-      true
-      (pen <= min_pen +. 1e-6));
+  let p = Expect.solved (Microarch.Genashn.solve_coords_r xxc Weyl.Coords.swap) in
+  let min_pen =
+    List.fold_left
+      (fun acc (o, d) -> Float.min acc ((2.0 *. o) +. d))
+      infinity roots
+  in
+  let pen = (2.0 *. Float.abs p.Microarch.Genashn.drive_x1) +. Float.abs p.Microarch.Genashn.delta in
+  Alcotest.(check bool)
+    (Printf.sprintf "selected penalty %.4f = min %.4f" pen min_pen)
+    true
+    (pen <= min_pen +. 1e-6);
   (* each root actually solves the problem *)
   List.iteri
     (fun i (om, de) ->
@@ -101,16 +99,14 @@ let test_pulse_corrections_unitary () =
   for _ = 1 to 5 do
     let u = Quantum.Haar.su4 rng in
     if Weyl.Coords.norm1 (Weyl.Kak.coords_of u) > 0.25 then begin
-      match Microarch.Genashn.solve h u with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-        List.iter
-          (fun (n, m) ->
-            Alcotest.(check bool) (n ^ " unitary") true (Mat.is_unitary ~tol:1e-7 m))
-          [
-            ("a1", r.Microarch.Genashn.a1); ("a2", r.Microarch.Genashn.a2);
-            ("b1", r.Microarch.Genashn.b1); ("b2", r.Microarch.Genashn.b2);
-          ]
+      let r = Expect.solved (Microarch.Genashn.solve_r h u) in
+      List.iter
+        (fun (n, m) ->
+          Alcotest.(check bool) (n ^ " unitary") true (Mat.is_unitary ~tol:1e-7 m))
+        [
+          ("a1", r.Microarch.Genashn.a1); ("a2", r.Microarch.Genashn.a2);
+          ("b1", r.Microarch.Genashn.b1); ("b2", r.Microarch.Genashn.b2);
+        ]
     end
   done
 
@@ -144,7 +140,7 @@ let test_pipeline_random_programs () =
   for k = 1 to 4 do
     let r = Rng.create (Int64.of_int (1000 + k)) in
     let c = random_ccx_program r 4 10 in
-    let out = Reqisc.compile_exn r c in
+    let out = Expect.ok (Reqisc.compile r c) in
     let fix = arrange_matrix 4 out.Reqisc.final_mapping in
     check_phase ~tol:1e-3
       (Printf.sprintf "random program %d" k)
@@ -155,9 +151,7 @@ let test_pipeline_random_programs () =
 let test_pipeline_deterministic () =
   let c = random_ccx_program (Rng.create 55L) 4 8 in
   let run () =
-    let out =
-      Reqisc.compile_exn (Rng.create 9L) c
-    in
+    let out = Expect.ok (Reqisc.compile (Rng.create 9L) c) in
     (Circuit.count_2q out.Reqisc.circuit, out.Reqisc.final_mapping)
   in
   let a = run () and b = run () in
@@ -169,7 +163,7 @@ let test_full_no_worse_than_eff () =
     (fun seed ->
       let c = random_ccx_program (Rng.create (Int64.of_int seed)) 4 12 in
       let compile mode =
-        (Reqisc.compile_exn ~mode (Rng.create 2L) c).Reqisc.circuit |> Circuit.count_2q
+        (Expect.ok (Reqisc.compile ~mode (Rng.create 2L) c)).Reqisc.circuit |> Circuit.count_2q
       in
       let eff = compile Reqisc.Eff and full = compile Reqisc.Full in
       Alcotest.(check bool)
@@ -180,7 +174,7 @@ let test_full_no_worse_than_eff () =
 let test_pulses_for_compiled_circuit () =
   (* the whole chain: compile, then Algorithm 1 on every gate succeeds *)
   let c = random_ccx_program (Rng.create 66L) 4 8 in
-  let out = Reqisc.compile_exn (Rng.create 3L) c in
+  let out = Expect.ok (Reqisc.compile (Rng.create 3L) c) in
   match Reqisc.pulses Reqisc.xy_coupling out.Reqisc.circuit with
   | Error e -> Alcotest.fail (Robust.Err.to_string e)
   | Ok instrs ->
@@ -310,9 +304,8 @@ let qcheck_tests =
         let c = Weyl.Kak.coords_of u in
         if Weyl.Coords.norm1 c < 0.25 then true
         else
-          match Microarch.Genashn.solve (Microarch.Coupling.xy ~g:1.0) u with
-          | Error _ -> false
-          | Ok res -> Mat.equal ~tol:1e-5 (Microarch.Genashn.reconstruct res) u);
+          let res = Expect.solved (Microarch.Genashn.solve_r (Microarch.Coupling.xy ~g:1.0) u) in
+          Mat.equal ~tol:1e-5 (Microarch.Genashn.reconstruct res) u);
   ]
 
 let () =

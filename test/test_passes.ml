@@ -231,7 +231,7 @@ let test_plan_matches_facade () =
       let plan = Passes.plan_of_mode mode in
       let (out_plan, stats), recorder =
         Obs.Recorder.with_recorder (fun () ->
-            Passes.compile_plan_exn ~plan (Rng.create 7L) (Pass.Gates toffoli_chain))
+            Expect.ok (Passes.compile_plan ~plan (Rng.create 7L) (Pass.Gates toffoli_chain)))
       in
       let spans =
         List.filter_map
@@ -246,11 +246,11 @@ let test_plan_matches_facade () =
           Alcotest.(check bool) (s.Passes.pass ^ " has its own span") true
             (List.mem s.Passes.pass spans))
         executed;
-      same "gates" (Reqisc.compile_exn ~mode (Rng.create 7L) toffoli_chain) out_plan;
+      same "gates" (Expect.ok (Reqisc.compile ~mode (Rng.create 7L) toffoli_chain)) out_plan;
       let pauli_plan, _ =
-        Passes.compile_plan_exn ~plan (Rng.create 7L) (Pass.Pauli pauli_prog)
+        Expect.ok (Passes.compile_plan ~plan (Rng.create 7L) (Pass.Pauli pauli_prog))
       in
-      same "pauli" (Reqisc.compile_pauli_exn ~mode (Rng.create 7L) pauli_prog) pauli_plan)
+      same "pauli" (Expect.ok (Reqisc.compile_pauli ~mode (Rng.create 7L) pauli_prog)) pauli_plan)
     [ Passes.Eff; Passes.Full ]
 
 (* Compiled gates pinned by the MD5 of every gate's qubits and float
@@ -302,7 +302,7 @@ let golden_cases =
           in
           let r0 = synth "restarts" and s0 = synth "sweeps" in
           let out, _ =
-            Passes.compile_plan_exn ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) b.program
+            Expect.ok (Passes.compile_plan ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) b.program)
           in
           Alcotest.(check string) label digest (gate_digest out.Passes.circuit.Circuit.gates);
           Alcotest.(check int) (label ^ " restarts") restarts (synth "restarts" - r0);

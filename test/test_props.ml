@@ -29,7 +29,7 @@ let props =
     QCheck.Test.make ~count:25 ~name:"reqasm roundtrips any circuit" arb_seed
       (fun seed ->
         let c = random_circuit seed in
-        let c' = Qasm.of_string (Qasm.to_string c) in
+        let c' = Expect.qasm (Qasm.to_string c) in
         Mat.allclose_up_to_phase ~tol:1e-9 (Circuit.unitary c) (Circuit.unitary c'));
     QCheck.Test.make ~count:20 ~name:"fuse_2q preserves any circuit" arb_seed
       (fun seed ->

@@ -203,12 +203,7 @@ let test_qasm_located_errors () =
   expect_err "REQASM 1.0;\ncx q[0],q[1];\n" (fun e ->
       Alcotest.(check string) "missing qreg" "missing qreg declaration" e.Qasm.message);
   expect_err "REQASM 1.0;\nqreg q[2];\ncx q[0]\n" (fun e ->
-      Alcotest.(check int) "line" 3 e.Qasm.line);
-  (* legacy API still raises Failure with the rendered location *)
-  (match Qasm.of_string "REQASM 1.0;\nqreg q[2];\nwat q[0];\n" with
-  | exception Failure msg ->
-    Alcotest.(check bool) "legacy message located" true (contains msg "line 3")
-  | _ -> Alcotest.fail "of_string should raise Failure")
+      Alcotest.(check int) "line" 3 e.Qasm.line)
 
 let test_qasm_roundtrip () =
   let c =
@@ -238,15 +233,17 @@ let test_jacobi_near_degenerate () =
   let m = Mat.mul3 q d (Mat.dagger q) in
   let a = Mat.create 4 4 and v = Mat.create 4 4 and w = Array.make 4 0.0 in
   Mat.copy_into ~dst:a m;
-  match Eig.jacobi_into_r ~a ~v ~w () with
-  | Error e -> Alcotest.fail (Robust.Err.to_string e)
-  | Ok residual ->
-    Alcotest.(check bool) "tiny residual" true (residual < 1e-10);
-    Array.sort compare w;
-    Array.iteri
-      (fun i expected ->
-        Alcotest.(check (float 1e-9)) (Printf.sprintf "eigenvalue %d" i) expected w.(i))
-      w_true
+  let residual = Eig.jacobi_into ~a ~v ~w () in
+  Alcotest.(check bool)
+    (Printf.sprintf "converged (residual %.2e)" residual)
+    true
+    (residual <= 1e-12 *. (1.0 +. Mat.max_abs m));
+  Alcotest.(check bool) "tiny residual" true (residual < 1e-10);
+  Array.sort compare w;
+  Array.iteri
+    (fun i expected ->
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "eigenvalue %d" i) expected w.(i))
+    w_true
 
 let test_jacobi_stall_fault () =
   with_faults "jacobi_stall:1" (fun () ->
@@ -254,12 +251,15 @@ let test_jacobi_stall_fault () =
       let m = random_herm rng 8 in
       let a = Mat.create 8 8 and v = Mat.create 8 8 and w = Array.make 8 0.0 in
       Mat.copy_into ~dst:a m;
-      match Eig.jacobi_into_r ~a ~v ~w () with
-      | Error (Robust.Err.Non_convergence { stage; residual; _ }) ->
-        Alcotest.(check string) "stage" "eig.jacobi" stage;
-        Alcotest.(check bool) "positive residual" true (residual > 0.0)
-      | Error e -> Alcotest.fail ("unexpected error: " ^ Robust.Err.to_string e)
-      | Ok r -> Alcotest.fail (Printf.sprintf "stalled jacobi converged (r=%.2e)" r))
+      (* one sweep cannot diagonalize a generic 8x8: the returned residual
+         is finite and far above the convergence bar, so a caller sees the
+         stall instead of a silently bad basis *)
+      let r = Eig.jacobi_into ~a ~v ~w () in
+      Alcotest.(check bool) (Printf.sprintf "finite residual (%.2e)" r) true (Float.is_finite r);
+      Alcotest.(check bool)
+        (Printf.sprintf "stalled jacobi did not converge (r=%.2e)" r)
+        true
+        (r > 1e-12 *. (1.0 +. Mat.max_abs m)))
 
 let test_nan_faults () =
   with_faults "mul_nan:1,expm_nan:1" (fun () ->
@@ -269,11 +269,8 @@ let test_nan_faults () =
       Mat.mul_into ~dst a b;
       Alcotest.(check bool) "mul poisoned" true (Mat.has_nan dst);
       let ws = Expm.make_ws 4 in
-      (match Expm.herm_expi_into_r ws ~dst a ~t:0.3 with
-      | Error (Robust.Err.Nan_detected { stage; _ }) ->
-        Alcotest.(check string) "stage" "expm" stage
-      | Error e -> Alcotest.fail ("unexpected error: " ^ Robust.Err.to_string e)
-      | Ok () -> Alcotest.fail "expm NaN not detected"));
+      Expm.herm_expi_into ws ~dst a ~t:0.3;
+      Alcotest.(check bool) "expm poisoned" true (Mat.has_nan dst));
   (* disarmed: the same calls are clean *)
   let rng = Rng.create 3L in
   let a = random_herm rng 4 and b = random_herm rng 4 in
@@ -356,18 +353,41 @@ let test_budget_exceeded_solver () =
   | o -> Alcotest.fail ("expected Budget_exceeded, got " ^ outcome_kind o)
 
 let test_solver_baseline_unchanged () =
-  (* with no faults armed the robust entry point must agree exactly with
-     the legacy one on a clean solve *)
+  (* with no faults armed a clean solve is Solved on its first attempt,
+     and a budgeted solve (which bypasses the class memo and runs the
+     ladder under the budget checks) agrees with it bit for bit *)
   disarm ();
-  match (Microarch.Genashn.solve_coords xy cnot_coords,
-         Microarch.Genashn.solve_coords_r xy cnot_coords) with
-  | Ok p, Robust.Outcome.Solved p' ->
+  let budget = Robust.Budget.make ~max_seconds:60.0 () in
+  match (Microarch.Genashn.solve_coords_r xy cnot_coords,
+         Microarch.Genashn.solve_coords_r ~budget xy cnot_coords) with
+  | Robust.Outcome.Solved p, Robust.Outcome.Solved p' ->
     Alcotest.(check (float 0.0)) "tau" p.Microarch.Genashn.tau p'.Microarch.Genashn.tau;
     Alcotest.(check (float 0.0)) "x1" p.Microarch.Genashn.drive_x1 p'.Microarch.Genashn.drive_x1;
     Alcotest.(check (float 0.0)) "x2" p.Microarch.Genashn.drive_x2 p'.Microarch.Genashn.drive_x2;
     Alcotest.(check (float 0.0)) "delta" p.Microarch.Genashn.delta p'.Microarch.Genashn.delta
-  | Error e, _ -> Alcotest.fail e
-  | _, o -> Alcotest.fail ("robust solve not Solved: " ^ outcome_kind o)
+  | o, o' ->
+    Alcotest.fail
+      (Printf.sprintf "clean solve not Solved: %s (budgeted %s)" (outcome_kind o)
+         (outcome_kind o'))
+
+let test_schedule_typed_error () =
+  (* a coupling below 1e-9 has no entangling dynamics: the scheduler
+     returns the solver's typed error *)
+  let weak = Microarch.Coupling.make 1e-12 1e-13 0.0 in
+  (match Microarch.Schedule.schedule weak (Circuit.create 2 [ Gate.cx 0 1 ]) with
+  | Error (Robust.Err.Invalid_hamiltonian { stage; _ }) ->
+    Alcotest.(check string) "stage" "genashn" stage
+  | Error e -> Alcotest.fail ("unexpected error: " ^ Robust.Err.to_string e)
+  | Ok _ -> Alcotest.fail "scheduled a pulse under a vanishing coupling");
+  (* a NaN-poisoned gate is the KAK's typed error, not an exception *)
+  let nan_gate =
+    Gate.su4 0 1 (Mat.init 4 4 (fun i j -> if i = j then Cx.of_float Float.nan else Cx.zero))
+  in
+  match Microarch.Schedule.schedule xy (Circuit.create 2 [ nan_gate ]) with
+  | Error (Robust.Err.Nan_detected _) -> ()
+  | Error e -> Alcotest.fail ("unexpected error: " ^ Robust.Err.to_string e)
+  | Ok _ -> Alcotest.fail "scheduled a NaN gate"
+  | exception ex -> Alcotest.fail ("raised " ^ Printexc.to_string ex)
 
 (* ------------------------------------------------------------ compiler *)
 
@@ -462,6 +482,7 @@ let () =
           Alcotest.test_case "hamiltonian perturbation" `Quick test_ham_perturb;
           Alcotest.test_case "budget exceeded" `Quick test_budget_exceeded_solver;
           Alcotest.test_case "baseline unchanged" `Quick test_solver_baseline_unchanged;
+          Alcotest.test_case "schedule typed error" `Quick test_schedule_typed_error;
         ] );
       ( "compiler",
         [
