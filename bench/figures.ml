@@ -141,10 +141,8 @@ let fig6 ~haar_n () =
         (fun c ->
           match Robust.Outcome.value (Microarch.Genashn.solve_coords_r xy c) with
           | Some p ->
-            Printf.printf " | %6.2f %6.2f %6.2f"
-              (-2.0 *. p.Microarch.Genashn.drive_x1)
-              (-2.0 *. p.Microarch.Genashn.drive_x2)
-              p.Microarch.Genashn.delta
+            let a1, a2 = Microarch.Genashn.amplitudes p in
+            Printf.printf " | %6.2f %6.2f %6.2f" a1 a2 p.Microarch.Genashn.delta
           | None -> Printf.printf " |    (unsolved: mirror)")
         fam;
       print_newline ())

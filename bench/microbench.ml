@@ -99,7 +99,7 @@ let bench_eig ~min_time rng n =
     soa_s =
       time ~min_time (fun () ->
           Mat.copy_into ~dst:a h;
-          ignore (Eig.jacobi_into ~a ~v ~w ()));
+          ignore (Eig.jacobi_into ~a ~v ~w));
   }
 
 let bench_apply_gate ~min_time rng ~nq n =

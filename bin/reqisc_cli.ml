@@ -161,13 +161,11 @@ let print_pulse_table (instrs : Reqisc.pulse_instruction list) =
   List.iter
     (fun (i : Reqisc.pulse_instruction) ->
       let p = i.pulse in
+      let a1, a2 = Microarch.Genashn.amplitudes p in
       Printf.printf "(%d,%d)    %-5s %10.4f %10.4f %10.4f %10.4f\n" (fst i.qubits)
         (snd i.qubits)
         (Microarch.Tau.subscheme_to_string p.Microarch.Genashn.subscheme)
-        p.Microarch.Genashn.tau
-        (-2.0 *. p.Microarch.Genashn.drive_x1)
-        (-2.0 *. p.Microarch.Genashn.drive_x2)
-        p.Microarch.Genashn.delta)
+        p.Microarch.Genashn.tau a1 a2 p.Microarch.Genashn.delta)
     instrs
 
 (* per-gate robust synthesis: report every verdict, exit 4 only if some
@@ -369,8 +367,9 @@ let cmd_pulse name args =
     Printf.printf "class   %s\n" (Weyl.Coords.to_string r.Microarch.Genashn.coords);
     Printf.printf "mode    %s\n" (Microarch.Tau.subscheme_to_string p.Microarch.Genashn.subscheme);
     Printf.printf "tau     %.6f /g\n" p.Microarch.Genashn.tau;
-    Printf.printf "A1      %.6f\n" (-2.0 *. p.Microarch.Genashn.drive_x1);
-    Printf.printf "A2      %.6f\n" (-2.0 *. p.Microarch.Genashn.drive_x2);
+    let a1, a2 = Microarch.Genashn.amplitudes p in
+    Printf.printf "A1      %.6f\n" a1;
+    Printf.printf "A2      %.6f\n" a2;
     Printf.printf "delta   %.6f\n" p.Microarch.Genashn.delta;
     Printf.printf "error   %.2e\n"
       (Numerics.Mat.frobenius_dist (Microarch.Genashn.reconstruct r) gate)

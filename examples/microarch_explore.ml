@@ -63,6 +63,7 @@ let () =
       match Robust.Outcome.to_result (Genashn.solve_coords_r xy c) with
       | Error e -> Printf.printf "%-6.2f %s\n" s (Robust.Err.to_string e)
       | Ok p ->
-        Printf.printf "%-6.2f %9.4f %9.4f %9.4f %9.4f\n" s p.Genashn.tau
-          (-2.0 *. p.Genashn.drive_x1) (-2.0 *. p.Genashn.drive_x2) p.Genashn.delta)
+        let a1, a2 = Genashn.amplitudes p in
+        Printf.printf "%-6.2f %9.4f %9.4f %9.4f %9.4f\n" s p.Genashn.tau a1 a2
+          p.Genashn.delta)
     [ 0.3; 0.5; 0.7; 0.9; 1.0 ]

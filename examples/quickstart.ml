@@ -58,8 +58,7 @@ let () =
     List.iter
       (fun (i : Reqisc.pulse_instruction) ->
         let p = i.pulse in
-        let a1 = -2.0 *. p.Microarch.Genashn.drive_x1 in
-        let a2 = -2.0 *. p.Microarch.Genashn.drive_x2 in
+        let a1, a2 = Microarch.Genashn.amplitudes p in
         Printf.printf "(%d,%d)    %-5s %10.4f %10.4f %10.4f %10.4f\n" (fst i.qubits)
           (snd i.qubits)
           (Microarch.Tau.subscheme_to_string p.Microarch.Genashn.subscheme)

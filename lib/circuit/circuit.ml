@@ -41,26 +41,45 @@ let count_2q c =
 let count_2q_loose c =
   List.fold_left (fun acc g -> if Gate.is_2q g then acc + 1 else acc) 0 c.gates
 
-(* Per-wire layering: a gate lands at 1 + max of its wires' depths. *)
-let layered c ~cost =
-  let wire = Array.make c.n 0.0 in
-  let total = ref 0.0 in
+type slot = { start : float; dur : float; gate : Gate.t }
+
+(* ASAP list scheduling, the one walk behind every reported depth and
+   duration: a gate starts when the last of its wires is ready and holds
+   each of them for [tau g]. Slots are built only when [keep] is set, so
+   the depth/duration path allocates nothing per gate beyond what [tau]
+   does. *)
+let asap ~tau ~keep c =
+  let ready = Array.make c.n 0.0 in
+  let slots = ref [] in
   List.iter
-    (fun g ->
-      let w = cost g in
-      let start =
-        Array.fold_left (fun acc q -> Float.max acc wire.(q)) 0.0 g.Gate.qubits
-      in
-      let finish = start +. w in
-      Array.iter (fun q -> wire.(q) <- finish) g.Gate.qubits;
-      if finish > !total then total := finish)
+    (fun (g : Gate.t) ->
+      let qs = g.Gate.qubits in
+      let start = ref 0.0 in
+      for i = 0 to Array.length qs - 1 do
+        start := Float.max !start ready.(qs.(i))
+      done;
+      let dur = tau g in
+      let finish = !start +. dur in
+      for i = 0 to Array.length qs - 1 do
+        ready.(qs.(i)) <- finish
+      done;
+      if keep then slots := { start = !start; dur; gate = g } :: !slots)
     c.gates;
-  !total
+  let makespan = ref 0.0 in
+  for q = 0 to c.n - 1 do
+    makespan := Float.max !makespan ready.(q)
+  done;
+  (!makespan, !slots)
+
+let duration ~tau c = fst (asap ~tau ~keep:false c)
+
+let schedule ~tau c =
+  let makespan, slots = asap ~tau ~keep:true c in
+  (List.rev slots, makespan)
 
 let depth_2q c =
-  int_of_float (layered c ~cost:(fun g -> if Gate.is_2q g then 1.0 else 0.0))
+  int_of_float (duration ~tau:(fun g -> if Gate.is_2q g then 1.0 else 0.0) c)
 
-let duration ~tau c = layered c ~cost:tau
 let max_arity c = List.fold_left (fun acc g -> max acc (Gate.arity g)) 0 c.gates
 
 let unitary c =
@@ -81,13 +100,13 @@ let unitary c =
 let dagger c = { c with gates = List.rev_map Gate.dagger c.gates }
 let remap f c = { c with gates = List.map (Gate.remap f) c.gates }
 
-let distinct_2q ?(digits = 6) c =
+let distinct_2q c =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun g ->
       if Gate.is_2q g then begin
         let co = Weyl.Kak.coords_of g.Gate.mat in
-        let r v = Float.round (v *. (10.0 ** float_of_int digits)) in
+        let r v = Float.round (v *. 1e6) in
         Hashtbl.replace tbl (r co.x, r co.y, r co.z) ()
       end)
     c.gates;

@@ -26,13 +26,28 @@ val count_2q : t -> int
     counted 0 — used on not-yet-lowered circuits for diagnostics. *)
 val count_2q_loose : t -> int
 
-(** [depth_2q c] is the depth of the circuit restricted to its 2Q gates. *)
-val depth_2q : t -> int
+(** {1 ASAP schedule}
 
-(** [duration ~tau c] is the critical-path time where each gate [g] costs
-    [tau g] (1Q gates are conventionally free: pass a [tau] returning 0 for
-    them). *)
+    Every depth and duration the repo reports comes from one ASAP list
+    schedule: a gate starts at the latest ready time of its wires, and
+    those wires become ready at [start + tau g]. [tau] is applied once to
+    each gate, in circuit order. *)
+
+(** One gate's place in the schedule. *)
+type slot = { start : float; dur : float; gate : Gate.t }
+
+(** [duration ~tau c] is the makespan (critical-path time) of the
+    schedule where each gate [g] costs [tau g]; 1Q gates cost whatever
+    [tau] charges them (0 under the analog cost models). Builds no slots. *)
 val duration : tau:(Gate.t -> float) -> t -> float
+
+(** [schedule ~tau c] is the same schedule with one slot per gate, in
+    circuit order (zero-duration gates included), and its makespan. *)
+val schedule : tau:(Gate.t -> float) -> t -> slot list * float
+
+(** [depth_2q c] is [duration] with every 2Q gate costing 1 and every
+    other gate 0: the depth of the circuit restricted to its 2Q gates. *)
+val depth_2q : t -> int
 
 (** [max_arity c] is the widest gate. *)
 val max_arity : t -> int
@@ -46,10 +61,10 @@ val dagger : t -> t
 (** [remap f c] renames every wire through [f] (must stay within [n]). *)
 val remap : (int -> int) -> t -> t
 
-(** [distinct_2q ?digits c] counts distinct two-qubit gate classes by Weyl
-    coordinates rounded to [digits] (default 6) — the calibration-overhead
-    metric of Fig. 13. *)
-val distinct_2q : ?digits:int -> t -> int
+(** [distinct_2q c] counts distinct two-qubit gate classes by Weyl
+    coordinates rounded to 6 digits — the calibration-overhead metric of
+    Fig. 13. *)
+val distinct_2q : t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

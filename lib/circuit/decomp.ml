@@ -154,12 +154,6 @@ let su4_to_can (g : Gate.t) =
     ]
   @ emit a d.Weyl.Kak.a1 @ emit b d.Weyl.Kak.a2
 
-let normalize_1q (c : Circuit.t) =
-  Circuit.create c.n
-    (List.map
-       (fun (g : Gate.t) -> if Gate.arity g = 1 then u3_of g.qubits.(0) g.mat else g)
-       c.gates)
-
 let to_can_isa (c : Circuit.t) =
   Circuit.create c.n
     (List.concat_map

@@ -41,10 +41,6 @@ val lower_3q : Circuit.t -> Circuit.t
     [u3 pair; can(x,y,z); u3 pair], exact up to a global phase. *)
 val su4_to_can : Gate.t -> Gate.t list
 
-(** [normalize_1q c] rewrites every 1Q gate as a U3 gate (each gate equal up
-    to phase, so the circuit is preserved up to one global phase). *)
-val normalize_1q : Circuit.t -> Circuit.t
-
 (** [to_can_isa c] emits the final {Can, U3} form of a compiled su4+1Q
     circuit (the paper's output representation when no hardware is
     attached). *)

@@ -15,7 +15,6 @@ let make label qubits mat =
 
 let arity g = Array.length g.qubits
 let is_2q g = arity g = 2
-let is_1q g = arity g = 1
 
 open Quantum
 

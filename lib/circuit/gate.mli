@@ -18,8 +18,6 @@ val arity : t -> int
 (** [is_2q g] — true when the gate touches exactly two wires. *)
 val is_2q : t -> bool
 
-val is_1q : t -> bool
-
 (** {1 Common constructors} *)
 
 val x : int -> t

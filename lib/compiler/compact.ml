@@ -1,14 +1,15 @@
 open Numerics
 
-let compactness ?(w = 3) c =
-  let blocks = Blocks.collect ~w c in
+let compactness c =
+  let blocks = Blocks.collect ~w:3 c in
   List.fold_left
     (fun acc b ->
       let k = float_of_int (Blocks.count_2q b) in
       acc +. (k *. k))
     0.0 blocks
 
-let exchangeable ?(tol = 1e-9) rng (g1 : Gate.t) (g2 : Gate.t) =
+let exchangeable rng (g1 : Gate.t) (g2 : Gate.t) =
+  let tol = 1e-9 in
   if not (Gate.is_2q g1 && Gate.is_2q g2) then None
   else begin
     let w1 = Array.to_list g1.qubits and w2 = Array.to_list g2.qubits in
@@ -44,7 +45,9 @@ let exchangeable ?(tol = 1e-9) rng (g1 : Gate.t) (g2 : Gate.t) =
     end
   end
 
-let run ?(max_rounds = 2) rng (c : Circuit.t) =
+let max_rounds = 2
+
+let run rng (c : Circuit.t) =
   let gates = ref (Array.of_list c.gates) in
   let improved = ref true in
   let rounds = ref 0 in

@@ -2,7 +2,13 @@ open Numerics
 
 let stage = "compiler.hier"
 
-let resynthesize lib ~w block =
+(* the paper's block width, resynthesis threshold (#SU(4) per block) and
+   round count *)
+let w = 3
+let m_th = 4
+let rounds = 2
+
+let resynthesize lib block =
   let k = Blocks.count_2q block in
   let u = Blocks.block_unitary block in
   let qarr = Array.of_list block.Blocks.qubits in
@@ -22,8 +28,8 @@ let resynthesize lib ~w block =
 
 (* Resynthesis must never abort a compile: any numerical breakdown inside
    the template search degrades to keeping the block's original gates. *)
-let resynthesize_safe lib ~w block =
-  match resynthesize lib ~w block with
+let resynthesize_safe lib block =
+  match resynthesize lib block with
   | Some gates ->
     Robust.Counters.incr ~stage "resynth_ok";
     Some gates
@@ -35,7 +41,7 @@ let resynthesize_safe lib ~w block =
     Robust.Counters.incr ~stage "resynth_error";
     None
 
-let one_round lib rng ~w ~m_th ~compacting (c : Circuit.t) =
+let one_round lib rng ~compacting (c : Circuit.t) =
   let fused = Blocks.fuse_2q c in
   (* the compacting pass is quadratic-ish in circuit size; past a few
      hundred SU(4)s its expected win no longer pays for the synthesis
@@ -51,7 +57,7 @@ let one_round lib rng ~w ~m_th ~compacting (c : Circuit.t) =
     List.concat_map
       (fun (b : Blocks.block) ->
         if Blocks.count_2q b > m_th then
-          match resynthesize_safe lib ~w b with
+          match resynthesize_safe lib b with
           | Some gates -> gates
           | None -> b.gates
         else b.gates)
@@ -59,12 +65,12 @@ let one_round lib rng ~w ~m_th ~compacting (c : Circuit.t) =
   in
   Blocks.fuse_2q (Circuit.create c.n gates)
 
-let run ?(w = 3) ?(m_th = 4) ?(compacting = true) ?(rounds = 2) rng (c : Circuit.t) =
+let run ?(compacting = true) rng (c : Circuit.t) =
   let lib = Template.create_library (Rng.split rng) in
   let rec go k current best_count =
     if k = 0 then current
     else begin
-      let next = one_round lib rng ~w ~m_th ~compacting current in
+      let next = one_round lib rng ~compacting current in
       let count = Circuit.count_2q next in
       if count >= best_count then current else go (k - 1) next count
     end

@@ -3,14 +3,8 @@
     resynthesize every block holding more than [m_th] SU(4)s with fewer. *)
 
 (** [run rng c] applies the full pass to any circuit whose gates have arity
-    <= 3 (3Q gates are counted through their block unitary). Defaults follow
-    the paper: [w = 3], [m_th = 4], [compacting = true], [rounds = 2]. The
-    output contains only su4 and 1Q gates. *)
-val run :
-  ?w:int ->
-  ?m_th:int ->
-  ?compacting:bool ->
-  ?rounds:int ->
-  Numerics.Rng.t ->
-  Circuit.t ->
-  Circuit.t
+    <= 3 (3Q gates are counted through their block unitary), with the
+    paper's settings: [w = 3], [m_th = 4] and at most 2 rounds;
+    [compacting] defaults to true. The output contains only su4 and 1Q
+    gates. *)
+val run : ?compacting:bool -> Numerics.Rng.t -> Circuit.t -> Circuit.t

@@ -7,25 +7,16 @@ type report = {
   distinct_2q : int;
 }
 
-let gate_tau isa (g : Gate.t) =
-  if not (Gate.is_2q g) then 0.0
-  else
-    match isa with
-    | Cnot_isa -> Microarch.Duration.conventional_cnot_tau ~g:1.0
-    | Su4_isa coupling ->
-      Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
-    | Target t -> t.Isa.gate_tau g
+let gate_tau = function
+  | Cnot_isa -> Isa.cnot.Isa.gate_tau
+  | Su4_isa coupling -> Isa.su4_tau coupling
+  | Target t -> t.Isa.gate_tau
 
 let report isa c =
-  let duration =
-    match isa with
-    | Target t -> Isa.duration t c
-    | Cnot_isa | Su4_isa _ -> Circuit.duration ~tau:(gate_tau isa) c
-  in
   {
     count_2q = Circuit.count_2q c;
     depth_2q = Circuit.depth_2q c;
-    duration;
+    duration = Circuit.duration ~tau:(gate_tau isa) c;
     distinct_2q = Circuit.distinct_2q c;
   }
 

@@ -17,16 +17,16 @@ type report = {
   distinct_2q : int;
 }
 
-(** [gate_tau isa g] is the pulse duration of one gate (0 for 1Q gates,
-    which execute as virtual/PMW rotations). Under [Cnot_isa], every 2Q
-    gate costs the conventional CNOT duration pi/(sqrt 2 g) with g = 1;
-    under [Target t] it is [t.gate_tau g]. *)
+(** [gate_tau isa g] is the pulse duration of one gate, from the {!Isa}
+    cost models: [Cnot_isa] is [Isa.cnot.gate_tau] (every 2Q gate costs
+    the conventional CNOT duration pi/(sqrt 2 g) with g = 1), [Su4_isa c]
+    is [Isa.su4_tau c] and [Target t] is [t.gate_tau]. 1Q gates cost 0
+    (virtual/PMW rotations) except under the [eqasm] target, which charges
+    each an explicit slot. *)
 val gate_tau : isa -> Gate.t -> float
 
 (** [report isa c] computes all metrics for a lowered (arity <= 2)
-    circuit. Under [Target t] the duration is {!Isa.duration}: the
-    target's own schedule (fixed basis-gate tau, or cycle-quantized slots
-    for eqasm). *)
+    circuit; the duration is [Circuit.duration ~tau:(gate_tau isa) c]. *)
 val report : isa -> Circuit.t -> report
 
 (** [reduction ~base ~opt] is the percentage reduction from [base] to

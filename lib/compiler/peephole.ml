@@ -28,7 +28,9 @@ let commutes g h =
        end
   end
 
-let run ?(max_rounds = 4) (c : Circuit.t) =
+let max_rounds = 4
+
+let run (c : Circuit.t) =
   let gs = Array.of_list c.Circuit.gates in
   let len = Array.length gs in
   let moved = ref 0 in

@@ -11,6 +11,6 @@
 
 (** [run c] — [c] must be an SU(4)-layer circuit (su4 + 1Q gates). The
     result is exactly equivalent (commutations are verified to [1e-9]
-    in Frobenius norm) and contains only su4 + 1Q gates. [max_rounds]
-    bounds the bubble sweeps (default 4). *)
-val run : ?max_rounds:int -> Circuit.t -> Circuit.t
+    in Frobenius norm) and contains only su4 + 1Q gates. At most 4 bubble
+    sweeps. *)
+val run : Circuit.t -> Circuit.t

@@ -54,10 +54,14 @@ type routed = {
   swaps_absorbed : int;
 }
 
+(* extended-set size, and bidirectional mapping-refinement passes *)
+let lookahead = 20
+let passes = 3
+
 (* One forward routing pass from a given initial mapping. When [emit] is
    false we only compute the final mapping (used by the bidirectional
    refinement passes). *)
-let forward_pass ?(mirror = false) ~lookahead topo (c : Circuit.t) init_mapping =
+let forward_pass ?(mirror = false) topo (c : Circuit.t) init_mapping =
   let dag = Dag.of_circuit c in
   let m = Array.length dag.Dag.gates in
   let pi = Array.copy init_mapping in
@@ -272,7 +276,7 @@ let forward_pass ?(mirror = false) ~lookahead topo (c : Circuit.t) init_mapping 
     !swaps_inserted,
     !swaps_absorbed )
 
-let route ?(mirror = false) ?(lookahead = 20) ?(passes = 3) rng topo (c : Circuit.t) =
+let route ?(mirror = false) rng topo (c : Circuit.t) =
   Obs.Span.with_ ~stage:"compiler" ~name:"routing" @@ fun () ->
   ignore rng;
   if c.Circuit.n > topo.n then invalid_arg "Routing.route: circuit wider than device";
@@ -284,11 +288,11 @@ let route ?(mirror = false) ?(lookahead = 20) ?(passes = 3) rng topo (c : Circui
   let reversed = Circuit.create topo.n (List.rev c.Circuit.gates) in
   for p = 1 to passes - 1 do
     let which = if p mod 2 = 1 then c else reversed in
-    let _, final, _, _ = forward_pass ~mirror ~lookahead topo which !init in
+    let _, final, _, _ = forward_pass ~mirror topo which !init in
     init := final
   done;
   let initial_mapping = Array.copy !init in
   let circuit, final_mapping, swaps_inserted, swaps_absorbed =
-    forward_pass ~mirror ~lookahead topo c !init
+    forward_pass ~mirror topo c !init
   in
   { circuit; initial_mapping; final_mapping; swaps_inserted; swaps_absorbed }

@@ -26,13 +26,6 @@ type routed = {
 
 (** [route rng topo c] maps a lowered (arity <= 2) logical circuit onto the
     topology. [mirror] enables mirroring-SABRE (default false = plain
-    SABRE). [lookahead] sets the extended-set size (default 20), [passes]
-    the number of bidirectional mapping-refinement passes (default 3). *)
-val route :
-  ?mirror:bool ->
-  ?lookahead:int ->
-  ?passes:int ->
-  Numerics.Rng.t ->
-  topology ->
-  Circuit.t ->
-  routed
+    SABRE). The extended set holds 20 gates, and 3 bidirectional passes
+    refine the initial mapping. *)
+val route : ?mirror:bool -> Numerics.Rng.t -> topology -> Circuit.t -> routed

@@ -199,9 +199,6 @@ let count_su4 gates = List.length (List.filter Gate.is_2q gates)
 let min_su4 ?(tol = 1e-9) rng ~n ~target ~max_gates =
   search_counts ~tol rng ~n ~target ~max_gates ~template:su4_template ~count_2q:count_su4
 
-let min_cx ?(tol = 1e-9) rng ~n ~target ~max_gates =
-  search_counts ~tol rng ~n ~target ~max_gates ~template:cx_template ~count_2q:count_su4
-
 let min_cx_desc ?(tol = 1e-9) rng ~n ~target ~max_gates ~min_gates =
   let rec go m best =
     if m < min_gates then best

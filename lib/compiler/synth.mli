@@ -51,15 +51,6 @@ val min_su4 :
   max_gates:int ->
   (Gate.t list * int) option
 
-(** [min_cx rng ~n ~target ~max_gates ~tol] is the CNOT-target analogue. *)
-val min_cx :
-  ?tol:float ->
-  Rng.t ->
-  n:int ->
-  target:Mat.t ->
-  max_gates:int ->
-  (Gate.t list * int) option
-
 (** [min_cx_desc rng ~n ~target ~max_gates ~min_gates] searches downward
     from [max_gates]: cheap when the target is already near-optimal, since
     successful counts converge quickly and only the final failing count pays

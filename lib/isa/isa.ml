@@ -125,9 +125,11 @@ let native_synth q0 q1 (c : Weyl.Coords.t) =
 
 let fixed_2q_tau tau (g : Gate.t) = if Gate.is_2q g then tau else 0.0
 
-let native_tau (g : Gate.t) =
-  if Gate.is_2q g then Microarch.Tau.tau_opt xy (Weyl.Kak.coords_of g.Gate.mat)
+let su4_tau coupling (g : Gate.t) =
+  if Gate.is_2q g then Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
   else 0.0
+
+let native_tau = su4_tau xy
 
 (* eQASM-style duration accounting: time is quantized to a cycle and
    every gate — 1Q included — occupies an explicit slot of at least one
@@ -245,37 +247,19 @@ let lower t (c : Circuit.t) =
 
 (* ------------------------------------------------- timed executable *)
 
-type slot = { start : float; dur : float; gate : Gate.t }
-type timed = { slots : slot list; makespan : float }
-
-let schedule t (c : Circuit.t) =
-  let ready = Array.make (max 1 c.Circuit.n) 0.0 in
-  let slots =
-    List.filter_map
-      (fun (g : Gate.t) ->
-        let dur = t.gate_tau g in
-        let qs = Array.to_list g.Gate.qubits in
-        let start = List.fold_left (fun acc q -> Float.max acc ready.(q)) 0.0 qs in
-        List.iter (fun q -> ready.(q) <- start +. dur) qs;
-        if dur <= 0.0 then None else Some { start; dur; gate = g })
-      c.Circuit.gates
-  in
-  { slots; makespan = Array.fold_left Float.max 0.0 ready }
-
-let duration t c = (schedule t c).makespan
-
 let eqasm_text t (c : Circuit.t) =
-  let tp = schedule t c in
+  let slots, makespan = Circuit.schedule ~tau:t.gate_tau c in
+  let slots = List.filter (fun (s : Circuit.slot) -> s.dur > 0.0) slots in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "# %s: %d slots, makespan %.3f /g\n" t.name
-       (List.length tp.slots) tp.makespan);
+       (List.length slots) makespan);
   List.iteri
-    (fun i s ->
+    (fun i (s : Circuit.slot) ->
       Buffer.add_string buf
         (Printf.sprintf "%4d  t=%8.3f  dur=%6.3f  %-6s q%s\n" i s.start s.dur
            s.gate.Gate.label
            (String.concat ",q"
               (List.map string_of_int (Array.to_list s.gate.Gate.qubits)))))
-    tp.slots;
+    slots;
   Buffer.contents buf

@@ -49,6 +49,15 @@ type target = {
     [native], [cnot], [cz], [iswap], [sqisw], [eqasm]. *)
 val targets : target list
 
+(** The fixed CNOT target: every 2Q gate costs the conventional CNOT
+    pulse pi/(sqrt 2 g) with g = 1. *)
+val cnot : target
+
+(** [su4_tau coupling g] is the SU(4) cost model: a 2Q gate costs the
+    time-optimal genAshN duration of its Weyl class under [coupling], a
+    1Q gate 0. [native] and [eqasm] use it at the XY coupling (g = 1). *)
+val su4_tau : Microarch.Coupling.t -> Gate.t -> float
+
 val known_names : string list
 val find : string -> target option
 
@@ -77,21 +86,9 @@ val lower : target -> Circuit.t -> Circuit.t
 
 (** {1 Timed executable (eQASM-style)} *)
 
-(** One pulse slot of a scheduled circuit. *)
-type slot = { start : float; dur : float; gate : Gate.t }
-
-type timed = { slots : slot list; makespan : float }
-
-(** [schedule t c] — ASAP list scheduling of [c] under [t]'s cost model:
-    each gate starts when all its wires are free and holds them for
-    [t.gate_tau]. Zero-duration gates (1Q under the analog targets) get
-    no slot; under [eqasm] every gate occupies an explicit slot. *)
-val schedule : target -> Circuit.t -> timed
-
-(** [duration t c] is [(schedule t c).makespan] — the synthesized
-    critical-path duration, in units of 1/g. *)
-val duration : target -> Circuit.t -> float
-
-(** [eqasm_text t c] renders the schedule as an eQASM-style timed
-    listing (one line per slot: index, start, duration, gate). *)
+(** [eqasm_text t c] renders {!Circuit.schedule} under [t.gate_tau] as an
+    eQASM-style timed listing: a header with the slot count and makespan,
+    then one line per gate of positive duration (index, start, duration,
+    gate). Zero-duration gates (1Q under the analog targets) get no line;
+    under [eqasm] every gate occupies an explicit slot. *)
 val eqasm_text : target -> Circuit.t -> string

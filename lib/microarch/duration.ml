@@ -34,17 +34,8 @@ let synthesis_tau h b c = float_of_int (gates_needed b c) *. basis_gate_tau h b
 
 let conventional_cnot_tau ~g = Float.pi /. (sqrt 2.0 *. g)
 
-let haar_average ~n rng f =
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    let c = Weyl.Kak.coords_of (Quantum.Haar.su4 rng) in
-    acc := !acc +. f c
-  done;
-  !acc /. float_of_int n
-
 let haar_average_par ?domains ~n ~seed f =
-  (* Per-index rngs keep the result identical for any domain count (the
-     samples differ from [haar_average], which threads one rng serially). *)
+  (* per-index rngs keep the result identical for any domain count *)
   let total =
     Numerics.Par.parallel_sum ?domains n (fun i ->
         let rng = Numerics.Rng.create (Int64.add seed (Int64.of_int i)) in

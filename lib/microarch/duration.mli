@@ -2,8 +2,6 @@
     fixed-basis synthesis costs — the data behind Table 3 and all
     duration/fidelity benchmarks. *)
 
-open Numerics
-
 (** Fixed 2Q basis-gate choices compared against the native SU(4) ISA. *)
 type basis = Cnot | Iswap | Sqisw | B
 
@@ -35,14 +33,9 @@ val synthesis_tau : Coupling.t -> basis -> Weyl.Coords.t -> float
     the evaluation (Krantz et al.). *)
 val conventional_cnot_tau : g:float -> float
 
-(** [haar_average ~n rng f] averages [f] over [n] Haar-random SU(4)
-    classes. *)
-val haar_average : n:int -> Rng.t -> (Weyl.Coords.t -> float) -> float
-
-(** [haar_average_par ?domains ~n ~seed f] is a domain-parallel Haar
-    average: sample [i] uses its own rng derived from [seed + i], so the
-    result is bit-identical for every domain count (but draws different
-    samples than [haar_average] with the same seed). [?domains] defaults
-    to {!Numerics.Par.default_domains}. *)
+(** [haar_average_par ?domains ~n ~seed f] averages [f] over [n]
+    Haar-random SU(4) classes, in parallel: sample [i] uses its own rng
+    derived from [seed + i], so the result is bit-identical for every
+    domain count. [?domains] defaults to {!Numerics.Par.default_domains}. *)
 val haar_average_par :
   ?domains:int -> n:int -> seed:int64 -> (Weyl.Coords.t -> float) -> float

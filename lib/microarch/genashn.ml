@@ -18,9 +18,9 @@ type result = {
   b2 : Mat.t;
 }
 
+let amplitudes p = (-2.0 *. p.drive_x1, -2.0 *. p.drive_x2)
+
 let amplitude_penalty p =
-  (* A_i = -2 (Ω1 ± Ω2) are the physical drive amplitudes; up to the factor
-     2 this is |x1| + |x2| + |delta|. *)
   Float.abs p.drive_x1 +. Float.abs p.drive_x2 +. Float.abs p.delta
 
 let xi = Mat.kron (Quantum.Pauli.matrix_1q Quantum.Pauli.X) (Mat.identity 2)
@@ -230,6 +230,9 @@ let ea_rungs =
       newton_top = 0; nm_top = 8; nm_iter = 20000 };
   ]
 
+let ea_pulse tau (om, de) =
+  { tau; subscheme = Tau.EA_same; drive_x1 = om; drive_x2 = om; delta = de }
+
 (* Runs one rung; [note_best] observes every polished candidate (accepted or
    not) so the ladder can fall back to a degraded best-effort answer.
    Returns the (omega, delta) pair of minimal implementation penalty among
@@ -299,18 +302,16 @@ let run_ea_rung buf h target tau spec ~note_best =
             None)
         (List.filteri (fun i _ -> i < spec.nm_top) sorted)
   in
+  let penalty root = amplitude_penalty (ea_pulse tau root) in
   let best =
     List.fold_left
-      (fun acc (om, de) ->
+      (fun acc root ->
         match acc with
-        | Some (bo, bd) when (2.0 *. bo) +. bd <= (2.0 *. om) +. de -> acc
-        | _ -> Some (om, de))
+        | Some b when penalty b <= penalty root -> acc
+        | _ -> Some root)
       None solutions
   in
   (best, !evals)
-
-let ea_pulse tau (om, de) =
-  { tau; subscheme = Tau.EA_same; drive_x1 = om; drive_x2 = om; delta = de }
 
 (* Walk the ladder under the budget. Outcomes:
    - [Solved pulse] when a rung finds a strict root (minimal penalty);

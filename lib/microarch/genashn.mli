@@ -29,8 +29,13 @@ type result = {
   b2 : Mat.t;
 }
 
-(** [amplitude_penalty p] is [|A1| + |A2| + |delta|] — the physical
-    implementation penalty minimized when several roots exist (§4.2). *)
+(** [amplitudes p] is [(A1, A2) = (-2 drive_x1, -2 drive_x2)], the
+    physical drive amplitudes every pulse table reports. *)
+val amplitudes : pulse -> float * float
+
+(** [amplitude_penalty p] is [(|A1| + |A2|) / 2 + |delta|], with [A_i]
+    from {!amplitudes} — the physical implementation penalty minimized
+    when several roots exist (§4.2). *)
 val amplitude_penalty : pulse -> float
 
 (** [hamiltonian coupling p] assembles the driven 4x4 Hamiltonian. *)

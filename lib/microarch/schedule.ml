@@ -1,31 +1,43 @@
 type event = { qubits : int * int; start : float; pulse : Genashn.pulse }
 type t = { n : int; events : event list; makespan : float }
 
+let solve coupling (g : Gate.t) =
+  Result.bind (Weyl.Kak.coords_of_r g.mat) (fun coords ->
+      Robust.Outcome.to_result (Genashn.solve_coords_r coupling coords))
+
+(* the pulses of the 2Q gates, in circuit order; the first failure is the
+   error *)
+let rec solve_all coupling acc = function
+  | [] -> Ok (List.rev acc)
+  | g :: rest -> (
+    match solve coupling g with
+    | Error e -> Error e
+    | Ok pulse -> solve_all coupling (pulse :: acc) rest)
+
 let schedule coupling (c : Circuit.t) =
-  let wire_free = Array.make c.n 0.0 in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (g : Gate.t) :: rest ->
-      if not (Gate.is_2q g) then go acc rest
-      else begin
-        match
-          Result.bind (Weyl.Kak.coords_of_r g.mat) (fun coords ->
-              Robust.Outcome.to_result (Genashn.solve_coords_r coupling coords))
-        with
-        | Error e -> Error e
-        | Ok pulse ->
-          let a = g.qubits.(0) and b = g.qubits.(1) in
-          let start = Float.max wire_free.(a) wire_free.(b) in
-          let finish = start +. pulse.Genashn.tau in
-          wire_free.(a) <- finish;
-          wire_free.(b) <- finish;
-          go ({ qubits = (a, b); start; pulse } :: acc) rest
-      end
-  in
-  match go [] c.gates with
+  (* 1Q gates are zero-duration phase updates that hold no wire, so the
+     schedule of the 2Q gates alone is the circuit's *)
+  let twoq = Circuit.create c.n (List.filter Gate.is_2q c.gates) in
+  match solve_all coupling [] twoq.gates with
   | Error e -> Error e
-  | Ok events ->
-    let makespan = Array.fold_left Float.max 0.0 wire_free in
+  | Ok pulses ->
+    (* the schedule applies [tau] once per gate, in circuit order: the
+       order the pulses were solved in *)
+    let pending = ref pulses in
+    let tau _ =
+      match !pending with
+      | pulse :: rest ->
+        pending := rest;
+        pulse.Genashn.tau
+      | [] -> assert false
+    in
+    let slots, makespan = Circuit.schedule ~tau twoq in
+    let events =
+      List.map2
+        (fun (s : Circuit.slot) pulse ->
+          { qubits = (s.gate.qubits.(0), s.gate.qubits.(1)); start = s.start; pulse })
+        slots pulses
+    in
     Ok { n = c.n; events = List.sort (fun a b -> compare a.start b.start) events; makespan }
 
 let to_string s =
@@ -39,13 +51,11 @@ let to_string s =
   List.iter
     (fun e ->
       let p = e.pulse in
+      let a1, a2 = Genashn.amplitudes p in
       Buffer.add_string buf
         (Printf.sprintf "%10.4f  (%d,%d)  %6s %10.4f %10.4f %10.4f %10.4f\n" e.start
            (fst e.qubits) (snd e.qubits)
            (Tau.subscheme_to_string p.Genashn.subscheme)
-           p.Genashn.tau
-           (-2.0 *. p.Genashn.drive_x1)
-           (-2.0 *. p.Genashn.drive_x2)
-           p.Genashn.delta))
+           p.Genashn.tau a1 a2 p.Genashn.delta))
     s.events;
   Buffer.contents buf

@@ -1,7 +1,8 @@
 (** Pulse scheduling: turn a compiled SU(4) circuit into per-qubit pulse
-    tracks with explicit start times (ASAP scheduling), the last mile before
-    an AWG. 1Q corrections are treated as zero-duration virtual/PMW phase
-    updates, matching the paper's control stack. *)
+    tracks with explicit start times, the last mile before an AWG. The
+    timing is {!Circuit.schedule} (the repo's one ASAP schedule) under each
+    gate's pulse duration; 1Q corrections are zero-duration virtual/PMW
+    phase updates, matching the paper's control stack. *)
 
 type event = {
   qubits : int * int;
@@ -16,7 +17,9 @@ type t = {
 }
 
 (** [schedule coupling c] solves every 2Q gate with Algorithm 1
-    ({!Genashn.solve_coords_r}) and places it as early as its wires allow.
+    ({!Genashn.solve_coords_r}), then places it as early as its wires
+    allow: each event's start is its {!Circuit.slot} start under
+    [tau g = pulse.tau], and [makespan] is that schedule's.
     A degraded pulse is kept, as {!Robust.Outcome.to_result} does; the
     first gate that fails is the typed error: a gate matrix the KAK
     rejects (non-unitary, NaN) or a class the solver cannot reach

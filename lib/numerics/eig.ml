@@ -70,7 +70,7 @@ let rotate a v p q =
    destroyed; [v] receives the eigenvectors (columns), [w] the unsorted
    eigenvalues. Only the caller-provided buffers are written — no
    allocation beyond loop indices. *)
-let jacobi_into ?(max_sweeps = 100) ~a ~v ~w () =
+let jacobi_into ~a ~v ~w =
   let n = Mat.rows a in
   if n <> Mat.cols a then invalid_arg "Eig: non-square matrix";
   if Mat.rows v <> n || Mat.cols v <> n || Array.length w <> n then
@@ -81,7 +81,7 @@ let jacobi_into ?(max_sweeps = 100) ~a ~v ~w () =
     vre.((i * n) + i) <- 1.0
   done;
   let max_sweeps =
-    if Robust.Fault.enabled () && Robust.Fault.fire "jacobi_stall" then 1 else max_sweeps
+    if Robust.Fault.enabled () && Robust.Fault.fire "jacobi_stall" then 1 else 100
   in
   let tol = 1e-14 *. (1.0 +. Mat.max_abs a) in
   (* the sweep cap makes this total even on NaN-poisoned input (every
@@ -113,7 +113,7 @@ let jacobi a0 =
   let a = Mat.copy a0 in
   let v = Mat.create n n in
   let w = Array.make n 0.0 in
-  let (_ : float) = jacobi_into ~a ~v ~w () in
+  let (_ : float) = jacobi_into ~a ~v ~w in
   (w, v)
 
 let sort_eig (w, v) =

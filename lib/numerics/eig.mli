@@ -24,15 +24,15 @@ val simultaneous_real : Mat.t -> Mat.t -> Mat.t
     useful for asserting diagonalization quality in tests. *)
 val offdiag_norm : Mat.t -> float
 
-(** [jacobi_into ~a ~v ~w ()] runs the cyclic Jacobi iteration in place on
+(** [jacobi_into ~a ~v ~w] runs the cyclic Jacobi iteration in place on
     the caller's buffers: [a] holds the Hermitian input on entry and is
     destroyed, [v] receives the eigenvectors (as columns), [w] the
     {e unsorted} eigenvalues. Nothing is allocated — this is the
     zero-allocation core behind {!hermitian} and the [Expm] workspace API.
-    Sweeps are capped at [max_sweeps] (default 100); the returned value is
+    Sweeps are capped at 100 (1 under the [jacobi_stall] fault); the returned value is
     the final off-diagonal Frobenius norm, so a caller can detect
     non-convergence (residual still above [~1e-14 * max_abs]) without the
     iteration ever looping forever or raising — including on NaN-poisoned
     input, which exits on the first sweep check.
     @raise Invalid_argument on non-square input or mis-sized buffers. *)
-val jacobi_into : ?max_sweeps:int -> a:Mat.t -> v:Mat.t -> w:float array -> unit -> float
+val jacobi_into : a:Mat.t -> v:Mat.t -> w:float array -> float

@@ -57,22 +57,6 @@ let poison_if_armed dst =
   if Robust.Fault.enabled () && Robust.Fault.fire "expm_nan" then
     (Mat.re_plane dst).(0) <- Float.nan
 
-let herm_apply_into ws ~dst h f =
-  let n = ws.dim in
-  if Mat.rows h <> n || Mat.cols h <> n then
-    invalid_arg "Expm.herm_apply_into: workspace size mismatch";
-  if Mat.rows dst <> n || Mat.cols dst <> n then
-    invalid_arg "Expm.herm_apply_into: output shape mismatch";
-  Mat.copy_into ~dst:ws.a h;
-  let (_ : float) = Eig.jacobi_into ~a:ws.a ~v:ws.v ~w:ws.w () in
-  for k = 0 to n - 1 do
-    let z = f ws.w.(k) in
-    ws.fr.(k) <- Cx.re z;
-    ws.fi.(k) <- Cx.im z
-  done;
-  assemble ws ~dst;
-  poison_if_armed dst
-
 let herm_expi_into ws ~dst h ~t =
   let n = ws.dim in
   if Mat.rows h <> n || Mat.cols h <> n then
@@ -80,7 +64,7 @@ let herm_expi_into ws ~dst h ~t =
   if Mat.rows dst <> n || Mat.cols dst <> n then
     invalid_arg "Expm.herm_expi_into: output shape mismatch";
   Mat.copy_into ~dst:ws.a h;
-  let (_ : float) = Eig.jacobi_into ~a:ws.a ~v:ws.v ~w:ws.w () in
+  let (_ : float) = Eig.jacobi_into ~a:ws.a ~v:ws.v ~w:ws.w in
   for k = 0 to n - 1 do
     let phi = -.t *. ws.w.(k) in
     ws.fr.(k) <- cos phi;
@@ -88,13 +72,6 @@ let herm_expi_into ws ~dst h ~t =
   done;
   assemble ws ~dst;
   poison_if_armed dst
-
-let herm_apply h f =
-  let n = Mat.rows h in
-  let ws = make_ws n in
-  let dst = Mat.create n n in
-  herm_apply_into ws ~dst h f;
-  dst
 
 let herm_expi h ~t =
   let n = Mat.rows h in

@@ -10,10 +10,6 @@
     unitary to working precision. *)
 val herm_expi : Mat.t -> t:float -> Mat.t
 
-(** [herm_apply h f] is [v * diag(f w_k) * v†] for Hermitian
-    [h = v diag(w) v†]; generalizes [herm_expi] to any spectral function. *)
-val herm_apply : Mat.t -> (float -> Cx.t) -> Mat.t
-
 (** {1 Workspace API} *)
 
 (** Scratch buffers for n x n spectral computations; create once with
@@ -27,7 +23,3 @@ val make_ws : int -> ws
 (** [herm_expi_into ws ~dst h ~t] computes [exp(-i t h)] into [dst] using
     only [ws] for scratch; [dst] may alias [h]. *)
 val herm_expi_into : ws -> dst:Mat.t -> Mat.t -> t:float -> unit
-
-(** [herm_apply_into ws ~dst h f] computes [v diag(f w_k) v†] into [dst]
-    using only [ws] for scratch; [dst] may alias [h]. *)
-val herm_apply_into : ws -> dst:Mat.t -> Mat.t -> (float -> Cx.t) -> unit

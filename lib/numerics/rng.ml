@@ -50,8 +50,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choose t lst =
-  match lst with
-  | [] -> invalid_arg "Rng.choose: empty list"
-  | _ -> List.nth lst (int t (List.length lst))

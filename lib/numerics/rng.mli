@@ -30,6 +30,3 @@ val gaussian : t -> float
 
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [choose t lst] picks a uniform element of a non-empty list. *)
-val choose : t -> 'a list -> 'a

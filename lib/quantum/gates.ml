@@ -104,8 +104,6 @@ let named_2q = List.map fst named_table
 let of_name name = List.assoc_opt name named_table
 
 let cphase theta = Mat.of_arrays (Array.init 4 (fun i -> Array.init 4 (fun j -> if i <> j then zc else if i = 3 then Cx.expi theta else oc)))
-let rxx theta = can (theta /. 2.0) 0.0 0.0
-let ryy theta = can 0.0 (theta /. 2.0) 0.0
 let rzz theta = can 0.0 0.0 (theta /. 2.0)
 
 let ccx =
@@ -117,8 +115,6 @@ let cswap =
   Mat.init 8 8 (fun i j ->
       let target i = if i = 5 then 6 else if i = 6 then 5 else i in
       if j = target i then oc else zc)
-
-let local2 a b = Mat.kron a b
 
 (* Sparse embedding plan. [embed ~n ~qubits g] has 2^k structural
    nonzeros per row (k = gate arity): the columns that agree with the row

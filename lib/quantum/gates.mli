@@ -59,10 +59,7 @@ val can : float -> float -> float -> Mat.t
 (** [cphase theta] is the controlled-phase gate diag(1,1,1,e^{i theta}). *)
 val cphase : float -> Mat.t
 
-(** [rxx theta = exp(-i theta XX / 2)], similarly [ryy], [rzz]. *)
-val rxx : float -> Mat.t
-
-val ryy : float -> Mat.t
+(** [rzz theta = exp(-i theta ZZ / 2)]. *)
 val rzz : float -> Mat.t
 
 (** {1 Three-qubit gates} *)
@@ -108,6 +105,3 @@ val apply_right_into : plan -> dst:Mat.t -> Mat.t -> Mat.t -> unit
     index [x] ordered as [qubits]. It forms only the [2^n · 2^k] entries
     of [a · b] the trace reads. Then [Tr (a · b · embed g) = Tr (dst · g)]. *)
 val partial_trace_mul_into : plan -> dst:Mat.t -> Mat.t -> Mat.t -> unit
-
-(** [local2 a b] is [a ⊗ b] for 2x2 [a], [b]. *)
-val local2 : Mat.t -> Mat.t -> Mat.t

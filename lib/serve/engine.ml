@@ -60,13 +60,14 @@ let pulse_json (p : Microarch.Genashn.pulse) (info : Robust.Outcome.info option)
           ("note", Json.Str i.note);
         ] )
   in
+  let a1, a2 = Microarch.Genashn.amplitudes p in
   Json.Obj
     ([
        ("verdict", Json.Str verdict);
        ("mode", Json.Str (Microarch.Tau.subscheme_to_string p.subscheme));
        ("tau", Json.Num p.tau);
-       ("a1", Json.Num (-2.0 *. p.drive_x1));
-       ("a2", Json.Num (-2.0 *. p.drive_x2));
+       ("a1", Json.Num a1);
+       ("a2", Json.Num a2);
        ("delta", Json.Num p.delta);
      ]
     @ extra)

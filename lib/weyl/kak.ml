@@ -118,9 +118,8 @@ let global_phase_split u =
   let phase = Cx.( /: ) (Mat.get u !bi !bj) (Mat.get usu !bi !bj) in
   (phase, usu)
 
-let decompose u =
-  if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Kak.decompose: need 4x4";
-  if not (Mat.is_unitary ~tol:1e-7 u) then failwith "Kak.decompose: input not unitary";
+(* the decomposition proper, for a 4x4 unitary the caller has checked *)
+let decompose_core u =
   let phase, usu = global_phase_split u in
   let u' = Magic.to_magic usu in
   let m2 = Mat.mul (Mat.transpose u') u' in
@@ -168,6 +167,11 @@ let decompose u =
 let reconstruct { a1; a2; coords; b1; b2 } =
   Mat.mul3 (Mat.kron a1 a2) (canonical coords) (Mat.kron b1 b2)
 
+let decompose u =
+  if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Kak.decompose: need 4x4";
+  if not (Mat.is_unitary ~tol:1e-7 u) then failwith "Kak.decompose: input not unitary";
+  decompose_core u
+
 let coords_of u = (decompose u).coords
 
 let decompose_r u =
@@ -178,7 +182,7 @@ let decompose_r u =
   else if not (Mat.is_unitary ~tol:1e-7 u) then
     Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = "input not unitary" })
   else
-    match decompose u with
+    match decompose_core u with
     | d -> Ok d
     | exception Failure msg ->
       Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = msg })

@@ -152,6 +152,53 @@ let test_schedule_matches_duration_metric () =
   Alcotest.(check (float 1e-6)) "makespan = duration metric" metric
     s.Microarch.Schedule.makespan
 
+(* the export_formats program: event starts and makespan pinned by float
+   bits, and equal to the shared schedule's 2Q slots *)
+let test_schedule_bits () =
+  let xy = Microarch.Coupling.xy ~g:1.0 in
+  let adder = Benchmarks.Generators.ripple_add 2 in
+  let out = Expect.ok (Reqisc.compile ~mode:Reqisc.Eff (Rng.create 1L) adder) in
+  let s = Expect.ok (Microarch.Schedule.schedule xy out.Reqisc.circuit) in
+  let starts =
+    String.concat ";"
+      (List.map
+         (fun (e : Microarch.Schedule.event) ->
+           Printf.sprintf "%d,%d@%Lx" (fst e.qubits) (snd e.qubits)
+             (Int64.bits_of_float e.start))
+         s.Microarch.Schedule.events)
+  in
+  Alcotest.(check string) "makespan bits" "403a4ff637606534"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float s.Microarch.Schedule.makespan));
+  Alcotest.(check string) "event starts md5" "31cddec6664c6b5f8a47cc0a024ca537"
+    (Digest.to_hex (Digest.string starts));
+  (* the events are the 2Q slots of the shared schedule under each gate's
+     own pulse duration, ordered by start *)
+  let tau (g : Gate.t) =
+    if not (Gate.is_2q g) then 0.0
+    else
+      (Expect.solved
+         (Microarch.Genashn.solve_coords_r xy (Weyl.Kak.coords_of g.Gate.mat)))
+        .Microarch.Genashn.tau
+  in
+  let slots, makespan = Circuit.schedule ~tau out.Reqisc.circuit in
+  let expected =
+    List.stable_sort
+      (fun (a : Circuit.slot) (b : Circuit.slot) -> compare a.start b.start)
+      (List.filter (fun (sl : Circuit.slot) -> Gate.is_2q sl.gate) slots)
+  in
+  Alcotest.(check int) "one event per 2Q slot" (List.length expected)
+    (List.length s.Microarch.Schedule.events);
+  List.iter2
+    (fun (sl : Circuit.slot) (e : Microarch.Schedule.event) ->
+      Alcotest.(check (pair int int)) "qubits"
+        (sl.gate.Gate.qubits.(0), sl.gate.Gate.qubits.(1))
+        e.Microarch.Schedule.qubits;
+      Alcotest.(check int64) "start bits" (Int64.bits_of_float sl.start)
+        (Int64.bits_of_float e.Microarch.Schedule.start))
+    expected s.Microarch.Schedule.events;
+  Alcotest.(check int64) "makespan" (Int64.bits_of_float makespan)
+    (Int64.bits_of_float s.Microarch.Schedule.makespan)
+
 (* ----------------------------------------------------------- calibration *)
 
 let test_calibration_counts () =
@@ -245,6 +292,7 @@ let () =
           Alcotest.test_case "sequential" `Quick test_schedule_sequential;
           Alcotest.test_case "parallel" `Quick test_schedule_parallel;
           Alcotest.test_case "matches metric" `Slow test_schedule_matches_duration_metric;
+          Alcotest.test_case "start bits" `Slow test_schedule_bits;
         ] );
       ( "calibration",
         [

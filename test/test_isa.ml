@@ -99,6 +99,87 @@ let test_matrix () =
         corpus)
     Isa.targets
 
+(* ----------------------------------------------------------- goldens *)
+
+(* float-bit goldens of the reported depth and duration on a suite
+   prefix under every cost model: a change to the shared schedule or to a
+   cost model must keep these bits *)
+let golden_prefix = 3
+
+let compile_bench plan (b : Benchmarks.Suite.bench) =
+  match Passes.compile_plan ~plan (Rng.create 1L) b.Benchmarks.Suite.program with
+  | Ok (out, _) -> out.Passes.circuit
+  | Error e -> Alcotest.failf "%s: %s" b.Benchmarks.Suite.name (Robust.Err.to_string e)
+
+let report_pin name isa c =
+  let r = Metrics.report isa c in
+  Printf.sprintf "%s depth=%d T=%Lx" name r.Metrics.depth_2q
+    (Int64.bits_of_float r.Metrics.duration)
+
+let test_report_bits () =
+  let xy = Microarch.Coupling.xy ~g:1.0 in
+  let suite = List.filteri (fun i _ -> i < golden_prefix) (Benchmarks.Suite.suite ()) in
+  let pins =
+    List.concat_map
+      (fun (b : Benchmarks.Suite.bench) ->
+        let name = b.Benchmarks.Suite.name in
+        let input = Pass.program_to_cnot_input b.Benchmarks.Suite.program in
+        let eff = compile_bench (Passes.plan_of_mode Passes.Eff) b in
+        [
+          report_pin (name ^ "/input/cnot") Metrics.Cnot_isa input;
+          report_pin (name ^ "/eff/cnot") Metrics.Cnot_isa eff;
+          report_pin (name ^ "/eff/su4") (Metrics.Su4_isa xy) eff;
+        ]
+        @ List.map
+            (fun (t : Isa.target) ->
+              report_pin
+                (name ^ "/" ^ t.Isa.name)
+                (Metrics.Target t)
+                (compile_bench (Passes.plan_for_isa t) b))
+            Isa.targets)
+      suite
+  in
+  Alcotest.(check (list string)) "report bits"
+    [
+      "alu_1/input/cnot depth=15 T=4040a92ae92f8cb4";
+      "alu_1/eff/cnot depth=10 T=403636e3e194bb9c";
+      "alu_1/eff/su4 depth=10 T=402c0a4c029fad5d";
+      "alu_1/native depth=10 T=402c0a4c029fad5d";
+      "alu_1/cnot depth=26 T=404ce0f50ba7c0ae";
+      "alu_1/cz depth=26 T=404ce0f50ba7c0ae";
+      "alu_1/iswap depth=34 T=404ab41b09886fef";
+      "alu_1/sqisw depth=68 T=404ab41b09886fe3";
+      "alu_1/eqasm depth=10 T=402eb33333333337";
+      "alu_2/input/cnot depth=22 T=40486f9444f067f6";
+      "alu_2/eff/cnot depth=14 T=403f19a56f036d0c";
+      "alu_2/eff/su4 depth=14 T=4035559448ea733c";
+      "alu_2/native depth=14 T=4035559448ea733c";
+      "alu_2/cnot depth=37 T=40548c5f970ffa54";
+      "alu_2/cz depth=37 T=40548c5f970ffa54";
+      "alu_2/iswap depth=48 T=4052d97c7f3321d3";
+      "alu_2/sqisw depth=96 T=4052d97c7f3321ca";
+      "alu_2/eqasm depth=14 T=4037400000000003";
+      "alu_3/input/cnot depth=29 T=40501afed058a19c";
+      "alu_3/eff/cnot depth=18 T=4043fe337e390f3e";
+      "alu_3/eff/su4 depth=18 T=403bc22a1950fdc0";
+      "alu_3/native depth=18 T=403bc22a1950fdbe";
+      "alu_3/cnot depth=48 T=405aa844a84c1451";
+      "alu_3/cz depth=48 T=405aa844a84c1451";
+      "alu_3/iswap depth=62 T=405858eb79a20bab";
+      "alu_3/sqisw depth=124 T=405858eb79a20ba2";
+      "alu_3/eqasm depth=18 T=403e400000000005";
+    ]
+    pins
+
+let test_eqasm_text () =
+  let alu_1 = List.hd (Benchmarks.Suite.suite ()) in
+  let eqasm = Option.get (Isa.find "eqasm") in
+  let text = Isa.eqasm_text eqasm (compile_bench (Passes.plan_for_isa eqasm) alu_1) in
+  Alcotest.(check string) "header" "# eqasm: 56 slots, makespan 15.350 /g"
+    (List.hd (String.split_on_char '\n' text));
+  Alcotest.(check string) "md5" "a211408dae1a6b2ba35d2c98c2a61cea"
+    (Digest.to_hex (Digest.string text))
+
 (* the facade threads ?isa end to end; an unknown name is a typed error *)
 let test_facade () =
   (match Reqisc.compile ~isa:"cnot" (Rng.create seed) toffoli_chain with
@@ -272,6 +353,11 @@ let () =
         ]
         @ List.map (QCheck_alcotest.to_alcotest ~long:false)
             [ prop_synth_roundtrip; prop_cnot_optimal ] );
+      ( "golden",
+        [
+          Alcotest.test_case "report duration bits" `Slow test_report_bits;
+          Alcotest.test_case "eqasm text" `Quick test_eqasm_text;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "fingerprint isa/passes disjoint" `Quick test_fingerprint;

@@ -238,13 +238,11 @@ let test_duration_haar_averages () =
   (* small-sample check of the Table 3 shape: SU(4) native ~1.34 g^-1 under
      XY; SQiSW cost ~2.21 gates *)
   let xy = Coupling.xy ~g:1.0 in
-  let r = Rng.create 5L in
-  let su4 = Duration.haar_average ~n:400 r (fun c -> Duration.tau_su4 xy c) in
+  let su4 = Duration.haar_average_par ~n:400 ~seed:5L (fun c -> Duration.tau_su4 xy c) in
   Alcotest.(check bool) (Printf.sprintf "su4 avg ~1.34 (got %.3f)" su4) true
     (su4 > 1.25 && su4 < 1.45);
-  let r = Rng.create 6L in
   let sqisw_count =
-    Duration.haar_average ~n:400 r (fun c ->
+    Duration.haar_average_par ~n:400 ~seed:6L (fun c ->
         float_of_int (Duration.gates_needed Duration.Sqisw c))
   in
   Alcotest.(check bool) (Printf.sprintf "sqisw cost ~2.21 (got %.3f)" sqisw_count) true

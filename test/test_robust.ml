@@ -233,7 +233,7 @@ let test_jacobi_near_degenerate () =
   let m = Mat.mul3 q d (Mat.dagger q) in
   let a = Mat.create 4 4 and v = Mat.create 4 4 and w = Array.make 4 0.0 in
   Mat.copy_into ~dst:a m;
-  let residual = Eig.jacobi_into ~a ~v ~w () in
+  let residual = Eig.jacobi_into ~a ~v ~w in
   Alcotest.(check bool)
     (Printf.sprintf "converged (residual %.2e)" residual)
     true
@@ -254,7 +254,7 @@ let test_jacobi_stall_fault () =
       (* one sweep cannot diagonalize a generic 8x8: the returned residual
          is finite and far above the convergence bar, so a caller sees the
          stall instead of a silently bad basis *)
-      let r = Eig.jacobi_into ~a ~v ~w () in
+      let r = Eig.jacobi_into ~a ~v ~w in
       Alcotest.(check bool) (Printf.sprintf "finite residual (%.2e)" r) true (Float.is_finite r);
       Alcotest.(check bool)
         (Printf.sprintf "stalled jacobi did not converge (r=%.2e)" r)
