@@ -66,7 +66,7 @@ let fig5 () =
       (fun (g : Gate.t) ->
         (not (Gate.is_2q g))
         ||
-        Robust.Outcome.is_ok (Microarch.Genashn.solve_r xy g.Gate.mat))
+        Robust.Outcome.is_ok (Microarch.Genashn.solve_r xy g))
       m.Compiler.Mirroring.circuit.Circuit.gates
   in
   Printf.printf "all mirrored gates solvable by genAshN under XY: %b\n" solvable;
@@ -191,8 +191,8 @@ let fig12 () =
             let logical = eff.Compiler.Passes.circuit in
             let n = logical.Circuit.n in
             let topo = topo_of n shape in
-            let plain = Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo logical in
-            let mir = Compiler.Routing.route ~mirror:true (Numerics.Rng.create 3L) topo logical in
+            let plain = Compiler.Routing.route ~mirror:false topo logical in
+            let mir = Compiler.Routing.route ~mirror:true topo logical in
             let cnt (r : Compiler.Routing.routed) = Circuit.count_2q r.Compiler.Routing.circuit in
             (* CNOT-ISA baseline: TKet-like circuit routed with plain SABRE *)
             let cnot_in = Compiler.Pass.program_to_cnot_input b.program in
@@ -201,9 +201,7 @@ let fig12 () =
               | Compiler.Pass.Pauli p -> Compiler.Baselines.tket_like_pauli p
               | _ -> Compiler.Baselines.tket_like cnot_in
             in
-            let cx_routed =
-              Compiler.Routing.route ~mirror:false (Numerics.Rng.create 3L) topo tket
-            in
+            let cx_routed = Compiler.Routing.route ~mirror:false topo tket in
             let red =
               100.0
               *. float_of_int (cnt plain - cnt mir)
@@ -352,16 +350,10 @@ let fig15 ~trajectories () =
                     let cols = int_of_float (Float.ceil (sqrt (float_of_int n))) in
                     Compiler.Routing.grid ~rows:((n + cols - 1) / cols) ~cols
                 in
-                let rt_b =
-                  Compiler.Routing.route ~mirror:false (Numerics.Rng.create 4L)
-                    (topo_of tket.Circuit.n) tket
-                in
+                let rt_b = Compiler.Routing.route ~mirror:false (topo_of tket.Circuit.n) tket in
                 (* lower the baseline's routing swaps to 3 CNOTs *)
                 let tket_phys = Decomp.lower_to_cx rt_b.Compiler.Routing.circuit in
-                let rt_r =
-                  Compiler.Routing.route ~mirror:true (Numerics.Rng.create 4L)
-                    (topo_of req.Circuit.n) req
-                in
+                let rt_r = Compiler.Routing.route ~mirror:true (topo_of req.Circuit.n) req in
                 (tket_phys, rt_r.Compiler.Routing.circuit)
             in
             if req.Circuit.n <= 12 && tket.Circuit.n <= 12 then begin

@@ -69,7 +69,7 @@ let sample_solver_outcomes (c : Circuit.t) =
          let desc =
            Printf.sprintf "%s(%d,%d)" g.Gate.label g.Gate.qubits.(0) g.Gate.qubits.(1)
          in
-         match Microarch.Genashn.solve_r xy g.Gate.mat with
+         match Microarch.Genashn.solve_r xy g with
          | Robust.Outcome.Solved _ -> (desc, "ok")
          | Robust.Outcome.Degraded (_, i) ->
            (desc, if i.Robust.Outcome.retries > 0 then "retried" else "degraded")

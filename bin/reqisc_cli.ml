@@ -335,7 +335,7 @@ let cmd_compile name args =
       else usage_error "unknown topology %s (expected chain|grid)" kind
     in
     let routed =
-      match Reqisc.route ~mirror:true rng topo out.Compiler.Passes.circuit with
+      match Reqisc.route ~mirror:true topo out.Compiler.Passes.circuit with
       | Ok routed -> routed
       | Error e -> solver_error e
     in
@@ -374,7 +374,7 @@ let cmd_pulse name args =
     Printf.printf "error   %.2e\n"
       (Numerics.Mat.frobenius_dist (Microarch.Genashn.reconstruct r) gate)
   in
-  match Microarch.Genashn.solve_r coupling gate with
+  match Microarch.Genashn.solve_r coupling (Gate.su4 0 1 gate) with
   | Robust.Outcome.Solved r -> finish r
   | Robust.Outcome.Degraded (r, i) ->
     finish r;

@@ -37,7 +37,7 @@ let () =
 
   (* map onto a 1D chain with mirroring-SABRE *)
   let topo = Compiler.Routing.chain n in
-  let routed = ok (Reqisc.route ~mirror:true rng topo eff.Reqisc.circuit) in
+  let routed = ok (Reqisc.route ~mirror:true topo eff.Reqisc.circuit) in
   Printf.printf "routed on chain: #SU4 %d (+%d swaps inserted, %d absorbed)\n"
     (Circuit.count_2q routed.Compiler.Routing.circuit)
     routed.Compiler.Routing.swaps_inserted routed.Compiler.Routing.swaps_absorbed;

@@ -43,7 +43,9 @@ let () =
 
   (* pulse schedule for an XY-coupled device *)
   match Microarch.Schedule.schedule Reqisc.xy_coupling out.Reqisc.circuit with
-  | Error e -> Printf.printf "scheduling failed: %s\n" (Robust.Err.to_string e)
+  | Error e ->
+    Printf.eprintf "scheduling failed: %s\n" (Robust.Err.to_string e);
+    exit (Robust.Err.exit_code e)
   | Ok s ->
     let sched_path = Filename.concat dir "ripple_add_2.pulses" in
     let oc = open_out sched_path in

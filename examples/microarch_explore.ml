@@ -22,7 +22,7 @@ let show coupling label =
   Printf.printf "%-7s %-5s %9s %9s %9s %9s %9s\n" "gate" "mode" "tau" "x1" "x2" "delta" "|err|";
   List.iter
     (fun (name, u) ->
-      match Robust.Outcome.to_result (Genashn.solve_r coupling u) with
+      match Robust.Outcome.to_result (Genashn.solve_r coupling (Gate.su4 0 1 u)) with
       | Error e -> Printf.printf "%-7s failed: %s\n" name (Robust.Err.to_string e)
       | Ok r ->
         let p = r.Genashn.pulse in

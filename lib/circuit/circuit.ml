@@ -105,7 +105,7 @@ let distinct_2q c =
   List.iter
     (fun g ->
       if Gate.is_2q g then begin
-        let co = Weyl.Kak.coords_of g.Gate.mat in
+        let co = (Robust.Err.ok_exn (Gate.kak g)).Weyl.Kak.coords in
         let r v = Float.round (v *. 1e6) in
         Hashtbl.replace tbl (r co.x, r co.y, r co.z) ()
       end)

@@ -63,7 +63,9 @@ val remap : (int -> int) -> t -> t
 
 (** [distinct_2q c] counts distinct two-qubit gate classes by Weyl
     coordinates rounded to 6 digits — the calibration-overhead metric of
-    Fig. 13. *)
+    Fig. 13. The coordinates come from {!Gate.kak}: a gate that carries
+    its KAK costs no decomposition.
+    @raise Failure when a 2Q gate's matrix cannot be decomposed. *)
 val distinct_2q : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -82,7 +82,7 @@ let one_q_if_needed q m =
 let su4_to_cx (g : Gate.t) =
   if Gate.arity g <> 2 then invalid_arg "Decomp.su4_to_cx: need a 2Q gate";
   let a = g.qubits.(0) and b = g.qubits.(1) in
-  let d = Weyl.Kak.decompose g.mat in
+  let d = Robust.Err.ok_exn (Gate.kak g) in
   if Weyl.Coords.norm1 d.coords < 1e-9 then
     (* the gate is local: merge the KAK factors per wire *)
     one_q_if_needed a (Mat.mul d.a1 d.b1) @ one_q_if_needed b (Mat.mul d.a2 d.b2)
@@ -145,7 +145,7 @@ let u3_of q m =
 let su4_to_can (g : Gate.t) =
   if Gate.arity g <> 2 then invalid_arg "Decomp.su4_to_can: need a 2Q gate";
   let a = g.qubits.(0) and b = g.qubits.(1) in
-  let d = Weyl.Kak.decompose g.mat in
+  let d = Robust.Err.ok_exn (Gate.kak g) in
   let emit q m = if Mat.equal ~tol:1e-10 (Mat.fix_det_su m) (Mat.identity 2) then [] else [ u3_of q m ] in
   emit a d.Weyl.Kak.b1 @ emit b d.Weyl.Kak.b2
   @ [

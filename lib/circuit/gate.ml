@@ -1,8 +1,8 @@
 open Numerics
 
-type t = { label : string; qubits : int array; mat : Mat.t }
+type t = { label : string; qubits : int array; mat : Mat.t; kak : Weyl.Kak.t option }
 
-let make label qubits mat =
+let build label qubits mat kak =
   let k = Array.length qubits in
   if Mat.rows mat <> 1 lsl k || Mat.cols mat <> 1 lsl k then
     invalid_arg (Printf.sprintf "Gate.make %s: matrix size mismatch" label);
@@ -11,7 +11,15 @@ let make label qubits mat =
   for i = 0 to k - 2 do
     if sorted.(i) = sorted.(i + 1) then invalid_arg "Gate.make: duplicate wires"
   done;
-  { label; qubits; mat }
+  { label; qubits; mat; kak }
+
+let make label qubits mat = build label qubits mat None
+
+let make_kak label qubits mat kak =
+  if Array.length qubits <> 2 then invalid_arg "Gate.make_kak: need a 2Q gate";
+  build label qubits mat (Some kak)
+
+let kak g = match g.kak with Some d -> Ok d | None -> Weyl.Kak.decompose_r g.mat
 
 let arity g = Array.length g.qubits
 let is_2q g = arity g = 2
@@ -34,10 +42,17 @@ let u3 q th ph lam =
   make (Printf.sprintf "u3(%.4f,%.4f,%.4f)" th ph lam) [| q |] (Gates.u3 th ph lam)
 
 let one_q q m = make "u" [| q |] m
-let cx a b = make "cx" [| a; b |] Gates.cnot
-let cz a b = make "cz" [| a; b |] Gates.cz
-let swap a b = make "swap" [| a; b |] Gates.swap
-let iswap a b = make "iswap" [| a; b |] Gates.iswap
+
+(* one KAK per named entangler, decomposed once at initialisation from
+   the very matrix every such gate holds *)
+let named label m =
+  let d = Weyl.Kak.decompose m in
+  fun a b -> make_kak label [| a; b |] m d
+
+let cx = named "cx" Gates.cnot
+let cz = named "cz" Gates.cz
+let swap = named "swap" Gates.swap
+let iswap = named "iswap" Gates.iswap
 let cphase a b th = make (Printf.sprintf "cp(%.4f)" th) [| a; b |] (Gates.cphase th)
 let rzz a b th = make (Printf.sprintf "rzz(%.4f)" th) [| a; b |] (Gates.rzz th)
 
@@ -56,8 +71,8 @@ let ccz a b c = make "ccz" [| a; b; c |] ccz_mat
 
 let peres_mat = Mat.mul (Gates.embed ~n:3 ~qubits:[ 0; 1 ] Gates.cnot) Gates.ccx
 let peres a b c = make "peres" [| a; b; c |] peres_mat
-let remap f g = make g.label (Array.map f g.qubits) g.mat
-let dagger g = { g with label = g.label ^ "†"; mat = Mat.dagger g.mat }
+let remap f g = build g.label (Array.map f g.qubits) g.mat g.kak
+let dagger g = make (g.label ^ "†") g.qubits (Mat.dagger g.mat)
 
 let pp ppf g =
   Format.fprintf ppf "%s[%s]" g.label

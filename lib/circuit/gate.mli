@@ -3,15 +3,40 @@
     A gate holds its exact unitary (2^k x 2^k for k wires, k <= 3 after
     lowering) plus a label used by structural passes (template matching,
     printing). Wire order in [qubits] matches the tensor order of [mat]
-    (first listed qubit = most significant). *)
+    (first listed qubit = most significant).
+
+    A 2Q gate may also carry [kak], the exact {!Weyl.Kak.decompose} of
+    its own [mat], so that the passes and the pulse solver after the one
+    that decomposed it read that KAK instead of decomposing again. Only
+    the constructors below set it: {!make_kak} (whose caller has just
+    decomposed [mat]), the named entanglers {!cx}, {!cz}, {!swap} and
+    {!iswap} (one KAK each, computed at initialisation from the matrix
+    they hold) and {!remap}, which keeps it. Every other constructor
+    leaves it [None]. The carried matrices are shared between gates and
+    are read-only: a reader that hands them out copies them. *)
 
 open Numerics
 
-type t = { label : string; qubits : int array; mat : Mat.t }
+type t = private {
+  label : string;
+  qubits : int array;
+  mat : Mat.t;
+  kak : Weyl.Kak.t option;  (** [Some (Weyl.Kak.decompose mat)] or [None] *)
+}
 
 (** [make label qubits mat] checks that the matrix size matches the wire
-    count and that wires are distinct. *)
+    count and that wires are distinct. The gate carries no KAK. *)
 val make : string -> int array -> Mat.t -> t
+
+(** [make_kak label qubits mat d] is {!make} for a 2Q gate that carries
+    [d], which must be [Weyl.Kak.decompose mat] (bit for bit: every
+    reader takes it in place of a fresh decomposition).
+    @raise Invalid_argument unless [qubits] names two distinct wires. *)
+val make_kak : string -> int array -> Mat.t -> Weyl.Kak.t -> t
+
+(** [kak g] is the KAK [g] carries, or else a fresh
+    [Weyl.Kak.decompose_r g.mat]: either way the same bits. *)
+val kak : t -> (Weyl.Kak.t, Robust.Err.t) result
 
 val arity : t -> int
 
@@ -59,10 +84,11 @@ val ccz : int -> int -> int -> t
 (** [peres a b c] is the Peres gate: CCX(a,b,c) followed by CX(a,b). *)
 val peres : int -> int -> int -> t
 
-(** [remap f g] renames wires through [f] (used by routing and templates). *)
+(** [remap f g] renames wires through [f] (used by routing and templates).
+    The matrix is unchanged, so a carried KAK is kept. *)
 val remap : (int -> int) -> t -> t
 
-(** [dagger g] inverts the gate. *)
+(** [dagger g] inverts the gate. The result carries no KAK. *)
 val dagger : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -43,7 +43,8 @@ let bqskit_like rng ~target (c : Circuit.t) =
         | To_cnot ->
           List.fold_left
             (fun acc (g : Gate.t) ->
-              if Gate.is_2q g then acc + Decomp.cnot_count_for (Weyl.Kak.coords_of g.mat)
+              if Gate.is_2q g then
+                acc + Decomp.cnot_count_for (Robust.Err.ok_exn (Gate.kak g)).Weyl.Kak.coords
               else acc)
             0 b.gates
         | To_su4 -> k

@@ -112,7 +112,7 @@ let fuse_2q (c : Circuit.t) =
             in
             emit a g1 @ emit bq g2
           end
-          else [ Gate.su4 a bq u ]
+          else [ Gate.make_kak "su4" [| a; bq |] u d ]
         | _ -> b.gates)
       blocks
   in

@@ -15,18 +15,22 @@ let run ?(r = default_threshold) (c : Circuit.t) =
       | 1 -> out := Gate.remap (fun q -> wire_of.(q)) g :: !out
       | 2 ->
         let a = g.qubits.(0) and b = g.qubits.(1) in
-        let coords = Weyl.Kak.coords_of g.mat in
+        let d = Robust.Err.ok_exn (Gate.kak g) in
+        let coords = d.Weyl.Kak.coords in
+        let wires = [| wire_of.(a); wire_of.(b) |] in
         if Weyl.Coords.norm1 coords <= r && Weyl.Coords.norm1 coords > 1e-12 then begin
-          (* execute SWAP . g instead and swap the logical wires *)
+          (* execute SWAP . g instead and swap the logical wires; the new
+             matrix gets the one fresh KAK of this pass *)
           incr mirrored;
           let m = Mat.mul Quantum.Gates.swap g.mat in
-          out :=
-            Gate.make "su4*" [| wire_of.(a); wire_of.(b) |] m :: !out;
+          out := Gate.make_kak "su4*" wires m (Weyl.Kak.decompose m) :: !out;
           let t = wire_of.(a) in
           wire_of.(a) <- wire_of.(b);
           wire_of.(b) <- t
         end
-        else out := Gate.remap (fun q -> wire_of.(q)) g :: !out
+        else
+          (* the KAK the rule read goes on with the gate, carried or not *)
+          out := Gate.make_kak g.label wires g.mat d :: !out
       | k ->
         invalid_arg (Printf.sprintf "Mirroring.run: %d-qubit gate not lowered" k))
     c.gates;

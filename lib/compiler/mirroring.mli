@@ -18,5 +18,7 @@ val default_threshold : float
 
 (** [run ?r c] processes a lowered (arity <= 2) circuit. The output circuit
     followed by the permutation [final_mapping] is exactly equivalent to
-    [c]. *)
+    [c]. The rule reads each 2Q gate's {!Gate.kak}; every output 2Q gate
+    carries its KAK: a kept gate the one the rule read, a mirrored gate
+    one fresh decomposition of its new matrix. *)
 val run : ?r:float -> Circuit.t -> result

@@ -53,8 +53,7 @@ let basis_change q (op : Pauli.op) =
     ([ Gate.sdg q; Gate.h q ], [ Gate.h q; Gate.s q ])
   | Pauli.I -> invalid_arg "Phoenix.basis_change: identity op"
 
-let term_circuit ~n (t : term) =
-  ignore n;
+let term_circuit (t : term) =
   let qs = Pauli.support t.pauli in
   match qs with
   | [] -> []
@@ -73,7 +72,7 @@ let term_circuit ~n (t : term) =
     pre @ down @ [ Gate.rz last t.angle ] @ List.rev down @ post
 
 let to_cx_circuit (p : program) =
-  Circuit.create p.n (List.concat_map (term_circuit ~n:p.n) p.terms)
+  Circuit.create p.n (List.concat_map term_circuit p.terms)
 
 let rotation_matrix (t : term) qs =
   (* exp(-i angle/2 * P) restricted to the support wires *)

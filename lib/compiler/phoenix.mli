@@ -17,9 +17,9 @@ val simplify : program -> program
     2-qubit support become adjacent (more downstream fusion). *)
 val reorder : program -> program
 
-(** [term_circuit ~n t] is the standard basis-conjugated CNOT-ladder circuit
+(** [term_circuit t] is the standard basis-conjugated CNOT-ladder circuit
     for one rotation. *)
-val term_circuit : n:int -> term -> Gate.t list
+val term_circuit : term -> Gate.t list
 
 (** [to_cx_circuit p] lowers every term through CNOT ladders (baseline
     input form). *)

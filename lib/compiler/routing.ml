@@ -276,9 +276,8 @@ let forward_pass ?(mirror = false) topo (c : Circuit.t) init_mapping =
     !swaps_inserted,
     !swaps_absorbed )
 
-let route ?(mirror = false) rng topo (c : Circuit.t) =
+let route ?(mirror = false) topo (c : Circuit.t) =
   Obs.Span.with_ ~stage:"compiler" ~name:"routing" @@ fun () ->
-  ignore rng;
   if c.Circuit.n > topo.n then invalid_arg "Routing.route: circuit wider than device";
   (* pad the logical circuit to the device size *)
   let c = Circuit.create topo.n c.Circuit.gates in

@@ -24,8 +24,8 @@ type routed = {
   swaps_absorbed : int;  (** SWAPs fused into a preceding 2Q gate *)
 }
 
-(** [route rng topo c] maps a lowered (arity <= 2) logical circuit onto the
+(** [route topo c] maps a lowered (arity <= 2) logical circuit onto the
     topology. [mirror] enables mirroring-SABRE (default false = plain
     SABRE). The extended set holds 20 gates, and 3 bidirectional passes
     refine the initial mapping. *)
-val route : ?mirror:bool -> Numerics.Rng.t -> topology -> Circuit.t -> routed
+val route : ?mirror:bool -> topology -> Circuit.t -> routed

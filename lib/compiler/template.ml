@@ -128,7 +128,7 @@ let run lib (c : Circuit.t) =
           emit (Gate.one_q a (Mat.mul d.a1 d.b1));
           emit (Gate.one_q bq (Mat.mul d.a2 d.b2))
         end
-        else emit (Gate.su4 a bq u)
+        else emit (Gate.make_kak "su4" [| a; bq |] u d)
       | qs ->
         let u = Blocks.block_unitary b in
         let qarr = Array.of_list qs in

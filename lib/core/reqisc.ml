@@ -43,8 +43,8 @@ let compile ?mode ?plan ?isa rng c =
 let compile_pauli ?mode ?plan ?isa rng p =
   compile_program ?mode ?plan ?isa rng (Compiler.Pass.Pauli p)
 
-let route ?(mirror = true) rng topology c =
-  match Compiler.Routing.route ~mirror rng topology c with
+let route ?(mirror = true) topology c =
+  match Compiler.Routing.route ~mirror topology c with
   | r -> Ok r
   | exception Failure msg ->
     Error (Robust.Err.Ill_conditioned { stage = "compiler.routing"; detail = msg })
@@ -77,7 +77,7 @@ let pulse_outcomes ?budget coupling (c : Circuit.t) =
                 pre = Some (r.Microarch.Genashn.b1, r.Microarch.Genashn.b2);
                 post = Some (r.Microarch.Genashn.a1, r.Microarch.Genashn.a2);
               })
-            (Microarch.Genashn.solve_r ?budget coupling g.mat)
+            (Microarch.Genashn.solve_r ?budget coupling g)
         in
         Some { gate = g; outcome }
       end)

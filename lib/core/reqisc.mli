@@ -77,12 +77,11 @@ val compile_pauli :
   Compiler.Phoenix.program ->
   (compiled, Robust.Err.t) result
 
-(** [route rng topology compiled] maps a compiled circuit onto hardware with
+(** [route topology compiled] maps a compiled circuit onto hardware with
     mirroring-SABRE. A circuit wider than the device (or a routing
     breakdown) is an [Ill_conditioned] error at stage ["compiler.routing"]. *)
 val route :
   ?mirror:bool ->
-  Rng.t ->
   Compiler.Routing.topology ->
   Circuit.t ->
   (Compiler.Routing.routed, Robust.Err.t) result

@@ -126,7 +126,8 @@ let native_synth q0 q1 (c : Weyl.Coords.t) =
 let fixed_2q_tau tau (g : Gate.t) = if Gate.is_2q g then tau else 0.0
 
 let su4_tau coupling (g : Gate.t) =
-  if Gate.is_2q g then Microarch.Tau.tau_opt coupling (Weyl.Kak.coords_of g.Gate.mat)
+  if Gate.is_2q g then
+    Microarch.Tau.tau_opt coupling (Robust.Err.ok_exn (Gate.kak g)).Weyl.Kak.coords
   else 0.0
 
 let native_tau = su4_tau xy
@@ -234,7 +235,7 @@ let lower_gate t (g : Gate.t) =
   match Gate.arity g with
   | 1 -> [ g ]
   | 2 ->
-    let d = Weyl.Kak.decompose g.Gate.mat in
+    let d = Robust.Err.ok_exn (Gate.kak g) in
     dress g.Gate.qubits.(0) g.Gate.qubits.(1) d
       (t.synthesize 0 1 d.Weyl.Kak.coords)
   | k ->

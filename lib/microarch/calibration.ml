@@ -18,7 +18,7 @@ let classes (c : Circuit.t) =
   List.iter
     (fun (g : Gate.t) ->
       if Gate.is_2q g then begin
-        let co = Weyl.Kak.coords_of g.Gate.mat in
+        let co = (Robust.Err.ok_exn (Gate.kak g)).Weyl.Kak.coords in
         let r v = Float.round (v *. 1e6) /. 1e6 in
         let key = (r co.Weyl.Coords.x, r co.Weyl.Coords.y, r co.Weyl.Coords.z) in
         if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key co

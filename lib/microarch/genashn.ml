@@ -621,8 +621,14 @@ let solve_coords_r ?budget h coords = Robust.Outcome.map fst (solve_class ?budge
 
 let kak_decompose_r u = Obs.Span.with_ ~stage:"solver" ~name:"kak" (fun () -> Weyl.Kak.decompose_r u)
 
-let solve_r ?budget h u =
-  match kak_decompose_r u with
+(* the target's KAK: the one the gate carries, or else a fresh
+   decomposition, the only kind that records a [solver/kak] span *)
+let target_kak (g : Gate.t) =
+  if Option.is_some g.kak then Gate.kak g
+  else Obs.Span.with_ ~stage:"solver" ~name:"kak" (fun () -> Gate.kak g)
+
+let solve_r ?budget h g =
+  match target_kak g with
   | Error e -> Robust.Outcome.Failed e
   | Ok du -> (
     match solve_class ?budget h du.Weyl.Kak.coords with

@@ -74,8 +74,8 @@ val evolve : Coupling.t -> pulse -> Mat.t
       ({!memo_capacity}) LRU keyed on the exact float bits of the
       coupling and the coordinates, holding the full outcome together
       with the unitary the pulse realizes and that unitary's KAK, so a
-      hit in {!solve_r} costs one KAK of the target and four local
-      products. It answers only when [budget] is absent and no fault
+      hit in {!solve_r} costs four local products, plus one KAK of the
+      target when the gate carries none ({!Gate.kak}). It answers only when [budget] is absent and no fault
       site is armed, so [Budget_exceeded] and every fault stay
       reachable. A hit returns the outcome a fresh solve would, byte for
       byte. Counters
@@ -95,12 +95,15 @@ val memo_length : unit -> int
     must time or count real root searches. *)
 val memo_clear : unit -> unit
 
-(** [solve_r coupling u] runs the full Algorithm 1 on a 4x4 unitary: pulse
-    plus exact single-qubit corrections. KAK errors surface as
-    [Failed (Ill_conditioned _ | Nan_detected _)] and the solver ladder
-    behaves as in {!solve_coords_r}. The result's [realized]
-    is the caller's own copy, never the memo's. *)
-val solve_r : ?budget:Robust.Budget.t -> Coupling.t -> Mat.t -> result Robust.Outcome.t
+(** [solve_r coupling g] runs the full Algorithm 1 on the 2Q gate [g]:
+    pulse plus exact single-qubit corrections. The target class and
+    locals come from {!Gate.kak}: the KAK [g] carries, else a fresh
+    decomposition of [g.mat], which alone records a [solver/kak] span.
+    KAK errors (a gate that is not 2Q, a matrix that is not unitary)
+    surface as [Failed (Ill_conditioned _ | Nan_detected _)] and the
+    solver ladder behaves as in {!solve_coords_r}. The result's
+    [realized] is the caller's own copy, never the memo's. *)
+val solve_r : ?budget:Robust.Budget.t -> Coupling.t -> Gate.t -> result Robust.Outcome.t
 
 (** [cache_fingerprint h c] is the canonical pulse-cache key for steering
     to class [c] under coupling [h]: a versioned tag over the quantized

@@ -2,8 +2,8 @@ type event = { qubits : int * int; start : float; pulse : Genashn.pulse }
 type t = { n : int; events : event list; makespan : float }
 
 let solve coupling (g : Gate.t) =
-  Result.bind (Weyl.Kak.coords_of_r g.mat) (fun coords ->
-      Robust.Outcome.to_result (Genashn.solve_coords_r coupling coords))
+  Result.bind (Gate.kak g) (fun d ->
+      Robust.Outcome.to_result (Genashn.solve_coords_r coupling d.Weyl.Kak.coords))
 
 (* the pulses of the 2Q gates, in circuit order; the first failure is the
    error *)

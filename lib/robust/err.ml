@@ -56,6 +56,7 @@ let to_string = function
     Printf.sprintf "%s: budget exceeded (%d iterations, %.3fs, best residual %.3g)"
       stage iterations elapsed residual
 
+let ok_exn = function Ok v -> v | Error e -> failwith (to_string e)
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 (* Process exit code for CLI front ends: all solver-side failures are 4;

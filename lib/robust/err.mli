@@ -28,6 +28,11 @@ val stage : t -> string
 val kind : t -> string
 
 val to_string : t -> string
+
+(** [ok_exn r] is [v] when [r] is [Ok v] and raises [Failure (to_string e)]
+    when it is [Error e], for callers whose own contract is to raise. *)
+val ok_exn : ('a, t) result -> 'a
+
 val pp : Format.formatter -> t -> unit
 
 (** Process exit code a CLI should use for this error (solver errors: 4). *)

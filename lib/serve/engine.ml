@@ -81,10 +81,10 @@ let verdict_fields = function
   | Robust.Outcome.Degraded ((c, p), i) ->
     Ok [ ("class", Json.Str (Weyl.Coords.to_string c)); ("pulse", pulse_json p (Some i)) ]
 
-let solve_gate ?budget coupling mat =
+let solve_gate ?budget coupling g =
   Robust.Outcome.map
     (fun (r : Microarch.Genashn.result) -> (r.coords, r.pulse))
-    (Microarch.Genashn.solve_r ?budget coupling mat)
+    (Microarch.Genashn.solve_r ?budget coupling g)
 
 (* the request's custom plan; parse-time validation makes this
    infallible, but keep the typed error path anyway *)
@@ -108,7 +108,7 @@ let exec_pulses_plan t ~budget ~coupling ~name ~mat names =
       let rec solve acc = function
         | [] -> Ok (List.rev acc)
         | (g : Gate.t) :: rest -> (
-          match verdict_fields (solve_gate ?budget coupling g.mat) with
+          match verdict_fields (solve_gate ?budget coupling g) with
           | Error e -> Error e
           | Ok fields -> solve (Json.Obj fields :: acc) rest)
       in
@@ -142,7 +142,8 @@ let exec_pulses t ~budget ~target ~coupling ~passes =
            (String.concat "|" Quantum.Gates.named_2q))
     | Some mat when passes <> None ->
       exec_pulses_plan t ~budget ~coupling ~name ~mat (Option.get passes)
-    | Some mat -> respond [ ("gate", Json.Str name) ] (solve_gate ?budget coupling mat))
+    | Some mat ->
+      respond [ ("gate", Json.Str name) ] (solve_gate ?budget coupling (Gate.su4 0 1 mat)))
   | Protocol.Coords (x, y, z) ->
     let c = Weyl.Coords.make x y z in
     if not (Weyl.Coords.in_chamber ~tol:1e-9 c) then

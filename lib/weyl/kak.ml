@@ -118,8 +118,11 @@ let global_phase_split u =
   let phase = Cx.( /: ) (Mat.get u !bi !bj) (Mat.get usu !bi !bj) in
   (phase, usu)
 
-(* the decomposition proper, for a 4x4 unitary the caller has checked *)
+(* the decomposition proper, for a 4x4 unitary the caller has checked;
+   counted as ("weyl", "decompose") so every decomposition that really
+   runs shows in [Robust.Counters] *)
 let decompose_core u =
+  Robust.Counters.incr ~stage:"weyl" "decompose";
   let phase, usu = global_phase_split u in
   let u' = Magic.to_magic usu in
   let m2 = Mat.mul (Mat.transpose u') u' in

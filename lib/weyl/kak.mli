@@ -18,7 +18,9 @@ type t = {
   b2 : Mat.t;  (** right local on qubit 1 *)
 }
 
-(** [decompose u] computes the full decomposition of a 4x4 unitary.
+(** [decompose u] computes the full decomposition of a 4x4 unitary. Each
+    call that passes the input checks (here or in {!decompose_r}) counts
+    one [("weyl", "decompose")] in {!Robust.Counters}.
     @raise Failure on non-unitary input or numerical breakdown. *)
 val decompose : Mat.t -> t
 

@@ -350,7 +350,7 @@ let pulse_bits (p : Microarch.Genashn.pulse) =
     ]
 
 let solve_gate gate =
-  match Microarch.Genashn.solve_r xy gate with
+  match Microarch.Genashn.solve_r xy (Gate.su4 0 1 gate) with
   | Robust.Outcome.Solved r -> r
   | Robust.Outcome.Degraded (r, _) -> r
   | Robust.Outcome.Failed e -> Alcotest.failf "solve failed: %s" (Robust.Err.to_string e)

@@ -268,20 +268,20 @@ let check_routed msg topo (c : Circuit.t) (r : Routing.routed) =
 let test_sabre_chain () =
   let topo = Routing.chain 4 in
   let c = random_logical_circuit (Rng.create 21L) 4 8 in
-  let r = Routing.route rng topo c in
+  let r = Routing.route topo c in
   check_routed "sabre chain" topo c r
 
 let test_sabre_grid () =
   let topo = Routing.grid ~rows:2 ~cols:3 in
   let c = random_logical_circuit (Rng.create 22L) 6 10 in
-  let r = Routing.route rng topo c in
+  let r = Routing.route topo c in
   check_routed "sabre grid" topo c r
 
 let test_mirroring_sabre () =
   let topo = Routing.chain 5 in
   let c = random_logical_circuit (Rng.create 23L) 5 12 in
-  let plain = Routing.route (Rng.create 1L) topo c in
-  let mir = Routing.route ~mirror:true (Rng.create 1L) topo c in
+  let plain = Routing.route topo c in
+  let mir = Routing.route ~mirror:true topo c in
   check_routed "mirroring sabre" topo c mir;
   let cnt (r : Routing.routed) = Circuit.count_2q r.Routing.circuit in
   Alcotest.(check bool)
@@ -295,7 +295,7 @@ let test_routing_already_mapped () =
   (* a circuit that needs no swaps routes unchanged *)
   let topo = Routing.chain 3 in
   let c = Circuit.create 3 [ Gate.cx 0 1; Gate.cx 1 2 ] in
-  let r = Routing.route rng topo c in
+  let r = Routing.route topo c in
   Alcotest.(check int) "no swaps" 0 r.Routing.swaps_inserted;
   Alcotest.(check int) "2 gates" 2 (Circuit.count_2q r.Routing.circuit)
 

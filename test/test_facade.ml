@@ -21,7 +21,7 @@ let test_facade_route () =
   let circuit = Circuit.create 4 [ Gate.cx 0 3; Gate.cx 1 2; Gate.cx 0 2 ] in
   let out = Expect.ok (Reqisc.compile (Rng.create 2L) circuit) in
   let topo = Compiler.Routing.chain 4 in
-  let routed = Expect.ok (Reqisc.route (Rng.create 3L) topo out.Reqisc.circuit) in
+  let routed = Expect.ok (Reqisc.route topo out.Reqisc.circuit) in
   List.iter
     (fun (g : Gate.t) ->
       if Gate.is_2q g then
@@ -33,7 +33,7 @@ let test_facade_route_too_wide () =
   (* a circuit wider than the device is a typed error, not an exception *)
   let circuit = Circuit.create 5 [ Gate.cx 0 4 ] in
   let topo = Compiler.Routing.chain 3 in
-  match Reqisc.route (Rng.create 8L) topo circuit with
+  match Reqisc.route topo circuit with
   | Ok _ -> Alcotest.fail "expected a routing error"
   | Error e ->
     Alcotest.(check string) "stage" "compiler.routing" (Robust.Err.stage e);

@@ -99,7 +99,7 @@ let test_pulse_corrections_unitary () =
   for _ = 1 to 5 do
     let u = Quantum.Haar.su4 rng in
     if Weyl.Coords.norm1 (Weyl.Kak.coords_of u) > 0.25 then begin
-      let r = Expect.solved (Microarch.Genashn.solve_r h u) in
+      let r = Expect.solved (Microarch.Genashn.solve_r h (Gate.su4 0 1 u)) in
       List.iter
         (fun (n, m) ->
           Alcotest.(check bool) (n ^ " unitary") true (Mat.is_unitary ~tol:1e-7 m))
@@ -201,7 +201,7 @@ let test_routing_deterministic () =
   in
   let topo = Compiler.Routing.grid ~rows:2 ~cols:3 in
   let route () =
-    let out = Compiler.Routing.route ~mirror:true (Rng.create 5L) topo c in
+    let out = Compiler.Routing.route ~mirror:true topo c in
     Circuit.count_2q out.Compiler.Routing.circuit
   in
   Alcotest.(check int) "same route" (route ()) (route ())
@@ -217,7 +217,7 @@ let test_routing_wide_grid () =
            Gate.su4 a b (Quantum.Haar.su4 r)))
   in
   let topo = Compiler.Routing.grid ~rows:3 ~cols:3 in
-  let out = Compiler.Routing.route ~mirror:true (Rng.create 5L) topo c in
+  let out = Compiler.Routing.route ~mirror:true topo c in
   List.iter
     (fun (g : Gate.t) ->
       if Gate.is_2q g then
@@ -304,7 +304,7 @@ let qcheck_tests =
         let c = Weyl.Kak.coords_of u in
         if Weyl.Coords.norm1 c < 0.25 then true
         else
-          let res = Expect.solved (Microarch.Genashn.solve_r (Microarch.Coupling.xy ~g:1.0) u) in
+          let res = Expect.solved (Microarch.Genashn.solve_r (Microarch.Coupling.xy ~g:1.0) (Gate.su4 0 1 u)) in
           Mat.equal ~tol:1e-5 (Microarch.Genashn.reconstruct res) u);
   ]
 

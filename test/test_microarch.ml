@@ -108,7 +108,7 @@ let test_tau_subschemes_xy () =
 (* -------------------------------------------------------------- genashn *)
 
 let check_solve ?(tol = 1e-6) msg h u =
-  let r = Expect.solved ~what:msg (Genashn.solve_r h u) in
+  let r = Expect.solved ~what:msg (Genashn.solve_r h (Gate.su4 0 1 u)) in
   let rec_ = Genashn.reconstruct r in
   Alcotest.(check bool)
     (Printf.sprintf "%s reconstructs target (err %.3g)" msg (Mat.frobenius_dist rec_ u))
@@ -383,7 +383,7 @@ let test_memo_hit_identical () =
   (* solve_r, every field: cold memo, warm memo, a fresh pulse cache
      (miss, then hit) and a 2-domain map all give the same bytes *)
   let gates = named_gates @ haar_unitaries 3 in
-  let solve g = result_bits (Genashn.solve_r xy g) in
+  let solve g = result_bits (Genashn.solve_r xy (Gate.su4 0 1 g)) in
   Genashn.memo_clear ();
   let cold = List.map solve gates in
   let runs0 = solve_runs () in
@@ -447,7 +447,7 @@ let test_memo_bounded () =
   ignore (Genashn.solve_coords_r xy (List.hd classes));
   Alcotest.(check int) "least recently used class was evicted" (runs0 + 1) (solve_runs ())
 
-let ea_gate () = Weyl.Kak.canonical (Lazy.force ea_class)
+let ea_gate () = Gate.su4 0 1 (Weyl.Kak.canonical (Lazy.force ea_class))
 
 let test_memo_solve_r_faults () =
   Robust.Fault.configure None;
@@ -474,8 +474,9 @@ let test_memo_solve_r_bounded () =
   let k = 3 in
   let gates =
     List.init (Genashn.memo_capacity + k) (fun i ->
-        Weyl.Kak.canonical
-          (Weyl.Coords.make (Weyl.Coords.cnot.x -. (1e-7 *. float_of_int (i + 1))) 0.0 0.0))
+        Gate.su4 0 1
+          (Weyl.Kak.canonical
+             (Weyl.Coords.make (Weyl.Coords.cnot.x -. (1e-7 *. float_of_int (i + 1))) 0.0 0.0)))
   in
   let evict0 = genashn_count "memo_evict" in
   let first = result_bits (Genashn.solve_r xy (List.hd gates)) in
@@ -499,14 +500,14 @@ let test_memo_realized_private () =
       done
     | Robust.Outcome.Failed e -> Alcotest.fail (Robust.Err.to_string e)
   in
-  let cold = Genashn.solve_r xy Quantum.Gates.cnot in
+  let cold = Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot) in
   let bits = result_bits cold in
   scribble cold;
-  let hit = Genashn.solve_r xy Quantum.Gates.cnot in
+  let hit = Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot) in
   Alcotest.(check string) "writing a cold result leaves the memo" bits (result_bits hit);
   scribble hit;
   Alcotest.(check string) "writing a hit leaves the memo" bits
-    (result_bits (Genashn.solve_r xy Quantum.Gates.cnot))
+    (result_bits (Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot)))
 
 (* (solver/kak spans, solver/solve_coords spans) recorded while [f] runs *)
 let solver_spans f =
@@ -533,10 +534,24 @@ let test_memo_kak_spans () =
         Alcotest.(check int) "a pulse-cache hit in solve_coords_r runs no KAK" 0 kak);
     Cache.close c);
   Genashn.memo_clear ();
-  ignore (Genashn.solve_r xy Quantum.Gates.cnot);
-  let kak, solves = solver_spans (fun () -> ignore (Genashn.solve_r xy Quantum.Gates.cnot)) in
+  ignore (Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot));
+  let kak, solves = solver_spans (fun () -> ignore (Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot))) in
   Alcotest.(check int) "one class lookup" 1 solves;
   Alcotest.(check int) "a warm-memo solve_r runs only the target's KAK" 1 kak
+
+(* a gate that carries its KAK (every named entangler does) is solved
+   with no decomposition at all once the memo is warm *)
+let test_carried_kak_spans () =
+  Robust.Fault.configure None;
+  Genashn.memo_clear ();
+  let c = Circuit.create 2 [ Gate.cx 0 1 ] in
+  ignore (Reqisc.pulse_outcomes xy c);
+  let d0 = Robust.Counters.get ~stage:"weyl" "decompose" in
+  let kak, solves = solver_spans (fun () -> ignore (Reqisc.pulse_outcomes xy c)) in
+  Alcotest.(check int) "one class lookup" 1 solves;
+  Alcotest.(check int) "a carried KAK opens no solver/kak span" 0 kak;
+  Alcotest.(check int) "and runs no decomposition" d0
+    (Robust.Counters.get ~stage:"weyl" "decompose")
 
 let test_memo_off_under_pulse_cache () =
   Robust.Fault.configure None;
@@ -639,6 +654,7 @@ let () =
           Alcotest.test_case "solve_r evicts" `Quick test_memo_solve_r_bounded;
           Alcotest.test_case "realized is a copy" `Quick test_memo_realized_private;
           Alcotest.test_case "kak spans per path" `Quick test_memo_kak_spans;
+          Alcotest.test_case "carried kak spans" `Quick test_carried_kak_spans;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -150,12 +150,12 @@ let test_route_rejects_too_wide () =
   let topo = Compiler.Routing.chain 3 in
   Alcotest.check_raises "too wide"
     (Invalid_argument "Routing.route: circuit wider than device") (fun () ->
-      ignore (Compiler.Routing.route rng topo c))
+      ignore (Compiler.Routing.route topo c))
 
 let test_route_pads_narrow_circuits () =
   let c = Circuit.create 2 [ Gate.cx 0 1 ] in
   let topo = Compiler.Routing.chain 5 in
-  let r = Compiler.Routing.route rng topo c in
+  let r = Compiler.Routing.route topo c in
   Alcotest.(check int) "width = device" 5 r.Compiler.Routing.circuit.Circuit.n;
   Alcotest.(check int) "one gate" 1 (Circuit.count_2q r.Compiler.Routing.circuit)
 

@@ -309,6 +309,108 @@ let golden_cases =
           Alcotest.(check int) (label ^ " sweeps") sweeps (synth "sweeps" - s0)))
     golden
 
+(* ------------------------------------------------- carried KAKs *)
+
+let suite_program name =
+  (List.find (fun (b : Benchmarks.Suite.bench) -> b.name = name) (Benchmarks.Suite.suite ()))
+    .program
+
+let compile_default mode name =
+  Expect.ok
+    (Passes.compile_plan ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) (suite_program name))
+
+let decompositions () = Robust.Counters.get ~stage:"weyl" "decompose"
+
+(* Each 2Q gate is decomposed once. On uccsd_8 under eff: once per block
+   [fuse_2q] fuses (79 blocks, no local ones), once per mirrored gate
+   (its matrix is new) and once per solver class check, which only a
+   memo miss runs. Every other reader takes the KAK the gate carries. *)
+let test_decompositions_once () =
+  Robust.Fault.configure None;
+  Microarch.Genashn.memo_clear ();
+  let solve_runs () = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let d0 = decompositions () and s0 = solve_runs () in
+  let out, stats = compile_default Passes.Eff "uccsd_8" in
+  let outcomes = Reqisc.pulse_outcomes Reqisc.xy_coupling out.Passes.circuit in
+  let fused =
+    (List.find (fun (s : Passes.pass_stat) -> s.Passes.pass = "phoenix_to_su4") stats)
+      .Passes.count_2q
+  in
+  let n = decompositions () - d0 and class_checks = solve_runs () - s0 in
+  Alcotest.(check int) "one pulse per gate" (Circuit.count_2q out.Passes.circuit)
+    (List.length outcomes);
+  Alcotest.(check int) "fused + mirrored + class checks"
+    (fused + out.Passes.mirrored + class_checks)
+    n;
+  Alcotest.(check int) "decompositions" 86 n
+
+let bits_of_float b x = Printf.bprintf b "%Lx," (Int64.bits_of_float x)
+
+let bits_of_mat b m =
+  for i = 0 to Mat.rows m - 1 do
+    for j = 0 to Mat.cols m - 1 do
+      bits_of_float b (Mat.get_re m i j);
+      bits_of_float b (Mat.get_im m i j)
+    done
+  done
+
+let kak_bits (d : Weyl.Kak.t) =
+  let b = Buffer.create 512 in
+  List.iter (bits_of_float b) [ d.coords.x; d.coords.y; d.coords.z ];
+  List.iter (bits_of_mat b) [ d.a1; d.a2; d.b1; d.b2 ];
+  Buffer.contents b
+
+(* one gate's pulse instruction as bytes: tau, drives, delta and the
+   pre/post matrices *)
+let pulse_bits (o : Reqisc.gate_outcome) =
+  let b = Buffer.create 512 in
+  (match o.Reqisc.outcome with
+  | Robust.Outcome.Solved i | Robust.Outcome.Degraded (i, _) ->
+    let p = i.Reqisc.pulse in
+    List.iter (bits_of_float b)
+      Microarch.Genashn.[ p.tau; p.drive_x1; p.drive_x2; p.delta ];
+    List.iter
+      (fun lr -> Option.iter (fun (l, r) -> bits_of_mat b l; bits_of_mat b r) lr)
+      [ i.Reqisc.pre; i.Reqisc.post ]
+  | Robust.Outcome.Failed e -> Buffer.add_string b (Robust.Err.to_string e));
+  Buffer.contents b
+
+(* Every output 2Q gate of the perfbench programs (pauli under eff,
+   reversible under full) carries its KAK, and a reader gets exactly the
+   bits a fresh decomposition gives: the KAK itself, and the pulse
+   solved from it *)
+let test_carried_bits () =
+  Robust.Fault.configure None;
+  let check mode name =
+    let c = (fst (compile_default mode name)).Passes.circuit in
+    (* a cold memo for each side: both are real solves *)
+    let pulses gates =
+      Microarch.Genashn.memo_clear ();
+      List.map pulse_bits (Reqisc.pulse_outcomes Reqisc.xy_coupling { c with Circuit.gates })
+    in
+    let twoq = List.filter Gate.is_2q c.Circuit.gates in
+    let bare = List.map (fun (g : Gate.t) -> Gate.make g.label g.qubits g.mat) twoq in
+    List.iter
+      (fun (g : Gate.t) ->
+        let what = Printf.sprintf "%s %s" name (Gate.to_string g) in
+        match g.kak with
+        | None -> Alcotest.failf "%s carries no KAK" what
+        | Some d ->
+          Alcotest.(check string) (what ^ " kak bits")
+            (kak_bits (Expect.ok (Weyl.Kak.decompose_r g.mat)))
+            (kak_bits d);
+          Alcotest.(check bool) (what ^ " reconstructs") true
+            (Mat.equal ~tol:1e-10 (Weyl.Kak.reconstruct d) g.mat);
+          Alcotest.(check bool) (what ^ " remap keeps it") true
+            ((Gate.remap (fun q -> q + 1) g).kak == g.kak);
+          Alcotest.(check bool) (what ^ " dagger drops it") true
+            (Option.is_none (Gate.dagger g).kak))
+      twoq;
+    Alcotest.(check (list string)) (name ^ " pulse bits") (pulses bare) (pulses twoq)
+  in
+  List.iter (check Passes.Eff) [ "qaoa_8"; "qaoa_10"; "pf_6"; "pf_10"; "uccsd_8"; "uccsd_12" ];
+  List.iter (check Passes.Full) [ "tof_5"; "mult_2"; "encoding_3" ]
+
 let props =
   let arb_seed = QCheck.make QCheck.Gen.(map Int64.of_int (int_bound 1000000)) in
   [
@@ -355,5 +457,10 @@ let () =
             test_plan_matches_facade;
         ] );
       ("golden", golden_cases);
+      ( "kak",
+        [
+          Alcotest.test_case "decompositions once" `Quick test_decompositions_once;
+          Alcotest.test_case "carried bits" `Slow test_carried_bits;
+        ] );
       ("props", List.map (QCheck_alcotest.to_alcotest ~long:false) props);
     ]

@@ -288,7 +288,7 @@ let test_adversarial_inputs () =
   | o -> Alcotest.fail ("weak coupling: expected Invalid_hamiltonian, got " ^ outcome_kind o));
   (* NaN-poisoned target unitary: typed Nan_detected *)
   let nan_target = Mat.init 4 4 (fun i j -> if i = j then Cx.of_float Float.nan else Cx.zero) in
-  (match Microarch.Genashn.solve_r xy nan_target with
+  (match Microarch.Genashn.solve_r xy (Gate.su4 0 1 nan_target) with
   | Robust.Outcome.Failed (Robust.Err.Nan_detected _) -> ()
   | o -> Alcotest.fail ("nan target: expected Nan_detected, got " ^ outcome_kind o));
   (* near-identity target: any structured outcome is fine, exceptions are not *)
