@@ -285,7 +285,7 @@ let store_recovery ~seed =
   let key i = Printf.sprintf "chaos-key-%02d" i in
   let value i = Printf.sprintf "payload-%02d:%s" i (String.make (32 + i) 'v') in
   let open_cache () =
-    match Cache.create ~capacity:64 ~sync:Cache.Store.Always ~path () with
+    match Cache.create ~sync:Cache.Store.Always ~path () with
     | Ok c -> c
     | Error e -> failwith ("chaos bench: store: " ^ e)
   in

@@ -82,9 +82,7 @@ let scan_response raw =
 let run_direct ~cache_path lines =
   let config = server_config cache_path in
   let cache =
-    match
-      Cache.create ~capacity:config.Serve.Server.cache_capacity ~path:cache_path ()
-    with
+    match Cache.create ~path:cache_path () with
     | Ok c -> c
     | Error e -> failwith ("serve-net bench: cache: " ^ e)
   in

@@ -6,7 +6,7 @@
      reqisc_cli pulse GATE [--coupling xy|xx] (GATE in cnot|cz|iswap|sqisw|b|swap)
      reqisc_cli qasm FILE [--pulses]
      reqisc_cli serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE]
-                      [--workers N] [--capacity N] [--max-conns N]
+                      [--workers N] [--max-conns N]
                       [--max-queue N] [--idle-timeout S] [--max-line BYTES]
      reqisc_cli client --connect tcp:HOST:PORT|unix:PATH [--retries N]
                        [--backoff S] [--jitter J] [--frames json|binary]
@@ -52,7 +52,7 @@ let subcommands =
       "synthesize one pulse (GATE in cnot|cz|iswap|sqisw|b|swap)" );
     ("qasm", "qasm FILE [--pulses]", "parse a REQASM file and report metrics");
     ( "serve",
-      "serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE] [--workers N] [--capacity N] [--max-conns N] [--max-queue N] [--idle-timeout S] [--max-line BYTES]",
+      "serve [--listen tcp:HOST:PORT|unix:PATH] [--cache FILE] [--workers N] [--max-conns N] [--max-queue N] [--idle-timeout S] [--max-line BYTES]",
       "serve the JSON protocol on stdin/stdout, or on a socket with --listen" );
     ( "client",
       "client --connect tcp:HOST:PORT|unix:PATH [--retries N] [--backoff S] [--jitter J] [--frames json|binary] [--timeout S] [REQUEST...]",
@@ -421,7 +421,6 @@ let cmd_serve args =
       Serve.Server.default_config with
       Serve.Server.cache_path = flag_value args "--cache";
       workers = int_flag args "--workers" 0;
-      cache_capacity = int_flag args "--capacity" 4096;
     }
   in
   let workers_str =
@@ -555,7 +554,7 @@ let with_cache_file sub args f =
       Cache.close c)
 
 (* stats_json includes the on-disk view — file_records (physical frames,
-   duplicates included) vs disk_records (distinct keys) and disk_bytes —
+   duplicates included) vs keys (distinct keys) and disk_bytes —
    so an operator can see how much a compaction would reclaim *)
 let cmd_cache_stats args =
   with_cache_file "stats" args (fun c ->
@@ -573,8 +572,8 @@ let cmd_cache_compact args =
             to_string
               (Obj
                  [
-                   ("compacted", Bool true); ("records", n before.Cache.disk_records);
-                   ("dropped_records", n (before.Cache.file_records - before.Cache.disk_records));
+                   ("compacted", Bool true); ("records", n before.Cache.keys);
+                   ("dropped_records", n (before.Cache.file_records - before.Cache.keys));
                    ("bytes", n bytes); ("reclaimed_bytes", n (before.Cache.disk_bytes - bytes));
                  ])))
 

@@ -16,7 +16,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be >= 1";
   { capacity; table = Hashtbl.create (min capacity 1024); head = None; tail = None }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 
 let unlink t n =
@@ -44,8 +43,6 @@ let find t k =
   | Some n ->
     promote t n;
     Some n.value
-
-let mem t k = Hashtbl.mem t.table k
 
 let add t k v =
   match Hashtbl.find_opt t.table k with

@@ -1,22 +1,17 @@
-(** Bounded least-recently-used map (the hot in-memory cache tier).
+(** Bounded least-recently-used map (the store behind the genAshN class memo).
 
     O(1) [find]/[add] via a hash table over an intrusive doubly-linked
-    recency list. Not thread-safe — callers (the tiered cache) hold their
-    own lock. *)
+    recency list. Not thread-safe — callers hold their own lock. *)
 
 type ('k, 'v) t
 
 (** [create ~capacity] — [capacity >= 1] entries. *)
 val create : capacity:int -> ('k, 'v) t
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 (** [find t k] promotes [k] to most-recently-used. *)
 val find : ('k, 'v) t -> 'k -> 'v option
-
-(** [mem t k] does not promote. *)
-val mem : ('k, 'v) t -> 'k -> bool
 
 (** [add t k v] inserts or updates (promoting to most-recent) and returns
     the evicted least-recently-used binding, if the capacity overflowed. *)

@@ -1,25 +1,20 @@
 let stage = "cache"
 
 type stats = {
-  size : int;
-  capacity : int;
-  disk_records : int;
+  keys : int;
   file_records : int;
   disk_bytes : int;
   torn_bytes : int;
   corrupt_records : int;
   compactions : int;
   hits : int;
-  disk_hits : int;
   misses : int;
   inserts : int;
-  evictions : int;
 }
 
 type t = {
   lock : Mutex.t;
-  lru : (string, string) Lru.t;
-  disk : (string, string) Hashtbl.t;  (* persistent index, latest write wins *)
+  index : (string, string) Hashtbl.t;  (* every key held, latest write wins *)
   mutable writer : Store.writer option;
   file : string option;
   sync : Store.sync;
@@ -28,17 +23,15 @@ type t = {
   mutable corrupt_records : int;
   mutable compactions : int;
   mutable hits : int;
-  mutable disk_hits : int;
   mutable misses : int;
   mutable inserts : int;
-  mutable evictions : int;
 }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ?(capacity = 4096) ?(sync = Store.default_sync) ?path () =
+let create ?(sync = Store.default_sync) ?path () =
   let open_disk path =
     match Store.load path with
     | Error e -> Error e
@@ -46,13 +39,13 @@ let create ?(capacity = 4096) ?(sync = Store.default_sync) ?path () =
       match Store.open_writer ~sync path ~valid_bytes with
       | Error e -> Error e
       | Ok writer ->
-        let disk = Hashtbl.create 1024 in
-        List.iter (fun (r : Store.record) -> Hashtbl.replace disk r.key r.value) records;
-        Robust.Counters.add ~stage "load_records" (Hashtbl.length disk);
+        let index = Hashtbl.create 1024 in
+        List.iter (fun (r : Store.record) -> Hashtbl.replace index r.key r.value) records;
+        Robust.Counters.add ~stage "load_records" (Hashtbl.length index);
         if torn_bytes > 0 then Robust.Counters.add ~stage "torn_bytes" torn_bytes;
         if corrupt_records > 0 then
           Robust.Counters.add ~stage "corrupt_records" corrupt_records;
-        Ok (disk, Some writer, torn_bytes, List.length records, corrupt_records))
+        Ok (index, Some writer, torn_bytes, List.length records, corrupt_records))
   in
   match
     match path with
@@ -60,12 +53,11 @@ let create ?(capacity = 4096) ?(sync = Store.default_sync) ?path () =
     | Some p -> open_disk p
   with
   | Error e -> Error e
-  | Ok (disk, writer, torn_bytes, file_records, corrupt_records) ->
+  | Ok (index, writer, torn_bytes, file_records, corrupt_records) ->
     Ok
       {
         lock = Mutex.create ();
-        lru = Lru.create ~capacity;
-        disk;
+        index;
         writer;
         file = path;
         sync;
@@ -74,40 +66,24 @@ let create ?(capacity = 4096) ?(sync = Store.default_sync) ?path () =
         corrupt_records;
         compactions = 0;
         hits = 0;
-        disk_hits = 0;
         misses = 0;
         inserts = 0;
-        evictions = 0;
       }
 
-let note_evicted t = function
-  | None -> ()
-  | Some _ ->
-    t.evictions <- t.evictions + 1;
-    Robust.Counters.incr ~stage "evict"
-
 let find t key =
-  (* split-phase span: the probe is a "hit", "hit_disk" or "miss"
-     depending on which tier (if any) answers *)
+  (* split-phase span: the probe is a "hit" or a "miss" *)
   let t0 = Obs.Span.now_ns () in
   let verdict, v =
     locked t (fun () ->
-        match Lru.find t.lru key with
+        match Hashtbl.find_opt t.index key with
         | Some v ->
           t.hits <- t.hits + 1;
           Robust.Counters.incr ~stage "hit";
           ("hit", Some v)
-        | None -> (
-          match Hashtbl.find_opt t.disk key with
-          | Some v ->
-            t.disk_hits <- t.disk_hits + 1;
-            Robust.Counters.incr ~stage "hit_disk";
-            note_evicted t (Lru.add t.lru key v);
-            ("hit_disk", Some v)
-          | None ->
-            t.misses <- t.misses + 1;
-            Robust.Counters.incr ~stage "miss";
-            ("miss", None)))
+        | None ->
+          t.misses <- t.misses + 1;
+          Robust.Counters.incr ~stage "miss";
+          ("miss", None))
   in
   Obs.Span.emit ~stage:"cache" ~name:verdict ~t0;
   v
@@ -117,18 +93,15 @@ let add t key value =
   locked t (fun () ->
       t.inserts <- t.inserts + 1;
       Robust.Counters.incr ~stage "insert";
-      note_evicted t (Lru.add t.lru key value);
-      (* the persistent index only exists with a backing file — a
-         memory-only cache stays bounded by its LRU capacity *)
-      match t.writer with
-      | None -> ()
-      | Some w ->
-        let already = Hashtbl.find_opt t.disk key = Some value in
-        if not already then begin
-          Hashtbl.replace t.disk key value;
+      (* the disk append is skipped when the key already holds these bytes *)
+      if Hashtbl.find_opt t.index key <> Some value then begin
+        Hashtbl.replace t.index key value;
+        match t.writer with
+        | None -> ()
+        | Some w ->
           Store.append w { Store.key; value };
           t.file_records <- t.file_records + 1
-        end)
+      end)
 
 (* Rewrite the file to one frame per live key (latest value wins, already
    what the index holds), dropping superseded duplicates, skipped corrupt
@@ -142,7 +115,7 @@ let compact t =
         Store.close_writer w;
         t.writer <- None;
         let records =
-          Hashtbl.fold (fun key value acc -> { Store.key; value } :: acc) t.disk []
+          Hashtbl.fold (fun key value acc -> { Store.key; value } :: acc) t.index []
         in
         match Store.write_all path records with
         | Error e -> Error e
@@ -163,19 +136,15 @@ let path t = t.file
 let stats t =
   locked t (fun () ->
       {
-        size = Lru.length t.lru;
-        capacity = Lru.capacity t.lru;
-        disk_records = Hashtbl.length t.disk;
+        keys = Hashtbl.length t.index;
         file_records = t.file_records;
         disk_bytes = (match t.writer with Some w -> Store.written_bytes w | None -> 0);
         torn_bytes = t.torn_bytes;
         corrupt_records = t.corrupt_records;
         compactions = t.compactions;
         hits = t.hits;
-        disk_hits = t.disk_hits;
         misses = t.misses;
         inserts = t.inserts;
-        evictions = t.evictions;
       })
 
 let stats_json t =
@@ -185,12 +154,10 @@ let stats_json t =
     Obj
       [
         ("path", match t.file with Some p -> Str p | None -> Null);
-        ("size", n s.size); ("capacity", n s.capacity);
-        ("disk_records", n s.disk_records); ("file_records", n s.file_records);
+        ("keys", n s.keys); ("file_records", n s.file_records);
         ("disk_bytes", n s.disk_bytes); ("torn_bytes", n s.torn_bytes);
         ("corrupt_records", n s.corrupt_records); ("compactions", n s.compactions);
-        ("hits", n s.hits); ("disk_hits", n s.disk_hits); ("misses", n s.misses);
-        ("inserts", n s.inserts); ("evictions", n s.evictions);
+        ("hits", n s.hits); ("misses", n s.misses); ("inserts", n s.inserts);
       ])
 
 let close t =

@@ -1,44 +1,41 @@
-(** Content-addressed cache: a bounded in-memory LRU tier over an optional
+(** Content-addressed cache: one in-memory index over an optional
     append-only on-disk store ({!Store}).
 
     Keys are canonical fingerprints ({!Fingerprint}), values opaque byte
-    strings. [find] consults the LRU tier first, then the persistent
-    index (promoting the entry); [add] inserts into both tiers (the disk
-    append is skipped when the key already holds the same bytes, so warm
-    re-runs do not grow the file). All operations are thread-safe — one
-    cache can be shared by the server's worker domains.
+    strings. The index holds every key: a disk-backed cache loads the
+    store into it when opened, and [add] writes the index and appends to
+    the store (the append is skipped when the key already holds the same
+    bytes, so warm re-runs do not grow the file). A memory-only cache
+    keeps its keys in the same index, with no store behind it. All
+    operations are thread-safe — one cache can be shared by the server's
+    worker domains.
 
-    Hit/miss/insert/eviction counters are mirrored into
-    {!Robust.Counters} under stage ["cache"] so every bench/robustness
-    report includes cache effectiveness. *)
+    Hit/miss/insert counters are mirrored into {!Robust.Counters} under
+    stage ["cache"] so every bench/robustness report includes cache
+    effectiveness. *)
 
 type t
 
 type stats = {
-  size : int;  (** entries in the LRU tier *)
-  capacity : int;
-  disk_records : int;  (** distinct keys in the persistent tier *)
+  keys : int;  (** distinct keys held *)
   file_records : int;
       (** physical frames on disk, superseded duplicates included — the
-          gap to [disk_records] is what {!compact} reclaims *)
+          gap to [keys] is what {!compact} reclaims *)
   disk_bytes : int;  (** file size, header included (0 when memory-only) *)
   torn_bytes : int;  (** torn tail dropped at load time *)
   corrupt_records : int;  (** mid-file records skipped at load time *)
   compactions : int;  (** {!compact} runs on this handle *)
-  hits : int;  (** LRU-tier hits *)
-  disk_hits : int;  (** persistent-tier hits (promoted) *)
+  hits : int;
   misses : int;
   inserts : int;
-  evictions : int;
 }
 
-(** [create ?capacity ?sync ?path ()] opens (or creates) the store at
-    [path]; omitting [path] gives a memory-only cache. A torn tail on
-    disk is dropped (and counted) — [Error] only for an unreadable file
-    or one that is not a cache store. Default [capacity]: 4096 entries;
-    default [sync]: {!Store.default_sync} (periodic fsync). *)
-val create :
-  ?capacity:int -> ?sync:Store.sync -> ?path:string -> unit -> (t, string) result
+(** [create ?sync ?path ()] opens (or creates) the store at [path];
+    omitting [path] gives a memory-only cache. A torn tail on disk is
+    dropped (and counted) — [Error] only for an unreadable file or one
+    that is not a cache store. Default [sync]: {!Store.default_sync}
+    (periodic fsync). *)
+val create : ?sync:Store.sync -> ?path:string -> unit -> (t, string) result
 
 val find : t -> string -> string option
 val add : t -> string -> string -> unit

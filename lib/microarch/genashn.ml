@@ -419,7 +419,11 @@ let cache_fingerprint (h : Coupling.t) (c : Weyl.Coords.t) =
 let scheme_tag = function Tau.ND -> 0 | Tau.EA_same -> 1 | Tau.EA_opposite -> 2
 let scheme_of_tag = function 1 -> Tau.EA_same | 2 -> Tau.EA_opposite | _ -> Tau.ND
 
-let cache_replay (e : Pulse_cache.entry) =
+(* A stored verdict replayed with its tail: the unitary the pulse
+   realizes and that unitary's KAK, the same pure function of the
+   coupling and the pulse the solver's end-to-end check computes, so a
+   replay carries the bits of the solve that stored it. *)
+let cache_replay (h : Coupling.t) (e : Pulse_cache.entry) =
   let p =
     {
       tau = e.tau;
@@ -429,10 +433,16 @@ let cache_replay (e : Pulse_cache.entry) =
       delta = e.delta;
     }
   in
-  if e.solved then Robust.Outcome.Solved p
-  else
-    Robust.Outcome.Degraded
-      (p, { Robust.Outcome.residual = e.residual; retries = e.retries; note = e.note })
+  let realized = evolve h p in
+  match Weyl.Kak.decompose_r realized with
+  | Error err ->
+    Robust.Counters.incr ~stage "failed";
+    Robust.Outcome.Failed err
+  | Ok kak ->
+    if e.solved then Robust.Outcome.Solved (p, realized, kak)
+    else
+      Robust.Outcome.Degraded
+        ((p, realized, kak), { Robust.Outcome.residual = e.residual; retries = e.retries; note = e.note })
 
 let cache_store key (oc : (pulse * _ * _) Robust.Outcome.t) =
   let entry solved (p : pulse) residual retries note =
@@ -538,25 +548,44 @@ let solve_coords_uncached ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
           end)
     end)
 
+(* The installed pulse cache, then the solver: a hit replays the stored
+   verdict bit for bit and skips Algorithm 1 (no grid, no Newton; the
+   pulse was verified when it was stored), a miss solves and stores.
+   With no cache installed, the lookup misses and the store is a no-op. *)
+let solve_stored ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
+  let key = cache_fingerprint h coords in
+  match Pulse_cache.lookup key with
+  | Some e ->
+    Robust.Counters.incr ~stage "cache_hit";
+    cache_replay h e
+  | None ->
+    let oc = solve_coords_uncached ?budget h coords in
+    cache_store key oc;
+    oc
+
 (* --------------------------------------------------------- class memo *)
 
-(* Process-wide memo for the path with no pulse cache installed. A pulse
+(* Process-wide memo in front of the pulse cache and the solver. A pulse
    depends only on the coupling and the target class, and a compiled
-   program holds few distinct classes, so each class is solved once.
-   The key is the exact bits of (h, coords), not the cache's 1e-9
-   fingerprint: two targets that agree to 1e-9 can still solve to
-   different pulses, and a hit must return the bytes a fresh solve would.
+   program holds few distinct classes, so each class is solved (or
+   replayed) once. The key is the exact bits of (h, coords), not the
+   cache's 1e-9 fingerprint: two targets that agree to 1e-9 can still
+   solve to different pulses, and a hit must return the bytes the chain
+   behind it would. It also holds the pulse cache's install generation,
+   so an entry filled under one installation (or none) never answers
+   under another: under a cache, an entry is the cache's replay or the
+   solve the cache just recorded.
    An entry holds the pulse, the unitary it realizes and that unitary's
    KAK, so a hit in [solve_r] runs neither an expm nor a second KAK. Its
    matrices are shared and read-only: [solve_r] hands out a copy.
-   The solve is deterministic without a budget or armed faults, so only
+   The chain is deterministic without a budget or armed faults, so only
    those solves are memoized. The lock covers lookups and inserts, never
    a solve: two domains missing on one class both solve it and store the
    same outcome. *)
 let memo_capacity = 1024
 
 let memo :
-    ( int64 * int64 * int64 * int64 * int64 * int64,
+    ( int * int64 * int64 * int64 * int64 * int64 * int64,
       (pulse * Mat.t * Weyl.Kak.t) Robust.Outcome.t )
     Cache.Lru.t =
   Cache.Lru.create ~capacity:memo_capacity
@@ -565,9 +594,9 @@ let memo_lock = Mutex.create ()
 
 let memo_key (h : Coupling.t) (c : Weyl.Coords.t) =
   let b = Int64.bits_of_float in
-  (b h.a, b h.b, b h.c, b c.x, b c.y, b c.z)
+  (Pulse_cache.generation (), b h.a, b h.b, b h.c, b c.x, b c.y, b c.z)
 
-let solve_coords_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
+let solve_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
   let key = memo_key h coords in
   match Mutex.protect memo_lock (fun () -> Cache.Lru.find memo key) with
   | Some oc ->
@@ -575,7 +604,7 @@ let solve_coords_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
     oc
   | None ->
     Robust.Counters.incr ~stage "memo_miss";
-    let oc = solve_coords_uncached h coords in
+    let oc = solve_stored h coords in
     (* faults armed while it ran may have shaped this outcome *)
     if not (Robust.Fault.enabled ()) then begin
       match Mutex.protect memo_lock (fun () -> Cache.Lru.add memo key oc) with
@@ -587,39 +616,22 @@ let solve_coords_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
 let memo_length () = Mutex.protect memo_lock (fun () -> Cache.Lru.length memo)
 let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
 
-(* An installed pulse cache is the only memo: a hit replays the stored
-   verdict bit for bit and skips Algorithm 1 entirely (no grid, no
-   Newton, no end-to-end class check — the pulse was verified when it was
-   stored). Without one, unbudgeted fault-free solves go through the
-   class memo. [solve_class] keeps the class-determined tail (realized
-   unitary, its KAK) when the solve has one; a cache hit has only the
-   pulse ([None]), and only [solve_r] pays to evolve it. *)
+(* One chain: memo, installed pulse cache, solver. A budgeted solve or
+   one with a fault site armed skips only the memo, so [Budget_exceeded]
+   and every fault stay reachable. Every outcome carries its tail
+   (realized unitary, its KAK). *)
 let solve_class ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
   Obs.Span.with_ ~stage:"solver" ~name:"solve_coords" @@ fun () ->
-  let with_tail = Robust.Outcome.map (fun (p, realized, kak) -> (p, Some (realized, kak))) in
   match validate h coords with
   | Error e ->
     Robust.Counters.incr ~stage "failed";
     Robust.Outcome.Failed e
-  | Ok () -> (
-    match Pulse_cache.installed () with
-    | None when Option.is_none budget && not (Robust.Fault.enabled ()) ->
-      with_tail (solve_coords_memo h coords)
-    | None -> with_tail (solve_coords_uncached ?budget h coords)
-    | Some _ -> (
-      let key = cache_fingerprint h coords in
-      match Pulse_cache.lookup key with
-      | Some e ->
-        Robust.Counters.incr ~stage "cache_hit";
-        Robust.Outcome.map (fun p -> (p, None)) (cache_replay e)
-      | None ->
-        let oc = solve_coords_uncached ?budget h coords in
-        cache_store key oc;
-        with_tail oc))
+  | Ok () ->
+    if Option.is_none budget && not (Robust.Fault.enabled ()) then solve_memo h coords
+    else solve_stored ?budget h coords
 
-let solve_coords_r ?budget h coords = Robust.Outcome.map fst (solve_class ?budget h coords)
-
-let kak_decompose_r u = Obs.Span.with_ ~stage:"solver" ~name:"kak" (fun () -> Weyl.Kak.decompose_r u)
+let solve_coords_r ?budget h coords =
+  Robust.Outcome.map (fun (p, _, _) -> p) (solve_class ?budget h coords)
 
 (* the target's KAK: the one the gate carries, or else a fresh
    decomposition, the only kind that records a [solver/kak] span *)
@@ -633,54 +645,44 @@ let solve_r ?budget h g =
   | Ok du -> (
     match solve_class ?budget h du.Weyl.Kak.coords with
     | Robust.Outcome.Failed e -> Robust.Outcome.Failed e
-    | (Robust.Outcome.Solved (pulse, tail) | Robust.Outcome.Degraded ((pulse, tail), _)) as oc
-      -> (
-      let tail =
-        match tail with
-        | Some (realized, dw) -> Ok (Mat.copy realized, dw)
-        | None ->
-          let realized = evolve h pulse in
-          Result.map (fun dw -> (realized, dw)) (kak_decompose_r realized)
-      in
-      match tail with
-      | Error e -> Robust.Outcome.Failed e
-      | Ok (realized, dw) ->
-        let d = Weyl.Coords.dist du.Weyl.Kak.coords dw.Weyl.Kak.coords in
-        if d > loose_class_tol then
-          Robust.Outcome.Failed
-            (Robust.Err.Non_convergence
-               {
-                 stage;
-                 target =
-                   Some (du.Weyl.Kak.coords.x, du.Weyl.Kak.coords.y, du.Weyl.Kak.coords.z);
-                 iterations = 0;
-                 residual = d;
-               })
-        else begin
-          let r =
-            {
-              pulse;
-              coords = du.Weyl.Kak.coords;
-              realized;
-              a1 = Mat.mul du.Weyl.Kak.a1 (Mat.dagger dw.Weyl.Kak.a1);
-              a2 = Mat.mul du.Weyl.Kak.a2 (Mat.dagger dw.Weyl.Kak.a2);
-              b1 = Mat.mul (Mat.dagger dw.Weyl.Kak.b1) du.Weyl.Kak.b1;
-              b2 = Mat.mul (Mat.dagger dw.Weyl.Kak.b2) du.Weyl.Kak.b2;
-            }
-          in
-          match oc with
-          | Robust.Outcome.Solved _ when d <= strict_class_tol -> Robust.Outcome.Solved r
-          | Robust.Outcome.Degraded (_, i) ->
-            Robust.Outcome.Degraded (r, { i with Robust.Outcome.residual = Float.max i.residual d })
-          | _ ->
-            Robust.Outcome.Degraded
-              ( r,
-                {
-                  Robust.Outcome.residual = d;
-                  retries = 0;
-                  note = "class distance above strict tolerance after local corrections";
-                } )
-        end))
+    | ( Robust.Outcome.Solved (pulse, realized, dw)
+      | Robust.Outcome.Degraded ((pulse, realized, dw), _) ) as oc ->
+      let d = Weyl.Coords.dist du.Weyl.Kak.coords dw.Weyl.Kak.coords in
+      if d > loose_class_tol then
+        Robust.Outcome.Failed
+          (Robust.Err.Non_convergence
+             {
+               stage;
+               target =
+                 Some (du.Weyl.Kak.coords.x, du.Weyl.Kak.coords.y, du.Weyl.Kak.coords.z);
+               iterations = 0;
+               residual = d;
+             })
+      else begin
+        let r =
+          {
+            pulse;
+            coords = du.Weyl.Kak.coords;
+            realized = Mat.copy realized;
+            a1 = Mat.mul du.Weyl.Kak.a1 (Mat.dagger dw.Weyl.Kak.a1);
+            a2 = Mat.mul du.Weyl.Kak.a2 (Mat.dagger dw.Weyl.Kak.a2);
+            b1 = Mat.mul (Mat.dagger dw.Weyl.Kak.b1) du.Weyl.Kak.b1;
+            b2 = Mat.mul (Mat.dagger dw.Weyl.Kak.b2) du.Weyl.Kak.b2;
+          }
+        in
+        match oc with
+        | Robust.Outcome.Solved _ when d <= strict_class_tol -> Robust.Outcome.Solved r
+        | Robust.Outcome.Degraded (_, i) ->
+          Robust.Outcome.Degraded (r, { i with Robust.Outcome.residual = Float.max i.residual d })
+        | _ ->
+          Robust.Outcome.Degraded
+            ( r,
+              {
+                Robust.Outcome.residual = d;
+                retries = 0;
+                note = "class distance above strict tolerance after local corrections";
+              } )
+      end)
 
 let reconstruct r =
   Mat.mul3 (Mat.kron r.a1 r.a2) r.realized (Mat.kron r.b1 r.b2)

@@ -63,23 +63,24 @@ val evolve : Coupling.t -> pulse -> Mat.t
     Per-stage counters accumulate in {!Robust.Counters} under stages
     ["genashn"], ["solver.ea"] and ["solver.nd"].
 
-    Three layers stand in front of the root search, tried in order:
-    - the tiered pulse cache, when one is installed
-      ({!Pulse_cache.install}): the target's {!cache_fingerprint} is
-      looked up first; a hit replays the stored Solved/Degraded verdict
-      bit for bit and skips the root search (counter ["cache_hit"]); a
-      miss solves and stores the verdict. The memo is not consulted. A
-      hit here replays only the pulse: no expm and no KAK.
-    - with no cache installed, the process-wide class memo: a bounded
-      ({!memo_capacity}) LRU keyed on the exact float bits of the
-      coupling and the coordinates, holding the full outcome together
+    One chain stands in front of the root search, tried in order:
+    - the process-wide class memo: a bounded ({!memo_capacity}) LRU
+      keyed on the exact float bits of the coupling and the coordinates
+      and on the pulse cache's install generation
+      ({!Pulse_cache.generation}), holding the full outcome together
       with the unitary the pulse realizes and that unitary's KAK, so a
       hit in {!solve_r} costs four local products, plus one KAK of the
-      target when the gate carries none ({!Gate.kak}). It answers only when [budget] is absent and no fault
-      site is armed, so [Budget_exceeded] and every fault stay
-      reachable. A hit returns the outcome a fresh solve would, byte for
-      byte. Counters
-      ["memo_hit"], ["memo_miss"] and ["memo_evict"].
+      target when the gate carries none ({!Gate.kak}). It answers only
+      when [budget] is absent and no fault site is armed, so
+      [Budget_exceeded] and every fault stay reachable; such a solve
+      skips only the memo. A hit returns the outcome the rest of the
+      chain would, byte for byte. Counters ["memo_hit"], ["memo_miss"]
+      and ["memo_evict"].
+    - the pulse cache, when one is installed ({!Pulse_cache.install}):
+      the target's {!cache_fingerprint} is looked up; a hit replays the
+      stored Solved/Degraded verdict bit for bit, skips the root search
+      (counter ["cache_hit"]) and computes the tail (one expm, one KAK)
+      the memo then keeps; a miss solves and stores the verdict.
     - the solve itself (counter ["solve_run"], one per root search
       actually run). *)
 val solve_coords_r :

@@ -64,21 +64,28 @@ let decode s =
         }
   end
 
-(* The active cache. Installed before worker domains spawn and read-only
-   hot-path access afterwards; Atomic keeps the publication well-defined. *)
-let active : Cache.t option Atomic.t = Atomic.make None
+(* The active cache and its install generation, swapped as one value.
+   Installed before worker domains spawn and read-only hot-path access
+   afterwards; Atomic keeps the publication well-defined. Every install,
+   uninstall and [with_cache] entry or restore bumps the generation, so
+   a memo keyed on it never answers across two installations. *)
+type slot = { generation : int; cache : Cache.t option }
 
-let install c = Atomic.set active (Some c)
-let uninstall () = Atomic.set active None
-let installed () = Atomic.get active
+let active = Atomic.make { generation = 0; cache = None }
+
+let set cache = Atomic.set active { generation = (Atomic.get active).generation + 1; cache }
+let install c = set (Some c)
+let uninstall () = set None
+let installed () = (Atomic.get active).cache
+let generation () = (Atomic.get active).generation
 
 let with_cache c f =
-  let prev = Atomic.get active in
-  Atomic.set active (Some c);
-  Fun.protect ~finally:(fun () -> Atomic.set active prev) f
+  let prev = installed () in
+  set (Some c);
+  Fun.protect ~finally:(fun () -> set prev) f
 
 let lookup key =
-  match Atomic.get active with
+  match installed () with
   | None -> None
   | Some c -> (
     match Cache.find c key with
@@ -86,6 +93,6 @@ let lookup key =
     | Some bytes -> decode bytes (* a corrupt/foreign value reads as a miss *))
 
 let store key e =
-  match Atomic.get active with
+  match installed () with
   | None -> ()
   | Some c -> Cache.add c key (encode e)

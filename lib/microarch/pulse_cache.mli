@@ -37,6 +37,12 @@ val installed : unit -> Cache.t option
     previous cache afterwards). *)
 val with_cache : Cache.t -> (unit -> 'a) -> 'a
 
+(** Installations so far: {!install}, {!uninstall}, and both the entry
+    and the restore of {!with_cache} each count one. The genAshN class
+    memo keys on it, so a cache installed while the memo is warm is still
+    read and filled. *)
+val generation : unit -> int
+
 (** {1 Solver-facing lookups} (no-ops when nothing is installed) *)
 
 val lookup : string -> entry option

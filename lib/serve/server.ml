@@ -1,7 +1,6 @@
 type config = {
   workers : int;
   cache_path : string option;
-  cache_capacity : int;
   seed : int64;
 }
 
@@ -9,7 +8,6 @@ let default_config =
   {
     workers = 0;
     cache_path = None;
-    cache_capacity = 4096;
     seed = 1L;
   }
 
@@ -19,7 +17,7 @@ let open_cache config =
   match config.cache_path with
   | None -> Ok None
   | Some path -> (
-    match Cache.create ~capacity:config.cache_capacity ~path () with
+    match Cache.create ~path () with
     | Ok c -> Ok (Some c)
     | Error e -> Error e)
 

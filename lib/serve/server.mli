@@ -15,12 +15,13 @@
 
     When [cache_path] is set, a {!Cache} store is opened there and
     installed as the process-global pulse-synthesis cache for the run
-    (shared by all workers; hits skip Algorithm 1). *)
+    (shared by all workers; hits skip Algorithm 1). The solver's class
+    memo stands in front of it, so a repeated class reaches the store
+    once per run. *)
 
 type config = {
   workers : int;  (** worker domains; [0] = auto ({!Numerics.Par.default_domains}) *)
   cache_path : string option;
-  cache_capacity : int;  (** LRU-tier entries (default 4096) *)
   seed : int64;  (** rng seed for compilation jobs (deterministic per request) *)
 }
 

@@ -226,37 +226,49 @@ let test_store_bad_magic () =
 
 (* --------------------------------------------------------------- tiered *)
 
-let test_tiered_eviction_disk_fallback () =
-  let path = tmp_path ".rqcache" in
-  (match Cache.create ~capacity:2 ~path () with
-  | Error e -> Alcotest.failf "create: %s" e
-  | Ok c ->
-    Cache.add c "a" "1";
-    Cache.add c "b" "2";
-    Cache.add c "c" "3";
-    (* "a" was evicted from the LRU tier but must still hit via disk *)
-    Alcotest.(check (option string)) "disk fallback" (Some "1") (Cache.find c "a");
+(* one index holds every key, disk-backed or memory-only: no key added
+   is ever lost while the cache is open, and a reopened store finds them
+   all again *)
+let test_tiered_one_index () =
+  let kvs = List.init 100 (fun i -> (Printf.sprintf "k%03d" i, string_of_int i)) in
+  let fill c =
+    List.iter (fun (k, v) -> Cache.add c k v) kvs;
+    List.iter
+      (fun (k, v) -> Alcotest.(check (option string)) ("found " ^ k) (Some v) (Cache.find c k))
+      kvs;
     Alcotest.(check (option string)) "miss is a miss" None (Cache.find c "zzz");
     let s = Cache.stats c in
-    Alcotest.(check int) "lru bounded" 2 s.Cache.size;
-    Alcotest.(check int) "all keys on disk" 3 s.Cache.disk_records;
-    Alcotest.(check bool) "eviction counted" true (s.Cache.evictions >= 1);
-    Alcotest.(check bool) "disk hit counted" true (s.Cache.disk_hits >= 1);
+    Alcotest.(check int) "keys reported" (List.length kvs) s.Cache.keys;
+    Alcotest.(check int) "hits counted" (List.length kvs) s.Cache.hits;
+    Alcotest.(check int) "miss counted" 1 s.Cache.misses
+  in
+  (match Cache.create () with
+  | Error e -> Alcotest.failf "create memory-only: %s" e
+  | Ok c ->
+    fill c;
+    Alcotest.(check int) "memory-only writes no file" 0 (Cache.stats c).Cache.disk_bytes;
     Cache.close c);
-  (* reload from disk: everything persisted *)
-  (match Cache.create ~capacity:2 ~path () with
+  let path = tmp_path ".rqcache" in
+  (match Cache.create ~path () with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok c ->
+    fill c;
+    Alcotest.(check int) "one frame per key" (List.length kvs) (Cache.stats c).Cache.file_records;
+    Cache.close c);
+  (* reload from disk: every key persisted *)
+  (match Cache.create ~path () with
   | Error e -> Alcotest.failf "reopen: %s" e
   | Ok c ->
+    Alcotest.(check int) "keys reloaded" (List.length kvs) (Cache.stats c).Cache.keys;
     List.iter
-      (fun (k, v) ->
-        Alcotest.(check (option string)) ("reloaded " ^ k) (Some v) (Cache.find c k))
-      [ ("a", "1"); ("b", "2"); ("c", "3") ];
+      (fun (k, v) -> Alcotest.(check (option string)) ("reloaded " ^ k) (Some v) (Cache.find c k))
+      kvs;
     Cache.close c);
   cleanup path
 
 let test_tiered_compaction () =
   let path = tmp_path ".rqcache" in
-  (match Cache.create ~capacity:8 ~path () with
+  (match Cache.create ~path () with
   | Error e -> Alcotest.failf "create: %s" e
   | Ok c ->
     (* three updates of "a" -> three physical frames for one key *)
@@ -265,7 +277,7 @@ let test_tiered_compaction () =
     Cache.add c "a" "3";
     Cache.add c "b" "long-lived";
     let s = Cache.stats c in
-    Alcotest.(check int) "distinct keys" 2 s.Cache.disk_records;
+    Alcotest.(check int) "distinct keys" 2 s.Cache.keys;
     Alcotest.(check int) "duplicates on disk" 4 s.Cache.file_records;
     let before_bytes = s.Cache.disk_bytes in
     (match Cache.compact c with
@@ -274,7 +286,7 @@ let test_tiered_compaction () =
       Alcotest.(check bool) "file shrank" true (bytes < before_bytes);
       let s = Cache.stats c in
       Alcotest.(check int) "one frame per key" 2 s.Cache.file_records;
-      Alcotest.(check int) "keys kept" 2 s.Cache.disk_records;
+      Alcotest.(check int) "keys kept" 2 s.Cache.keys;
       Alcotest.(check int) "size reported" bytes s.Cache.disk_bytes;
       Alcotest.(check int) "compaction counted" 1 s.Cache.compactions);
     (* latest value wins, cache stays usable, appends still land *)
@@ -282,7 +294,7 @@ let test_tiered_compaction () =
     Cache.add c "c" "post-compact";
     Cache.close c);
   (* a fresh process sees the compacted file + the post-compact append *)
-  (match Cache.create ~capacity:8 ~path () with
+  (match Cache.create ~path () with
   | Error e -> Alcotest.failf "reopen: %s" e
   | Ok c ->
     List.iter
@@ -292,18 +304,6 @@ let test_tiered_compaction () =
     Alcotest.(check int) "no tear from the rewrite" 0 (Cache.stats c).Cache.torn_bytes;
     Cache.close c);
   cleanup path
-
-let test_tiered_memory_only () =
-  match Cache.create ~capacity:2 () with
-  | Error e -> Alcotest.failf "create: %s" e
-  | Ok c ->
-    Cache.add c "a" "1";
-    Cache.add c "b" "2";
-    Cache.add c "c" "3";
-    Alcotest.(check (option string)) "evicted for good without disk" None
-      (Cache.find c "a");
-    Alcotest.(check (option string)) "recent key lives" (Some "3") (Cache.find c "c");
-    Cache.close c
 
 (* ------------------------------------------------------- pulse entries *)
 
@@ -487,10 +487,8 @@ let () =
         ] );
       ( "tiered",
         [
-          Alcotest.test_case "eviction + disk fallback" `Quick
-            test_tiered_eviction_disk_fallback;
+          Alcotest.test_case "one index" `Quick test_tiered_one_index;
           Alcotest.test_case "compaction" `Quick test_tiered_compaction;
-          Alcotest.test_case "memory-only" `Quick test_tiered_memory_only;
         ] );
       ( "pulse",
         [

@@ -392,14 +392,23 @@ let test_memo_hit_identical () =
   (match Cache.create () with
   | Error e -> Alcotest.fail e
   | Ok c ->
-    let miss, hit =
+    let miss = Pulse_cache.with_cache c (fun () -> List.map solve gates) in
+    (* re-installed, the memo misses and the store replays; a second
+       pass under the same installation is a memo hit *)
+    let hit, memo_hit =
       Pulse_cache.with_cache c (fun () ->
-          let miss = List.map solve gates in
-          (miss, List.map solve gates))
+          let replays0 = genashn_count "cache_hit" in
+          let hit = List.map solve gates in
+          Alcotest.(check bool) "the store replayed" true (genashn_count "cache_hit" > replays0);
+          let replays1 = genashn_count "cache_hit" in
+          let memo_hit = List.map solve gates in
+          Alcotest.(check int) "the memo answered" replays1 (genashn_count "cache_hit");
+          (hit, memo_hit))
     in
     Cache.close c;
     Alcotest.(check (list string)) "pulse-cache miss bytes" cold miss;
-    Alcotest.(check (list string)) "pulse-cache hit bytes" cold hit);
+    Alcotest.(check (list string)) "pulse-cache hit bytes" cold hit;
+    Alcotest.(check (list string)) "memo hit over the pulse cache bytes" cold memo_hit);
   Genashn.memo_clear ();
   Alcotest.(check (list string)) "2-domain solve_r bytes" (cold @ cold)
     (Par.parallel_map ~domains:2 solve (gates @ gates))
@@ -520,6 +529,12 @@ let solver_spans f =
   in
   (count "kak", count "solve_coords")
 
+(* solver/kak spans recorded while [f] runs, and what it returned *)
+let solver_kak_spans f =
+  let out = ref None in
+  let kak, _ = solver_spans (fun () -> out := Some (f ())) in
+  (kak, Option.get !out)
+
 let test_memo_kak_spans () =
   Robust.Fault.configure None;
   (match Cache.create () with
@@ -531,7 +546,7 @@ let test_memo_kak_spans () =
           solver_spans (fun () -> ignore (Genashn.solve_coords_r xy (Lazy.force ea_class)))
         in
         Alcotest.(check int) "the hit is recorded" 1 solves;
-        Alcotest.(check int) "a pulse-cache hit in solve_coords_r runs no KAK" 0 kak);
+        Alcotest.(check int) "a memo hit over the pulse cache runs no KAK" 0 kak);
     Cache.close c);
   Genashn.memo_clear ();
   ignore (Genashn.solve_r xy (Gate.su4 0 1 Quantum.Gates.cnot));
@@ -553,22 +568,73 @@ let test_carried_kak_spans () =
   Alcotest.(check int) "and runs no decomposition" d0
     (Robust.Counters.get ~stage:"weyl" "decompose")
 
-let test_memo_off_under_pulse_cache () =
+(* The memo fronts an installed pulse cache: a miss falls through to the
+   store (and, on a store miss, to the solver), a hit leaves the store
+   alone, and a re-installed store is read again, its replay carrying
+   the cold solve's bits. *)
+let test_memo_fronts_pulse_cache () =
   Robust.Fault.configure None;
   Genashn.memo_clear ();
-  match Cache.create () with
-  | Error e -> Alcotest.fail e
-  | Ok c ->
-    let hits0 = genashn_count "memo_hit" and misses0 = genashn_count "memo_miss" in
-    let cache_hits0 = genashn_count "cache_hit" in
-    Pulse_cache.with_cache c (fun () ->
-        ignore (Genashn.solve_coords_r xy (Lazy.force ea_class));
-        ignore (Genashn.solve_coords_r xy (Lazy.force ea_class)));
-    Cache.close c;
-    Alcotest.(check int) "memo empty" 0 (Genashn.memo_length ());
-    Alcotest.(check int) "no memo hit" hits0 (genashn_count "memo_hit");
-    Alcotest.(check int) "no memo miss" misses0 (genashn_count "memo_miss");
-    Alcotest.(check int) "the pulse cache answered" (cache_hits0 + 1) (genashn_count "cache_hit")
+  let ea = Lazy.force ea_class in
+  let decompositions () = Robust.Counters.get ~stage:"weyl" "decompose" in
+  let with_store f =
+    match Cache.create () with
+    | Error e -> Alcotest.fail e
+    | Ok c -> Fun.protect ~finally:(fun () -> Cache.close c) (fun () -> f c)
+  in
+  with_store (fun c ->
+      let cold, cold_r =
+        Pulse_cache.with_cache c (fun () ->
+            let misses0 = genashn_count "memo_miss" and runs0 = solve_runs () in
+            let cold = outcome_bits (Genashn.solve_coords_r xy ea) in
+            Alcotest.(check int) "first solve is a memo miss" (misses0 + 1)
+              (genashn_count "memo_miss");
+            Alcotest.(check int) "one root search" (runs0 + 1) (solve_runs ());
+            let s = Cache.stats c in
+            Alcotest.(check int) "a store miss" 1 s.Cache.misses;
+            Alcotest.(check int) "one insert" 1 s.Cache.inserts;
+            let hits0 = memo_hits () in
+            Alcotest.(check string) "memo hit bytes" cold
+              (outcome_bits (Genashn.solve_coords_r xy ea));
+            Alcotest.(check int) "second solve is a memo hit" (hits0 + 1) (memo_hits ());
+            let s' = Cache.stats c in
+            Alcotest.(check (pair int int)) "the store is not probed"
+              (s.Cache.hits, s.Cache.misses) (s'.Cache.hits, s'.Cache.misses);
+            (cold, result_bits (Genashn.solve_r xy (Gate.cx 0 1))))
+      in
+      (* re-installed: each solve is a memo miss the store answers, with
+         one decomposition (the tail's) and no root search *)
+      let replayed what solve =
+        Pulse_cache.with_cache c (fun () ->
+            let misses0 = genashn_count "memo_miss" and runs0 = solve_runs () in
+            let replays0 = genashn_count "cache_hit" and d0 = decompositions () in
+            let kak, out = solver_kak_spans solve in
+            Alcotest.(check int) (what ^ ": a memo miss") (misses0 + 1) (genashn_count "memo_miss");
+            Alcotest.(check int) (what ^ ": the store replays") (replays0 + 1)
+              (genashn_count "cache_hit");
+            Alcotest.(check int) (what ^ ": no root search") runs0 (solve_runs ());
+            Alcotest.(check int) (what ^ ": one decomposition, for the tail") (d0 + 1)
+              (decompositions ());
+            let d1 = decompositions () in
+            Alcotest.(check string) (what ^ ": then a memo hit") out (solve ());
+            Alcotest.(check int) (what ^ ": which decomposes nothing") d1 (decompositions ());
+            (kak, out))
+      in
+      let _, replay = replayed "coords" (fun () -> outcome_bits (Genashn.solve_coords_r xy ea)) in
+      Alcotest.(check string) "replayed pulse bytes" cold replay;
+      let kak, replay_r =
+        replayed "gate" (fun () -> result_bits (Genashn.solve_r xy (Gate.cx 0 1)))
+      in
+      Alcotest.(check string) "replayed solve_r bytes" cold_r replay_r;
+      Alcotest.(check int) "a carried KAK opens no solver/kak span" 0 kak);
+  (* a budget skips only the memo: a store miss still runs the budgeted
+     search *)
+  with_store (fun c ->
+      Pulse_cache.with_cache c (fun () ->
+          let budget = Robust.Budget.make ~max_seconds:0.0 () in
+          match Genashn.solve_coords_r ~budget xy ea with
+          | Robust.Outcome.Failed (Robust.Err.Budget_exceeded _) -> ()
+          | o -> Alcotest.fail ("expected Budget_exceeded, got " ^ outcome_bits o)))
 
 let test_memo_parallel_deterministic () =
   Robust.Fault.configure None;
@@ -648,7 +714,7 @@ let () =
           Alcotest.test_case "budget still enforced" `Quick test_memo_keeps_budget;
           Alcotest.test_case "faults still fire" `Quick test_memo_keeps_faults;
           Alcotest.test_case "bounded with evictions" `Quick test_memo_bounded;
-          Alcotest.test_case "off under a pulse cache" `Quick test_memo_off_under_pulse_cache;
+          Alcotest.test_case "fronts the pulse cache" `Quick test_memo_fronts_pulse_cache;
           Alcotest.test_case "2-domain map deterministic" `Quick test_memo_parallel_deterministic;
           Alcotest.test_case "solve_r faults not stored" `Quick test_memo_solve_r_faults;
           Alcotest.test_case "solve_r evicts" `Quick test_memo_solve_r_bounded;

@@ -692,6 +692,63 @@ let strip_id = function
   | Robust.Json.Obj ms -> Robust.Json.Obj (List.filter (fun (k, _) -> k <> "id") ms)
   | v -> v
 
+(* [pulses] replies pinned by bytes (id stripped) for the six named
+   gates and two coords targets. Engine.exec_once answers them three
+   ways: over a cold store (a root search each), on the same engine again
+   (the class memo), and on a second engine over the reopened store (a
+   replay). All three give the bytes recorded here, which the solver
+   produced before the memo fronted the pulse cache. *)
+let pulses_reply_digest = "951208659eb8d67ed71ae64adad65eb1"
+
+let pulses_reply_lines =
+  List.map
+    (fun g -> Printf.sprintf "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"gate\":%S}" g)
+    Quantum.Gates.named_2q
+  @ List.map
+      (fun c -> Printf.sprintf "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"coords\":%s}" c)
+      [ "[0.6,0.5,0.4]"; "[0.5,0.3,0.1]" ]
+
+let test_pulses_reply_bytes () =
+  disarm ();
+  let path = Filename.temp_file "reqisc_serve" ".rqcache" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  let engine () =
+    match Cache.create ~path () with
+    | Error e -> Alcotest.failf "cannot open cache: %s" e
+    | Ok cache -> Serve.Engine.create ~workers:1 ~cache ~seed:7L ()
+  in
+  let replies eng =
+    List.map
+      (fun line ->
+        Robust.Json.to_string (strip_id (Serve.Engine.exec_once eng (Serve.Protocol.parse_line line))))
+      pulses_reply_lines
+  in
+  let count = Robust.Counters.get ~stage:"genashn" in
+  let eng = engine () in
+  let cold = replies eng in
+  let runs0 = count "solve_run" and replays0 = count "cache_hit" in
+  let memo = replies eng in
+  Alcotest.(check (pair int int)) "the memo answers the second pass" (runs0, replays0)
+    (count "solve_run", count "cache_hit");
+  Serve.Engine.drain eng;
+  let eng = engine () in
+  let replay = replies eng in
+  Serve.Engine.drain eng;
+  Alcotest.(check int) "the reopened store answers without a root search" runs0
+    (count "solve_run");
+  (* cnot and cz share a class: the memo answers the second of them *)
+  Alcotest.(check int) "one store replay per distinct class"
+    (replays0 + List.length pulses_reply_lines - 1)
+    (count "cache_hit");
+  List.iter
+    (fun r -> Alcotest.(check bool) ("ok reply: " ^ r) true (contains r "\"ok\":true"))
+    cold;
+  Alcotest.(check (list string)) "memo bytes" cold memo;
+  Alcotest.(check (list string)) "replay bytes" cold replay;
+  Alcotest.(check string) "pinned reply bytes" pulses_reply_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" cold)))
+
 (* run a K-request storm behind the plugs and hand back the storm
    responses (the plug responses are dropped) *)
 let run_storm ?(storm_line = storm_line) ~stormers () =
@@ -980,6 +1037,7 @@ let () =
           Alcotest.test_case "over budget" `Quick test_server_over_budget;
           Alcotest.test_case "solver fault" `Quick test_server_solver_fault;
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
+          Alcotest.test_case "pulses reply bytes" `Quick test_pulses_reply_bytes;
         ] );
       ( "coalescing",
         [
