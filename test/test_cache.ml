@@ -226,43 +226,40 @@ let test_store_bad_magic () =
 
 (* --------------------------------------------------------------- tiered *)
 
-(* one index holds every key, disk-backed or memory-only: no key added
-   is ever lost while the cache is open, and a reopened store finds them
-   all again *)
-let test_tiered_one_index () =
-  let kvs = List.init 100 (fun i -> (Printf.sprintf "k%03d" i, string_of_int i)) in
-  let fill c =
-    List.iter (fun (k, v) -> Cache.add c k v) kvs;
-    List.iter
-      (fun (k, v) -> Alcotest.(check (option string)) ("found " ^ k) (Some v) (Cache.find c k))
-      kvs;
-    Alcotest.(check (option string)) "miss is a miss" None (Cache.find c "zzz");
-    let s = Cache.stats c in
-    Alcotest.(check int) "keys reported" (List.length kvs) s.Cache.keys;
-    Alcotest.(check int) "hits counted" (List.length kvs) s.Cache.hits;
-    Alcotest.(check int) "miss counted" 1 s.Cache.misses
-  in
-  (match Cache.create () with
-  | Error e -> Alcotest.failf "create memory-only: %s" e
-  | Ok c ->
-    fill c;
-    Alcotest.(check int) "memory-only writes no file" 0 (Cache.stats c).Cache.disk_bytes;
-    Cache.close c);
+(* one index holds every key, disk-backed or memory-only: with no LRU tier
+   nothing is evicted, so no key added is ever lost while the cache is open *)
+let tiered_kvs = List.init 100 (fun i -> (Printf.sprintf "k%03d" i, string_of_int i))
+
+let tiered_fill c =
+  List.iter (fun (k, v) -> Cache.add c k v) tiered_kvs;
+  List.iter
+    (fun (k, v) -> Alcotest.(check (option string)) ("found " ^ k) (Some v) (Cache.find c k))
+    tiered_kvs;
+  Alcotest.(check (option string)) "miss is a miss" None (Cache.find c "zzz");
+  let s = Cache.stats c in
+  Alcotest.(check int) "keys reported" (List.length tiered_kvs) s.Cache.keys;
+  Alcotest.(check int) "hits counted" (List.length tiered_kvs) s.Cache.hits;
+  Alcotest.(check int) "miss counted" 1 s.Cache.misses
+
+(* disk-backed: every key is held, and a reopened store falls back to the
+   frames on disk to find them all again *)
+let test_tiered_eviction_disk_fallback () =
   let path = tmp_path ".rqcache" in
   (match Cache.create ~path () with
   | Error e -> Alcotest.failf "create: %s" e
   | Ok c ->
-    fill c;
-    Alcotest.(check int) "one frame per key" (List.length kvs) (Cache.stats c).Cache.file_records;
+    tiered_fill c;
+    Alcotest.(check int) "one frame per key" (List.length tiered_kvs)
+      (Cache.stats c).Cache.file_records;
     Cache.close c);
   (* reload from disk: every key persisted *)
   (match Cache.create ~path () with
   | Error e -> Alcotest.failf "reopen: %s" e
   | Ok c ->
-    Alcotest.(check int) "keys reloaded" (List.length kvs) (Cache.stats c).Cache.keys;
+    Alcotest.(check int) "keys reloaded" (List.length tiered_kvs) (Cache.stats c).Cache.keys;
     List.iter
       (fun (k, v) -> Alcotest.(check (option string)) ("reloaded " ^ k) (Some v) (Cache.find c k))
-      kvs;
+      tiered_kvs;
     Cache.close c);
   cleanup path
 
@@ -304,6 +301,14 @@ let test_tiered_compaction () =
     Alcotest.(check int) "no tear from the rewrite" 0 (Cache.stats c).Cache.torn_bytes;
     Cache.close c);
   cleanup path
+
+let test_tiered_memory_only () =
+  match Cache.create () with
+  | Error e -> Alcotest.failf "create memory-only: %s" e
+  | Ok c ->
+    tiered_fill c;
+    Alcotest.(check int) "memory-only writes no file" 0 (Cache.stats c).Cache.disk_bytes;
+    Cache.close c
 
 (* ------------------------------------------------------- pulse entries *)
 
@@ -487,8 +492,10 @@ let () =
         ] );
       ( "tiered",
         [
-          Alcotest.test_case "one index" `Quick test_tiered_one_index;
+          Alcotest.test_case "eviction + disk fallback" `Quick
+            test_tiered_eviction_disk_fallback;
           Alcotest.test_case "compaction" `Quick test_tiered_compaction;
+          Alcotest.test_case "memory-only" `Quick test_tiered_memory_only;
         ] );
       ( "pulse",
         [
