@@ -7,9 +7,9 @@
     self-delimiting ASCII string: equal keys imply equal field sequences.
 
     This is the shared helper behind the pulse-synthesis cache
-    ([Tiered]/[Pulse_cache]) and the compiler's gate-exchange memo
-    ([Compiler.Compact]); [unitary] is the phase-invariant matrix key
-    historically private to [Compiler.Template]. *)
+    ([Tiered]/[Pulse_cache]), the serve layer's request coalescing and the
+    template library's buckets ([Compiler.Template]), whose phase-invariant
+    matrix key is [unitary]. *)
 
 open Numerics
 

@@ -53,19 +53,20 @@ let run rng (c : Circuit.t) =
   let rounds = ref 0 in
   let score arr = compactness (Circuit.create c.n (Array.to_list arr)) in
   let current = ref (score !gates) in
-  (* cache exchange feasibility per (pair of unitaries) fingerprint to avoid
-     re-running the synthesis for repeated patterns *)
+  (* exchange feasibility per pair, keyed by the exact matrix bits and
+     wires of both gates (two 2Q gates, so every key has one length), so a
+     repeated pair skips its synthesis and only a repeat gets its rewrite *)
   let cache : (string, (Mat.t * Mat.t) option) Hashtbl.t = Hashtbl.create 64 in
   let fp (g1 : Gate.t) (g2 : Gate.t) =
-    let open Cache.Fingerprint in
-    let b = create "compact.exchange.v1" in
-    let b = unitary b g1.mat in
-    let b = unitary b g2.mat in
-    let b = int b g1.qubits.(0) in
-    let b = int b g1.qubits.(1) in
-    let b = int b g2.qubits.(0) in
-    let b = int b g2.qubits.(1) in
-    key b
+    let b = Buffer.create 544 in
+    let gate (g : Gate.t) =
+      Array.iter (fun q -> Buffer.add_int64_le b (Int64.of_int q)) g.qubits;
+      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Mat.re_plane g.mat);
+      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Mat.im_plane g.mat)
+    in
+    gate g1;
+    gate g2;
+    Buffer.contents b
   in
   while !improved && !rounds < max_rounds do
     improved := false;

@@ -28,9 +28,8 @@ let stall_rel = 1e-2
    Every kernel adds the same terms in the same order as the dense
    product over [Gates.embed] would, so the search is bit-identical to a
    dense sweep. *)
-let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots =
+let search ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
   let dim = 1 lsl n in
-  let slots_arr = Array.of_list slots in
   let m_slots = Array.length slots_arr in
   let tdag = Mat.dagger target in
   let plans =
@@ -130,19 +129,106 @@ let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots
    with Exit -> ());
   Robust.Counters.add ~stage:"compiler.synth" "restarts" !n_restarts;
   Robust.Counters.add ~stage:"compiler.synth" "sweeps" !n_sweeps;
+  (!best_mats, !best_inf)
+
+(* --------------------------------------------------------- search memo *)
+
+(* Process-wide memo of [search]. A search draws from the RNG only when a
+   restart starts, so what it returns is a function of its inputs alone:
+   the stream position, [sweeps], [restarts], [tol], [n], the exact bits
+   of [target] and the slots (a fixed gate by its label, wires and matrix
+   bits). The key is the MD5 of an unambiguous rendering of those inputs;
+   an entry holds the slot matrices, the infidelity and the stream
+   position after the search, so a hit returns the bits a search would and
+   leaves the caller's stream where a search would. Its matrices are
+   shared and read-only, like every gate's. An armed fault ([mul_nan],
+   [jacobi_stall]) shapes sweeps, so such a search neither reads nor fills
+   the memo. The lock covers lookups and inserts, never a search: two
+   domains missing on one key both search and store the same entry. *)
+let memo_capacity = 1024
+
+let memo : (Digest.t, Mat.t array * float * Rng.position) Cache.Lru.t =
+  Cache.Lru.create ~capacity:memo_capacity
+
+let memo_lock = Mutex.create ()
+
+let memo_key ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
+  let b = Buffer.create 2048 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let mat m =
+    int (Mat.rows m);
+    int (Mat.cols m);
+    Array.iter float (Mat.re_plane m);
+    Array.iter float (Mat.im_plane m)
+  in
+  let wires w =
+    int (Array.length w);
+    Array.iter int w
+  in
+  Buffer.add_string b (Rng.position_bits (Rng.position rng));
+  List.iter int [ sweeps; restarts; n; Array.length slots_arr ];
+  float tol;
+  mat target;
+  Array.iter
+    (function
+      | Free2q (p, q) ->
+        Buffer.add_char b '2';
+        wires [| p; q |]
+      | Free1q q ->
+        Buffer.add_char b '1';
+        wires [| q |]
+      | Fixed g ->
+        Buffer.add_char b 'f';
+        int (String.length g.Gate.label);
+        Buffer.add_string b g.Gate.label;
+        wires g.Gate.qubits;
+        mat g.Gate.mat)
+    slots_arr;
+  Digest.string (Buffer.contents b)
+
+let memo_search ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
+  let stage = "compiler.synth" in
+  let key = memo_key ~sweeps ~restarts ~tol rng ~n ~target slots_arr in
+  match Mutex.protect memo_lock (fun () -> Cache.Lru.find memo key) with
+  | Some (mats, inf, after) ->
+    Robust.Counters.incr ~stage "memo_hit";
+    Rng.set_position rng after;
+    (mats, inf)
+  | None ->
+    Robust.Counters.incr ~stage "memo_miss";
+    let mats, inf = search ~sweeps ~restarts ~tol rng ~n ~target slots_arr in
+    (* faults armed while it ran may have shaped this result *)
+    if not (Robust.Fault.enabled ()) then begin
+      let entry = (mats, inf, Rng.position rng) in
+      match Mutex.protect memo_lock (fun () -> Cache.Lru.add memo key entry) with
+      | Some _ -> Robust.Counters.incr ~stage "memo_evict"
+      | None -> ()
+    end;
+    (mats, inf)
+
+let memo_length () = Mutex.protect memo_lock (fun () -> Cache.Lru.length memo)
+let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
+
+let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots =
+  let slots_arr = Array.of_list slots in
+  let mats, inf =
+    if Robust.Fault.enabled () then search ~sweeps ~restarts ~tol rng ~n ~target slots_arr
+    else memo_search ~sweeps ~restarts ~tol rng ~n ~target slots_arr
+  in
   let gates =
     List.concat
       (List.mapi
          (fun i s ->
            match s with
-           | Free2q (a, b) -> [ Gate.su4 a b !best_mats.(i) ]
+           | Free2q (a, b) -> [ Gate.su4 a b mats.(i) ]
            | Free1q q ->
-             if Mat.equal ~tol:1e-11 !best_mats.(i) (Mat.identity 2) then []
-             else [ Gate.one_q q !best_mats.(i) ]
+             if Mat.equal ~tol:1e-11 mats.(i) (Mat.identity 2) then []
+             else [ Gate.one_q q mats.(i) ]
            | Fixed g -> [ g ])
          slots)
   in
-  (gates, !best_inf)
+  (gates, inf)
 
 let pair_cycle n =
   match n with

@@ -20,8 +20,19 @@ type slot =
     stalled sweeps: 12 in a row before it reaches [tol], where a sweep
     stalls when it gains less than [max(1e-13·2^n, 1e-2·(2^n − |Tr|))] of
     trace fidelity, and 6 in a row below [tol], where it stalls when it
-    gains less than 1e-16. Each call adds the restarts and sweeps it ran to
-    the ["compiler.synth"] counters ["restarts"] and ["sweeps"]. *)
+    gains less than 1e-16.
+
+    Searches are memoized process-wide (1024 entries, least recently used
+    evicted): a search draws from [rng] only when a restart starts, so a
+    call with the same [rng] position, [sweeps], [restarts], [tol], [n],
+    [target] bits and slots (a fixed gate by label, wires and matrix bits)
+    returns the same bits. A repeat is answered from the memo and moves
+    [rng] to where the search left it, so every later draw is the same as
+    after a real search. While a {!Robust.Fault} site is armed the memo is
+    neither read nor filled. The ["compiler.synth"] counters ["memo_hit"],
+    ["memo_miss"] and ["memo_evict"] count its traffic, and ["restarts"]
+    and ["sweeps"] count only the restarts and sweeps of searches that
+    actually ran. *)
 val optimize :
   ?sweeps:int ->
   ?restarts:int ->
@@ -31,6 +42,13 @@ val optimize :
   target:Mat.t ->
   slot list ->
   Gate.t list * float
+
+(** Entries in the search memo. *)
+val memo_length : unit -> int
+
+(** [memo_clear ()] empties the search memo, so the next search of every
+    input runs (for timing a cold search, or pinning its counts). *)
+val memo_clear : unit -> unit
 
 (** [su4_template ~n m] is the standard ansatz with [m] SU(4) slots on the
     cyclic pair pattern plus 1Q boundary layers. *)

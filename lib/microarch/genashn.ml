@@ -551,7 +551,10 @@ let solve_coords_uncached ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
 (* The installed pulse cache, then the solver: a hit replays the stored
    verdict bit for bit and skips Algorithm 1 (no grid, no Newton; the
    pulse was verified when it was stored), a miss solves and stores.
-   With no cache installed, the lookup misses and the store is a no-op. *)
+   With no cache installed, the lookup misses and the store is a no-op.
+   A solve with a fault site armed is not stored, the rule the class memo
+   keeps: the fault may have shaped its verdict, and the store would
+   replay that verdict after the faults are gone. *)
 let solve_stored ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
   let key = cache_fingerprint h coords in
   match Pulse_cache.lookup key with
@@ -560,7 +563,7 @@ let solve_stored ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
     cache_replay h e
   | None ->
     let oc = solve_coords_uncached ?budget h coords in
-    cache_store key oc;
+    if not (Robust.Fault.enabled ()) then cache_store key oc;
     oc
 
 (* --------------------------------------------------------- class memo *)

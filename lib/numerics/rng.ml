@@ -2,6 +2,24 @@ type t = { mutable state : int64; mutable cached_gaussian : float option }
 
 let create seed = { state = seed; cached_gaussian = None }
 
+type position = int64 * float option
+
+let position t = (t.state, t.cached_gaussian)
+
+let set_position t (state, g) =
+  t.state <- state;
+  t.cached_gaussian <- g
+
+let position_bits (state, g) =
+  let b = Buffer.create 17 in
+  Buffer.add_int64_le b state;
+  (match g with
+  | None -> Buffer.add_char b 'n'
+  | Some x ->
+    Buffer.add_char b 'g';
+    Buffer.add_int64_le b (Int64.bits_of_float x));
+  Buffer.contents b
+
 let next_int64 t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;

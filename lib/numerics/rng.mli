@@ -9,6 +9,21 @@ type t
 (** [create seed] builds an independent stream from a 64-bit seed. *)
 val create : int64 -> t
 
+(** A stream's position: the splitmix state plus Box–Muller's cached
+    deviate. Two streams at one position draw the same values from then on. *)
+type position
+
+(** [position t] is where [t] stands now. *)
+val position : t -> position
+
+(** [set_position t p] moves [t] to [p], so that it draws what a stream
+    at [p] draws next. *)
+val set_position : t -> position -> unit
+
+(** [position_bits p] renders [p] exactly: two positions give the same
+    string exactly when they are equal. *)
+val position_bits : position -> string
+
 (** [split t] derives a new independent stream (useful to decorrelate
     subsystems that consume randomness in interleaved order). *)
 val split : t -> t

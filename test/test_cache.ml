@@ -443,6 +443,40 @@ let test_solver_round_trip () =
     (Microarch.Pulse_cache.installed () = None);
   cleanup path
 
+(* A verdict an armed fault shaped is never stored: with [ea_noconv:1]
+   armed, class (0.6, 0.5, 0.4) recovers only after a retry, and the
+   store, reopened with the faults off, solves it afresh to [Solved]
+   instead of replaying that recovery *)
+let test_fault_verdict_not_stored () =
+  Robust.Fault.configure None;
+  let path = tmp_path ".rqcache" in
+  let cls = Weyl.Coords.make 0.6 0.5 0.4 in
+  (match Cache.create ~path () with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok c ->
+    Fun.protect
+      ~finally:(fun () ->
+        Robust.Fault.configure None;
+        Cache.close c)
+      (fun () ->
+        Robust.Fault.configure (Some "ea_noconv:1");
+        (match Microarch.Pulse_cache.with_cache c (fun () -> Microarch.Genashn.solve_coords_r xy cls) with
+        | Robust.Outcome.Degraded (_, d) ->
+          Alcotest.(check bool) "armed solve recovered by a retry" true
+            (d.Robust.Outcome.retries >= 1)
+        | _ -> Alcotest.fail "expected the armed solve to recover after a retry");
+        Alcotest.(check int) "fault fired" 1 (List.assoc "ea_noconv" (Robust.Fault.hits ()));
+        Alcotest.(check int) "nothing stored" 0 (Cache.stats c).Cache.inserts));
+  (match Cache.create ~path () with
+  | Error e -> Alcotest.failf "reopen: %s" e
+  | Ok c ->
+    let oc = Microarch.Pulse_cache.with_cache c (fun () -> Microarch.Genashn.solve_coords_r xy cls) in
+    Cache.close c;
+    match oc with
+    | Robust.Outcome.Solved _ -> ()
+    | _ -> Alcotest.fail "the reopened store must answer Solved");
+  cleanup path
+
 let test_cache_survives_corrupt_tail () =
   Robust.Fault.configure None;
   let path = tmp_path ".rqcache" in
@@ -501,6 +535,7 @@ let () =
         [
           Alcotest.test_case "entry codec" `Quick test_pulse_entry_codec;
           Alcotest.test_case "solver round trip" `Quick test_solver_round_trip;
+          Alcotest.test_case "fault verdict not stored" `Quick test_fault_verdict_not_stored;
           Alcotest.test_case "corrupt tail recovery" `Quick
             test_cache_survives_corrupt_tail;
         ] );

@@ -129,6 +129,66 @@ let test_synth_failing_count_stops_early () =
   Alcotest.(check bool) (Printf.sprintf "three slots converge (inf %.3g)" inf) true (inf < 1e-10);
   Alcotest.(check int) "converging sweeps" 15 (sweeps () - s1)
 
+let synth_count name = Robust.Counters.get ~stage:"compiler.synth" name
+
+let gate_bits (g : Gate.t) =
+  let bits m = Array.map Int64.bits_of_float m in
+  (g.label, g.qubits, bits (Mat.re_plane g.mat), bits (Mat.im_plane g.mat))
+
+(* a two-slot search on a 3-qubit target, from a fixed stream position;
+   returns its gate bits and infidelity bits and the stream's next draws *)
+let memo_probe () =
+  let r = Rng.create 31L in
+  let su4 a b = Gate.su4 a b (Quantum.Haar.su4 r) in
+  let target = Circuit.unitary (Circuit.create 3 [ su4 0 1; su4 1 2 ]) in
+  let rng = Rng.create 32L in
+  let gates, inf = Synth.optimize ~restarts:3 rng ~n:3 ~target (Synth.su4_template ~n:3 2) in
+  let next = [ Rng.gaussian rng; Rng.gaussian rng; Rng.float rng 1.0 ] in
+  (List.map gate_bits gates, Int64.bits_of_float inf, List.map Int64.bits_of_float next)
+
+(* A repeat from the same stream position is answered from the memo: the
+   same gate and infidelity bits, no restart or sweep, and the caller's
+   stream moved to where the search left it, Box-Muller's cached deviate
+   included *)
+let test_synth_memo_repeat () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let m0 = synth_count "memo_miss" in
+  let cold = memo_probe () in
+  Alcotest.(check int) "cold miss" 1 (synth_count "memo_miss" - m0);
+  Alcotest.(check int) "one entry" 1 (Synth.memo_length ());
+  let h0 = synth_count "memo_hit" and r0 = synth_count "restarts" in
+  let s0 = synth_count "sweeps" in
+  let warm = memo_probe () in
+  Alcotest.(check bool) "same bits and next draws" true (cold = warm);
+  Alcotest.(check int) "warm hit" 1 (synth_count "memo_hit" - h0);
+  Alcotest.(check int) "warm restarts" 0 (synth_count "restarts" - r0);
+  Alcotest.(check int) "warm sweeps" 0 (synth_count "sweeps" - s0)
+
+(* An armed fault site shapes sweeps ([mul_nan] poisons one product), so
+   no search under it reads or fills the memo: the exhausted site's second
+   search runs again rather than replay the first *)
+let test_synth_memo_faults () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let clean = memo_probe () in
+  Synth.memo_clear ();
+  let h0 = synth_count "memo_hit" and m0 = synth_count "memo_miss" in
+  let s0 = synth_count "sweeps" in
+  let armed =
+    Fun.protect ~finally:(fun () -> Robust.Fault.configure None) (fun () ->
+        Robust.Fault.configure (Some "mul_nan:1");
+        ignore (memo_probe ());
+        let second = memo_probe () in
+        Alcotest.(check int) "site fired" 1 (List.assoc "mul_nan" (Robust.Fault.hits ()));
+        second)
+  in
+  Alcotest.(check int) "no hits" 0 (synth_count "memo_hit" - h0);
+  Alcotest.(check int) "no lookups" 0 (synth_count "memo_miss" - m0);
+  Alcotest.(check int) "no inserts" 0 (Synth.memo_length ());
+  Alcotest.(check bool) "both searches ran" true (synth_count "sweeps" - s0 > 0);
+  Alcotest.(check bool) "second search is the clean one" true (armed = clean)
+
 (* -------------------------------------------------------------- compact *)
 
 let test_exchangeable_commuting () =
@@ -391,6 +451,8 @@ let () =
         [
           Alcotest.test_case "failing count stops early" `Quick
             test_synth_failing_count_stops_early;
+          Alcotest.test_case "memo repeat" `Quick test_synth_memo_repeat;
+          Alcotest.test_case "memo off under faults" `Quick test_synth_memo_faults;
         ] );
       ( "compact",
         [

@@ -290,26 +290,11 @@ let golden =
     ("rip_add_2", Passes.Eff, "3350c277769660645874f51255aa86ec", 78, 1560);
   ]
 
-(* one case per row, so a change reports every row it moves *)
-let golden_cases =
-  let synth name = Robust.Counters.get ~stage:"compiler.synth" name in
-  List.map
-    (fun (name, mode, digest, restarts, sweeps) ->
-      let label = Printf.sprintf "%s/%s" name (Passes.plan_of_mode mode).Passes.plan_name in
-      Alcotest.test_case label `Quick (fun () ->
-          let b =
-            List.find (fun (b : Benchmarks.Suite.bench) -> b.name = name) (Benchmarks.Suite.suite ())
-          in
-          let r0 = synth "restarts" and s0 = synth "sweeps" in
-          let out, _ =
-            Expect.ok (Passes.compile_plan ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) b.program)
-          in
-          Alcotest.(check string) label digest (gate_digest out.Passes.circuit.Circuit.gates);
-          Alcotest.(check int) (label ^ " restarts") restarts (synth "restarts" - r0);
-          Alcotest.(check int) (label ^ " sweeps") sweeps (synth "sweeps" - s0)))
-    golden
+let synth name = Robust.Counters.get ~stage:"compiler.synth" name
 
-(* ------------------------------------------------- carried KAKs *)
+let golden_digest name mode =
+  let _, _, digest, _, _ = List.find (fun (n, m, _, _, _) -> n = name && m = mode) golden in
+  digest
 
 let suite_program name =
   (List.find (fun (b : Benchmarks.Suite.bench) -> b.name = name) (Benchmarks.Suite.suite ()))
@@ -318,6 +303,73 @@ let suite_program name =
 let compile_default mode name =
   Expect.ok
     (Passes.compile_plan ~plan:(Passes.plan_of_mode mode) (Rng.create 1L) (suite_program name))
+
+let compile_digest mode name =
+  gate_digest (fst (compile_default mode name)).Passes.circuit.Circuit.gates
+
+(* one case per row, so a change reports every row it moves; each starts
+   from an empty search memo, so its totals are those of a cold search *)
+let golden_cases =
+  List.map
+    (fun (name, mode, digest, restarts, sweeps) ->
+      let label = Printf.sprintf "%s/%s" name (Passes.plan_of_mode mode).Passes.plan_name in
+      Alcotest.test_case label `Quick (fun () ->
+          Robust.Fault.configure None;
+          Synth.memo_clear ();
+          let r0 = synth "restarts" and s0 = synth "sweeps" in
+          Alcotest.(check string) label digest (compile_digest mode name);
+          Alcotest.(check int) (label ^ " restarts") restarts (synth "restarts" - r0);
+          Alcotest.(check int) (label ^ " sweeps") sweeps (synth "sweeps" - s0)))
+    golden
+
+(* ------------------------------------------------------- search memo *)
+
+(* A warm repeat of a compile runs no search: every search of the cold
+   compile is answered from the memo, and the gates are the same bits *)
+let test_memo_warm_repeat () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let m0 = synth "memo_miss" in
+  let cold = compile_digest Passes.Full "tof_5" in
+  let misses = synth "memo_miss" - m0 in
+  let h1 = synth "memo_hit" and m1 = synth "memo_miss" in
+  let r1 = synth "restarts" and s1 = synth "sweeps" in
+  let warm = compile_digest Passes.Full "tof_5" in
+  Alcotest.(check string) "cold digest" (golden_digest "tof_5" Passes.Full) cold;
+  Alcotest.(check string) "warm digest" cold warm;
+  Alcotest.(check bool) "cold compile searched" true (misses > 0);
+  Alcotest.(check int) "warm hits = cold misses" misses (synth "memo_hit" - h1);
+  Alcotest.(check int) "warm misses" 0 (synth "memo_miss" - m1);
+  Alcotest.(check int) "warm restarts" 0 (synth "restarts" - r1);
+  Alcotest.(check int) "warm sweeps" 0 (synth "sweeps" - s1)
+
+(* a memo warmed by one plan answers another plan's searches with the bits
+   that plan's own cold searches give *)
+let test_memo_cross_plan () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let cold_nc = compile_digest Passes.Nc "tof_5" in
+  Synth.memo_clear ();
+  ignore (compile_digest Passes.Full "tof_5");
+  let h0 = synth "memo_hit" in
+  let warm_nc = compile_digest Passes.Nc "tof_5" in
+  Alcotest.(check string) "cold nc digest" (golden_digest "tof_5" Passes.Nc) cold_nc;
+  Alcotest.(check string) "nc after full" cold_nc warm_nc;
+  Alcotest.(check bool) "nc hits what full searched" true (synth "memo_hit" - h0 > 0)
+
+(* two domains compiling at once, each missing or hitting as the other
+   fills the memo, produce the cold bytes *)
+let test_memo_two_domains () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let d = Array.init 2 (fun _ -> Domain.spawn (fun () -> compile_digest Passes.Full "tof_5")) in
+  let digests = Array.map Domain.join d in
+  Array.iteri
+    (fun i got ->
+      Alcotest.(check string) (Printf.sprintf "domain %d" i) (golden_digest "tof_5" Passes.Full) got)
+    digests
+
+(* ------------------------------------------------- carried KAKs *)
 
 let decompositions () = Robust.Counters.get ~stage:"weyl" "decompose"
 
@@ -457,6 +509,12 @@ let () =
             test_plan_matches_facade;
         ] );
       ("golden", golden_cases);
+      ( "memo",
+        [
+          Alcotest.test_case "warm repeat" `Quick test_memo_warm_repeat;
+          Alcotest.test_case "cross plan" `Quick test_memo_cross_plan;
+          Alcotest.test_case "two domains" `Quick test_memo_two_domains;
+        ] );
       ( "kak",
         [
           Alcotest.test_case "decompositions once" `Quick test_decompositions_once;
