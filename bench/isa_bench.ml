@@ -3,7 +3,7 @@
    Compiles a suite prefix to every registered target ISA through the
    [to_can; lower_isa:<target>] plans and tabulates, per (bench, target):
    emitted 2Q count, 2Q depth, synthesized duration under the target's
-   own cost model, and compile wall time. Gates on the paper's core
+   own cost model, and cold compile wall time. Gates on the paper's core
    claim — the reconfigurable (native SU(4)) ISA needs no more 2Q gates
    than ANY fixed target on EVERY bench — and writes the matrix to
    BENCH_isa.json. *)
@@ -24,6 +24,10 @@ let isa_bench ?(limit = 4) ~big () =
         let cells =
           List.map
             (fun (t : Isa.target) ->
+              (* each cell from an empty search memo: otherwise every
+                 target after the first replays the first's searches and
+                 its wall time compares nothing *)
+              Compiler.Synth.memo_clear ();
               let rng = Numerics.Rng.create 1L in
               let plan = Compiler.Passes.plan_for_isa t in
               let res, wall =

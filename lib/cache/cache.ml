@@ -4,4 +4,5 @@
 module Fingerprint = Fingerprint
 module Store = Store
 module Lru = Lru
+module Memo = Memo
 include Tiered

@@ -54,6 +54,24 @@ let floats ?quantum b vs =
   Array.iter (fun v -> ignore (float ?quantum b v)) vs;
   b
 
+(* exact: the 8 little-endian bytes of the IEEE bits after the tag, a
+   fixed width, so the field stays self-delimiting *)
+let bits b v =
+  Buffer.add_string b "|x";
+  Buffer.add_int64_le b (Int64.bits_of_float v);
+  b
+
+let mat_bits b m =
+  Buffer.add_string b "|m";
+  Buffer.add_string b (string_of_int (Mat.rows m));
+  Buffer.add_char b 'x';
+  Buffer.add_string b (string_of_int (Mat.cols m));
+  Buffer.add_char b ':';
+  (* rows·cols·2 fields of the width [bits] writes, untagged *)
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) (Mat.re_plane m);
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) (Mat.im_plane m);
+  b
+
 let unitary ?(quantum = 1e-3) b u =
   let n = Mat.rows u and m = Mat.cols u in
   (* normalize by the phase of the first large entry, as the template

@@ -4,12 +4,14 @@
     floats are quantized (rounded to integer multiples of a [quantum],
     default 1e-9) so that keys are stable under sub-tolerance numerical
     noise while distinct problems stay distinct. The rendered key is a
-    self-delimiting ASCII string: equal keys imply equal field sequences.
+    self-delimiting string, ASCII but for the fixed-width exact fields:
+    equal keys imply equal field sequences.
 
     This is the shared helper behind the pulse-synthesis cache
-    ([Tiered]/[Pulse_cache]), the serve layer's request coalescing and the
+    ([Tiered]/[Pulse_cache]), the serve layer's request coalescing, the
     template library's buckets ([Compiler.Template]), whose phase-invariant
-    matrix key is [unitary]. *)
+    matrix key is [unitary], and the exact keys ([bits], [mat_bits]) of
+    the compiler's synthesis memo and exchange table. *)
 
 open Numerics
 
@@ -35,6 +37,16 @@ val opt : (t -> 'a -> t) -> t -> 'a option -> t
 val float : ?quantum:float -> t -> float -> t
 
 val floats : ?quantum:float -> t -> float array -> t
+
+(** [bits fp v] appends the exact IEEE bits of [v] (8 raw bytes): unlike
+    [float], two values share the field only when their bits are equal. *)
+val bits : t -> float -> t
+
+(** [mat_bits fp m] appends the shape of [m] and the exact bits of every
+    entry, the key of the memos that must return the bits a computation
+    on [m] would ([Compiler.Synth]'s search memo, [Compiler.Compact]'s
+    exchange table). *)
+val mat_bits : t -> Mat.t -> t
 
 (** [unitary fp u] appends a global-phase-invariant key of the matrix:
     entries are divided by the phase of the first entry with norm > 0.2,

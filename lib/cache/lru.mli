@@ -1,4 +1,4 @@
-(** Bounded least-recently-used map (the store behind the genAshN class memo).
+(** Bounded least-recently-used map (the store behind {!Memo}).
 
     O(1) [find]/[add] via a hash table over an intrusive doubly-linked
     recency list. Not thread-safe — callers hold their own lock. *)

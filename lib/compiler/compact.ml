@@ -54,19 +54,13 @@ let run rng (c : Circuit.t) =
   let score arr = compactness (Circuit.create c.n (Array.to_list arr)) in
   let current = ref (score !gates) in
   (* exchange feasibility per pair, keyed by the exact matrix bits and
-     wires of both gates (two 2Q gates, so every key has one length), so a
-     repeated pair skips its synthesis and only a repeat gets its rewrite *)
+     wires of both gates, so a repeated pair skips its synthesis and only
+     an exact repeat gets its rewrite *)
   let cache : (string, (Mat.t * Mat.t) option) Hashtbl.t = Hashtbl.create 64 in
   let fp (g1 : Gate.t) (g2 : Gate.t) =
-    let b = Buffer.create 544 in
-    let gate (g : Gate.t) =
-      Array.iter (fun q -> Buffer.add_int64_le b (Int64.of_int q)) g.qubits;
-      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Mat.re_plane g.mat);
-      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Mat.im_plane g.mat)
-    in
-    gate g1;
-    gate g2;
-    Buffer.contents b
+    let open Cache.Fingerprint in
+    let gate b (g : Gate.t) = mat_bits (Array.fold_left int b g.qubits) g.mat in
+    key (gate (gate (create "compact.exchange.v2") g1) g2)
   in
   while !improved && !rounds < max_rounds do
     improved := false;

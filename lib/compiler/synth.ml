@@ -136,86 +136,53 @@ let search ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
 (* Process-wide memo of [search]. A search draws from the RNG only when a
    restart starts, so what it returns is a function of its inputs alone:
    the stream position, [sweeps], [restarts], [tol], [n], the exact bits
-   of [target] and the slots (a fixed gate by its label, wires and matrix
-   bits). The key is the MD5 of an unambiguous rendering of those inputs;
-   an entry holds the slot matrices, the infidelity and the stream
-   position after the search, so a hit returns the bits a search would and
-   leaves the caller's stream where a search would. Its matrices are
-   shared and read-only, like every gate's. An armed fault ([mul_nan],
-   [jacobi_stall]) shapes sweeps, so such a search neither reads nor fills
-   the memo. The lock covers lookups and inserts, never a search: two
-   domains missing on one key both search and store the same entry. *)
-let memo_capacity = 1024
+   of [target] and the slots (a fixed gate by its wires and matrix bits;
+   its label is not read, and a hit rebuilds the gates from the caller's
+   slots). The key is the MD5 of an exact fingerprint of those inputs; an
+   entry holds the slot matrices, the infidelity and the stream position
+   after the search, so a hit returns the bits a search would and leaves
+   the caller's stream where a search would. Its matrices are shared and
+   read-only, like every gate's. An armed fault ([mul_nan],
+   [jacobi_stall]) shapes sweeps, so [Cache.Memo] skips the memo then.
+   Only exact repeats hit: a fresh compile repeats none of its searches
+   (0 of 3,723 over the 34 suite programs under full, nc and eff, each
+   from an empty memo). Repeats come from a process compiling again: the
+   suite under full, then nc, then eff makes 1,517 distinct searches (nc
+   and eff repeat only full's), and a second pass over it hits on every
+   search when they all fit, but on 38 % of full's at 1024 entries, which
+   evicts each before its repeat. So the capacity is the next power of
+   two, 2048 entries, about 2.7 MiB full (1.36 KB an entry, measured). *)
+let memo_capacity = 2048
 
-let memo : (Digest.t, Mat.t array * float * Rng.position) Cache.Lru.t =
-  Cache.Lru.create ~capacity:memo_capacity
-
-let memo_lock = Mutex.create ()
+let memo : (Digest.t, Mat.t array * float * Rng.position) Cache.Memo.t =
+  Cache.Memo.create ~capacity:memo_capacity
 
 let memo_key ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
-  let b = Buffer.create 2048 in
-  let int i = Buffer.add_int64_le b (Int64.of_int i) in
-  let float x = Buffer.add_int64_le b (Int64.bits_of_float x) in
-  let mat m =
-    int (Mat.rows m);
-    int (Mat.cols m);
-    Array.iter float (Mat.re_plane m);
-    Array.iter float (Mat.im_plane m)
+  let open Cache.Fingerprint in
+  let wires b w = Array.fold_left int (int b (Array.length w)) w in
+  let b = str (create "synth.search.v1") (Rng.position_bits (Rng.position rng)) in
+  let b = List.fold_left int b [ sweeps; restarts; n; Array.length slots_arr ] in
+  let b = mat_bits (bits b tol) target in
+  let slot b = function
+    | Free2q (p, q) -> wires (str b "2") [| p; q |]
+    | Free1q q -> wires (str b "1") [| q |]
+    | Fixed g -> mat_bits (wires (str b "f") g.Gate.qubits) g.Gate.mat
   in
-  let wires w =
-    int (Array.length w);
-    Array.iter int w
-  in
-  Buffer.add_string b (Rng.position_bits (Rng.position rng));
-  List.iter int [ sweeps; restarts; n; Array.length slots_arr ];
-  float tol;
-  mat target;
-  Array.iter
-    (function
-      | Free2q (p, q) ->
-        Buffer.add_char b '2';
-        wires [| p; q |]
-      | Free1q q ->
-        Buffer.add_char b '1';
-        wires [| q |]
-      | Fixed g ->
-        Buffer.add_char b 'f';
-        int (String.length g.Gate.label);
-        Buffer.add_string b g.Gate.label;
-        wires g.Gate.qubits;
-        mat g.Gate.mat)
-    slots_arr;
-  Digest.string (Buffer.contents b)
+  Digest.string (key (Array.fold_left slot b slots_arr))
 
-let memo_search ~sweeps ~restarts ~tol rng ~n ~target slots_arr =
-  let stage = "compiler.synth" in
-  let key = memo_key ~sweeps ~restarts ~tol rng ~n ~target slots_arr in
-  match Mutex.protect memo_lock (fun () -> Cache.Lru.find memo key) with
-  | Some (mats, inf, after) ->
-    Robust.Counters.incr ~stage "memo_hit";
-    Rng.set_position rng after;
-    (mats, inf)
-  | None ->
-    Robust.Counters.incr ~stage "memo_miss";
-    let mats, inf = search ~sweeps ~restarts ~tol rng ~n ~target slots_arr in
-    (* faults armed while it ran may have shaped this result *)
-    if not (Robust.Fault.enabled ()) then begin
-      let entry = (mats, inf, Rng.position rng) in
-      match Mutex.protect memo_lock (fun () -> Cache.Lru.add memo key entry) with
-      | Some _ -> Robust.Counters.incr ~stage "memo_evict"
-      | None -> ()
-    end;
-    (mats, inf)
-
-let memo_length () = Mutex.protect memo_lock (fun () -> Cache.Lru.length memo)
-let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
+let memo_length () = Cache.Memo.length memo
+let memo_clear () = Cache.Memo.clear memo
 
 let optimize ?(sweeps = 400) ?(restarts = 6) ?(tol = 1e-10) rng ~n ~target slots =
   let slots_arr = Array.of_list slots in
-  let mats, inf =
-    if Robust.Fault.enabled () then search ~sweeps ~restarts ~tol rng ~n ~target slots_arr
-    else memo_search ~sweeps ~restarts ~tol rng ~n ~target slots_arr
+  let mats, inf, after =
+    Cache.Memo.find_or_compute memo ~stage:"compiler.synth"
+      (memo_key ~sweeps ~restarts ~tol rng ~n ~target slots_arr)
+      (fun () ->
+        let mats, inf = search ~sweeps ~restarts ~tol rng ~n ~target slots_arr in
+        (mats, inf, Rng.position rng))
   in
+  Rng.set_position rng after;
   let gates =
     List.concat
       (List.mapi

@@ -22,17 +22,19 @@ type slot =
     trace fidelity, and 6 in a row below [tol], where it stalls when it
     gains less than 1e-16.
 
-    Searches are memoized process-wide (1024 entries, least recently used
+    Searches are memoized process-wide (2048 entries, least recently used
     evicted): a search draws from [rng] only when a restart starts, so a
     call with the same [rng] position, [sweeps], [restarts], [tol], [n],
-    [target] bits and slots (a fixed gate by label, wires and matrix bits)
-    returns the same bits. A repeat is answered from the memo and moves
-    [rng] to where the search left it, so every later draw is the same as
-    after a real search. While a {!Robust.Fault} site is armed the memo is
-    neither read nor filled. The ["compiler.synth"] counters ["memo_hit"],
-    ["memo_miss"] and ["memo_evict"] count its traffic, and ["restarts"]
-    and ["sweeps"] count only the restarts and sweeps of searches that
-    actually ran. *)
+    [target] bits and slots (a fixed gate by its wires and matrix bits;
+    its label is not read) returns the same bits. A repeat is answered
+    from the memo, with the caller's own fixed gates, and moves [rng] to
+    where the search left it, so every later draw is the same as after a
+    real search. Only an exact repeat hits, so the memo pays only in a
+    process that compiles again. While a {!Robust.Fault} site is armed the
+    memo is neither read nor filled. The ["compiler.synth"] counters
+    ["memo_hit"], ["memo_miss"] and ["memo_evict"] count its traffic, and
+    ["restarts"] and ["sweeps"] count only the restarts and sweeps of
+    searches that actually ran. *)
 val optimize :
   ?sweeps:int ->
   ?restarts:int ->

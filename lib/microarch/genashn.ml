@@ -582,42 +582,21 @@ let solve_stored ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
    KAK, so a hit in [solve_r] runs neither an expm nor a second KAK. Its
    matrices are shared and read-only: [solve_r] hands out a copy.
    The chain is deterministic without a budget or armed faults, so only
-   those solves are memoized. The lock covers lookups and inserts, never
-   a solve: two domains missing on one class both solve it and store the
-   same outcome. *)
+   those solves are memoized ([Cache.Memo] skips armed faults itself). *)
 let memo_capacity = 1024
 
 let memo :
     ( int * int64 * int64 * int64 * int64 * int64 * int64,
       (pulse * Mat.t * Weyl.Kak.t) Robust.Outcome.t )
-    Cache.Lru.t =
-  Cache.Lru.create ~capacity:memo_capacity
-
-let memo_lock = Mutex.create ()
+    Cache.Memo.t =
+  Cache.Memo.create ~capacity:memo_capacity
 
 let memo_key (h : Coupling.t) (c : Weyl.Coords.t) =
   let b = Int64.bits_of_float in
   (Pulse_cache.generation (), b h.a, b h.b, b h.c, b c.x, b c.y, b c.z)
 
-let solve_memo (h : Coupling.t) (coords : Weyl.Coords.t) =
-  let key = memo_key h coords in
-  match Mutex.protect memo_lock (fun () -> Cache.Lru.find memo key) with
-  | Some oc ->
-    Robust.Counters.incr ~stage "memo_hit";
-    oc
-  | None ->
-    Robust.Counters.incr ~stage "memo_miss";
-    let oc = solve_stored h coords in
-    (* faults armed while it ran may have shaped this outcome *)
-    if not (Robust.Fault.enabled ()) then begin
-      match Mutex.protect memo_lock (fun () -> Cache.Lru.add memo key oc) with
-      | Some _ -> Robust.Counters.incr ~stage "memo_evict"
-      | None -> ()
-    end;
-    oc
-
-let memo_length () = Mutex.protect memo_lock (fun () -> Cache.Lru.length memo)
-let memo_clear () = Mutex.protect memo_lock (fun () -> Cache.Lru.clear memo)
+let memo_length () = Cache.Memo.length memo
+let memo_clear () = Cache.Memo.clear memo
 
 (* One chain: memo, installed pulse cache, solver. A budgeted solve or
    one with a fault site armed skips only the memo, so [Budget_exceeded]
@@ -630,7 +609,8 @@ let solve_class ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
     Robust.Counters.incr ~stage "failed";
     Robust.Outcome.Failed e
   | Ok () ->
-    if Option.is_none budget && not (Robust.Fault.enabled ()) then solve_memo h coords
+    if Option.is_none budget then
+      Cache.Memo.find_or_compute memo ~stage (memo_key h coords) (fun () -> solve_stored h coords)
     else solve_stored ?budget h coords
 
 let solve_coords_r ?budget h coords =

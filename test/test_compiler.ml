@@ -165,6 +165,32 @@ let test_synth_memo_repeat () =
   Alcotest.(check int) "warm restarts" 0 (synth_count "restarts" - r0);
   Alcotest.(check int) "warm sweeps" 0 (synth_count "sweeps" - s0)
 
+(* a fixed gate's label is not a search input: the same search with a
+   relabeled CNOT hits, and hands back the caller's own gate *)
+let test_synth_memo_label () =
+  Robust.Fault.configure None;
+  Synth.memo_clear ();
+  let target = Gate.cx 0 1 in
+  let search fixed =
+    Synth.optimize ~restarts:2 (Rng.create 33L) ~n:2 ~target:target.mat
+      [ Synth.Free1q 0; Synth.Free1q 1; Synth.Fixed fixed; Synth.Free1q 0; Synth.Free1q 1 ]
+  in
+  let cold, _ = search target in
+  let h0 = synth_count "memo_hit" in
+  let relabeled = Gate.make "cnot" target.qubits target.mat in
+  let warm, _ = search relabeled in
+  Alcotest.(check int) "relabeled hit" 1 (synth_count "memo_hit" - h0);
+  Alcotest.(check int) "one entry" 1 (Synth.memo_length ());
+  Alcotest.(check (list string)) "caller's labels"
+    (List.map (fun (g : Gate.t) -> if g == target then "cnot" else g.label) cold)
+    (List.map (fun (g : Gate.t) -> g.label) warm);
+  let unlabeled g =
+    let _, q, re, im = gate_bits g in
+    (q, re, im)
+  in
+  Alcotest.(check bool) "same wires and bits" true
+    (List.map unlabeled cold = List.map unlabeled warm)
+
 (* An armed fault site shapes sweeps ([mul_nan] poisons one product), so
    no search under it reads or fills the memo: the exhausted site's second
    search runs again rather than replay the first *)
@@ -452,6 +478,7 @@ let () =
           Alcotest.test_case "failing count stops early" `Quick
             test_synth_failing_count_stops_early;
           Alcotest.test_case "memo repeat" `Quick test_synth_memo_repeat;
+          Alcotest.test_case "memo ignores labels" `Quick test_synth_memo_label;
           Alcotest.test_case "memo off under faults" `Quick test_synth_memo_faults;
         ] );
       ( "compact",
