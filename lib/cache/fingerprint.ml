@@ -22,18 +22,6 @@ let str b s =
   Buffer.add_string b s;
   b
 
-let bool b v =
-  Buffer.add_string b (if v then "|bt" else "|bf");
-  b
-
-let opt field b = function
-  | None ->
-    Buffer.add_string b "|n";
-    b
-  | Some v ->
-    Buffer.add_string b "|o";
-    field b v
-
 (* Quantized float: the Int64 of round (v / quantum). The values being
    fingerprinted here are O(1) (Weyl coordinates, normalized coupling
    coefficients, matrix entries), far from Int64 overflow at any sane

@@ -8,8 +8,7 @@
     equal keys imply equal field sequences.
 
     This is the shared helper behind the pulse-synthesis cache
-    ([Tiered]/[Pulse_cache]), the serve layer's request coalescing, the
-    template library's buckets ([Compiler.Template]), whose phase-invariant
+    ([Tiered]/[Pulse_cache]), the template library's buckets ([Compiler.Template]), whose phase-invariant
     matrix key is [unitary], and the exact keys ([bits], [mat_bits]) of
     the compiler's synthesis memo and exchange table. *)
 
@@ -24,13 +23,6 @@ val create : string -> t
 
 val int : t -> int -> t
 val str : t -> string -> t
-val bool : t -> bool -> t
-
-(** [opt field fp v] appends a presence marker, then [field fp x] when
-    [v = Some x] — so [None] can never alias [Some default]. Used by the
-    serve layer to key optional request fields (budgets) for single-flight
-    coalescing. *)
-val opt : (t -> 'a -> t) -> t -> 'a option -> t
 
 (** [float fp v] appends [round (v / quantum)]. Non-finite values get
     distinct symbolic encodings (never an exception). *)

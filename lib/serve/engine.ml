@@ -5,21 +5,27 @@ let coalesce_stage = "serve.coalesce"
    routing it back to wherever the request came from *)
 type waiter = { id : Json.t; respond : Json.t -> unit }
 
-type job =
-  (* executed for exactly one requester (parse errors, stats, batch, ...) *)
-  | Direct of { parsed : Protocol.parsed; enqueued_ns : int; respond : Json.t -> unit }
-  (* single-flight leader: executed once, fanned out to every waiter
-     registered under [key] by the time the result is ready *)
-  | Flight of { key : string; body : Protocol.body; enqueued_ns : int }
+(* one execution, answered to every waiter it holds. A flight with a
+   [key] is registered in [flights] until it finishes, so concurrent
+   requests with an identical body join it instead of executing again;
+   a flight without one (a parse error, shutdown, batch, or any request
+   on an uncoalesced engine) answers only the request that started it.
+   [waiters] is guarded by [flight_lock] while the key is registered. *)
+type flight = {
+  key : string option;
+  body : (Protocol.body, string) result;
+  enqueued_ns : int;
+  mutable waiters : waiter list;
+}
 
 type t = {
   seed : int64;
   suite : Benchmarks.Suite.bench list;
   cache : Cache.t option;
-  queue : job Jobq.t;
+  queue : flight Jobq.t;
   coalesce : bool;
   flight_lock : Mutex.t;
-  flights : (string, waiter list ref) Hashtbl.t;
+  flights : (string, flight) Hashtbl.t;
   served : int Atomic.t;
   errors : int Atomic.t;
   t0 : float;
@@ -90,6 +96,12 @@ let solve_gate ?budget coupling g =
    infallible, but keep the typed error path anyway *)
 let plan_of_passes names = Compiler.Passes.of_names ~name:"request" names
 
+(* every compile a request asks for starts from the engine seed, so equal
+   requests compile to equal bytes; a failing pass is its typed error item *)
+let compile t ~plan program =
+  Result.map_error Protocol.err_item
+    (Compiler.Passes.compile_plan ~plan (Numerics.Rng.create t.seed) program)
+
 (* pulses for a gate target compiled through a custom plan: run the
    one-gate circuit through the plan, then Algorithm 1 per remaining 2Q
    gate (the plan may split, relabel, or mirror the gate) *)
@@ -97,10 +109,9 @@ let exec_pulses_plan t ~budget ~coupling ~name ~mat names =
   match plan_of_passes names with
   | Error e -> Protocol.err_item e
   | Ok plan -> (
-    let rng = Numerics.Rng.create t.seed in
     let circuit = Circuit.create 2 [ Gate.su4 0 1 mat ] in
-    match Compiler.Passes.compile_plan ~plan rng (Compiler.Pass.Gates circuit) with
-    | Error e -> Protocol.err_item e
+    match compile t ~plan (Compiler.Pass.Gates circuit) with
+    | Error item -> item
     | Ok (out, _) -> (
       let gates =
         List.filter Gate.is_2q out.Compiler.Passes.circuit.Circuit.gates
@@ -216,9 +227,8 @@ let exec_compile t ~budget ~bench ~mode ~pulses ~passes ~isa =
     | Error e -> Protocol.err_item e
     | Ok custom ->
     let plan = Compiler.Passes.resolve_plan ~mode ~plan:custom ~isa:target in
-    let rng = Numerics.Rng.create t.seed in
-    match Compiler.Passes.compile_plan ~plan rng b.program with
-    | Error e -> Protocol.err_item e
+    match compile t ~plan b.program with
+    | Error item -> item
     | Ok (out, stats) ->
       let input = Compiler.Pass.program_to_cnot_input b.program in
       let base = Compiler.Metrics.report Compiler.Metrics.Cnot_isa input in
@@ -328,22 +338,6 @@ and exec_guarded ?remaining_s t b =
     Protocol.error_item ~kind:"internal_error" ~stage
       (Printf.sprintf "%s (op %s)" (Printexc.to_string e) (Protocol.op_name b.op))
 
-let respond_counted t ~respond (response : Json.t) =
-  let is_error = Json.mem_bool "ok" response = Some false in
-  Atomic.incr t.served;
-  if is_error then Atomic.incr t.errors;
-  Robust.Counters.incr ~stage (if is_error then "response_error" else "response_ok");
-  (* a respond closure bound to a dead connection may fail; the worker
-     must survive that too (the response is simply undeliverable) *)
-  try respond response
-  with e ->
-    Robust.Counters.incr ~stage "response_undeliverable";
-    ignore (Printexc.to_string e)
-
-let exec_item ?remaining_s t body =
-  let name = "exec." ^ Protocol.op_name body.Protocol.op in
-  Obs.Span.with_ ~stage ~name (fun () -> exec_guarded ?remaining_s t body)
-
 (* ---------------------------------------------------------- deadlines *)
 
 (* Decide, at dequeue time, whether [body]'s deadline has already passed.
@@ -366,69 +360,69 @@ let deadline_verdict ~enqueued_ns (b : Protocol.body) =
     end
     else `Run (Some ((dl -. elapsed_ms) /. 1e3))
 
+(* The one answer function: the id-less reply to a parsed body (the
+   bad_request for a parse error, the typed refusal of an expired
+   deadline, or the executed op). Workers and [exec_once] both call it. *)
+let answer t ~enqueued_ns = function
+  | Error msg -> Protocol.error_item ~kind:"bad_request" ~stage:"serve.protocol" msg
+  | Ok body -> (
+    match deadline_verdict ~enqueued_ns body with
+    | `Expired item -> item
+    | `Run remaining_s ->
+      let name = "exec." ^ Protocol.op_name body.op in
+      Obs.Span.with_ ~stage ~name (fun () -> exec_guarded ?remaining_s t body))
+
+(* hand [item] to one waiter under its own id, counted in
+   [served]/[errors] *)
+let deliver t item w =
+  let response = Protocol.with_id ~id:w.id item in
+  let is_error = Json.mem_bool "ok" response = Some false in
+  Atomic.incr t.served;
+  if is_error then Atomic.incr t.errors;
+  Robust.Counters.incr ~stage (if is_error then "response_error" else "response_ok");
+  (* a respond closure bound to a dead connection may fail; the worker
+     must survive that too (the response is simply undeliverable) *)
+  try w.respond response
+  with e ->
+    Robust.Counters.incr ~stage "response_undeliverable";
+    ignore (Printexc.to_string e)
+
 (* retire a flight: unregister the key first (a duplicate arriving after
    this point starts a fresh flight — the result is not cached here, only
    shared among concurrent requesters), then fan the one id-less item out
    to every waiter, each under its own id. Failures fan out identically:
-   every waiter sees the same typed error item. *)
-let finish_flight t key item =
+   every waiter sees the same typed error item. The waiter list is taken
+   once, so a flight is never answered twice. *)
+let finish t f item =
   Mutex.lock t.flight_lock;
-  let waiters =
-    match Hashtbl.find_opt t.flights key with
-    | Some ws ->
-      Hashtbl.remove t.flights key;
-      List.rev !ws
-    | None -> []
-  in
+  Option.iter (Hashtbl.remove t.flights) f.key;
+  let waiters = List.rev f.waiters in
+  f.waiters <- [];
   let inflight = Hashtbl.length t.flights in
   Mutex.unlock t.flight_lock;
-  Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
-  List.iter
-    (fun w -> respond_counted t ~respond:w.respond (Protocol.with_id ~id:w.id item))
-    waiters
+  if Option.is_some f.key then
+    Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+  List.iter (deliver t item) waiters
 
-let run_job t job =
-  match job with
-  | Direct { parsed; enqueued_ns; respond } -> (
-    Obs.Span.emit ~stage ~name:"queue_wait" ~t0:enqueued_ns;
-    match parsed.body with
-    | Error msg ->
-      respond_counted t ~respond
-        (Protocol.error_response ~id:parsed.id ~kind:"bad_request"
-           ~stage:"serve.protocol" msg)
-    | Ok body -> (
-      match deadline_verdict ~enqueued_ns body with
-      | `Expired item ->
-        respond_counted t ~respond (Protocol.with_id ~id:parsed.id item)
-      | `Run remaining_s -> (
-        match exec_item ?remaining_s t body with
-        | Json.Obj _ as item ->
-          respond_counted t ~respond (Protocol.with_id ~id:parsed.id item)
-        | other -> respond_counted t ~respond other)))
-  | Flight { key; body; enqueued_ns } -> (
-    Obs.Span.emit ~stage ~name:"queue_wait" ~t0:enqueued_ns;
-    match deadline_verdict ~enqueued_ns body with
-    | `Expired item -> finish_flight t key item
-    | `Run remaining_s -> finish_flight t key (exec_item ?remaining_s t body))
-
-(* Supervised worker: [exec_guarded]/[respond_counted] already absorb
+(* Supervised worker: [exec_guarded]/[deliver] already absorb
    per-job failures, so an exception escaping [run] means the worker
    machinery itself crashed (the [worker_crash] fault site, a Jobq bug,
-   an out-of-memory, ...). The supervisor answers the in-flight request
-   with a typed [internal_error] — fanning through the flight's waiter
-   list so no coalesced client hangs either — counts the restart, and
-   respawns the loop. A poisoned request can never shrink the pool. *)
+   an out-of-memory, ...). The supervisor answers the in-flight flight's
+   waiters with a typed [internal_error] — so no coalesced client hangs
+   either — counts the restart, and respawns the loop. A poisoned
+   request can never shrink the pool. *)
 let worker t () =
-  let inflight : job option ref = ref None in
+  let inflight = ref None in
   let rec run () =
     match Jobq.pop t.queue with
     | None -> ()
-    | Some job ->
-      inflight := Some job;
+    | Some f ->
+      inflight := Some f;
       Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue));
       if Robust.Fault.enabled () && Robust.Fault.fire_p "worker_crash" then
         failwith "injected worker crash";
-      run_job t job;
+      Obs.Span.emit ~stage ~name:"queue_wait" ~t0:f.enqueued_ns;
+      finish t f (answer t ~enqueued_ns:f.enqueued_ns f.body);
       inflight := None;
       run ()
   in
@@ -436,16 +430,13 @@ let worker t () =
     match run () with
     | () -> ()
     | exception e ->
-      let item =
-        Protocol.error_item ~kind:"internal_error" ~stage:"serve.worker"
-          (Printf.sprintf "worker crashed: %s (worker restarted)"
-             (Printexc.to_string e))
-      in
-      (match !inflight with
-      | Some (Direct { parsed; respond; _ }) ->
-        respond_counted t ~respond (Protocol.with_id ~id:parsed.id item)
-      | Some (Flight { key; _ }) -> finish_flight t key item
-      | None -> ());
+      Option.iter
+        (fun f ->
+          finish t f
+            (Protocol.error_item ~kind:"internal_error" ~stage:"serve.worker"
+               (Printf.sprintf "worker crashed: %s (worker restarted)"
+                  (Printexc.to_string e))))
+        !inflight;
       inflight := None;
       Robust.Counters.incr ~stage "worker_restart";
       supervise ()
@@ -483,45 +474,43 @@ let create ?(workers = 0) ?(coalesce = true) ?cache ~seed () =
   t.domains <- Array.init workers (fun _ -> Domain.spawn (worker t));
   t
 
-(* Single-flight admission: a coalescable request whose key is already
-   in flight (queued or executing) registers as a waiter on the existing
-   flight instead of enqueueing a duplicate computation; the leader's
-   fan-out answers everyone. Requests attach at submit time, so K
-   identical requests racing into a busy engine cost one solver run. *)
+(* Single-flight admission: a request whose key is already in flight
+   (queued or executing) registers as a waiter on the existing flight
+   instead of enqueueing a duplicate computation; the leader's fan-out
+   answers everyone. Requests attach at submit time, so K identical
+   requests racing into a busy engine cost one solver run. *)
 let submit t (parsed : Protocol.parsed) ~respond =
   (* always the real clock, never the sink-gated [Obs.Span.now_ns]:
      deadline arithmetic must work in unobserved processes too *)
   let enqueued_ns = Obs.Clock.now_ns () in
-  let direct () =
-    ignore (Jobq.push t.queue (Direct { parsed; enqueued_ns; respond }))
+  let w = { id = parsed.id; respond } in
+  let key =
+    match parsed.body with Ok body when t.coalesce -> Protocol.body_key body | _ -> None
   in
-  (match parsed.body with
-  | Ok body when t.coalesce -> (
-    match Protocol.body_key body with
-    | None -> direct ()
-    | Some key -> (
-      let w = { id = parsed.id; respond } in
-      Mutex.lock t.flight_lock;
-      match Hashtbl.find_opt t.flights key with
-      | Some ws ->
-        ws := w :: !ws;
-        Mutex.unlock t.flight_lock;
-        Robust.Counters.incr ~stage "coalesce_hit"
-      | None ->
-        Hashtbl.add t.flights key (ref [ w ]);
-        let inflight = Hashtbl.length t.flights in
-        Mutex.unlock t.flight_lock;
-        Robust.Counters.incr ~stage:coalesce_stage "leader";
-        Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
-        if not (Jobq.push t.queue (Flight { key; body; enqueued_ns })) then begin
-          (* lost the race with shutdown: nothing must execute, so the
-             flight is unregistered (same drop semantics as a direct job
-             behind a closed queue) *)
-          Mutex.lock t.flight_lock;
-          Hashtbl.remove t.flights key;
-          Mutex.unlock t.flight_lock
-        end))
-  | _ -> direct ());
+  let f = { key; body = parsed.body; enqueued_ns; waiters = [ w ] } in
+  (match key with
+  | None -> ignore (Jobq.push t.queue f)
+  | Some k -> (
+    Mutex.lock t.flight_lock;
+    match Hashtbl.find_opt t.flights k with
+    | Some leader ->
+      leader.waiters <- w :: leader.waiters;
+      Mutex.unlock t.flight_lock;
+      Robust.Counters.incr ~stage "coalesce_hit"
+    | None ->
+      Hashtbl.add t.flights k f;
+      let inflight = Hashtbl.length t.flights in
+      Mutex.unlock t.flight_lock;
+      Robust.Counters.incr ~stage:coalesce_stage "leader";
+      Robust.Counters.set_gauge ~stage:coalesce_stage "inflight" (float_of_int inflight);
+      if not (Jobq.push t.queue f) then begin
+        (* lost the race with shutdown: nothing must execute, so the
+           flight is unregistered (same drop semantics as an unkeyed
+           flight behind a closed queue) *)
+        Mutex.lock t.flight_lock;
+        Hashtbl.remove t.flights k;
+        Mutex.unlock t.flight_lock
+      end));
   Robust.Counters.set_gauge ~stage "queue_depth" (float_of_int (Jobq.length t.queue))
 
 (* synchronous execution for embedders: the calling thread computes the
@@ -529,21 +518,9 @@ let submit t (parsed : Protocol.parsed) ~respond =
    [served]/[errors] exactly like a worker-produced response. *)
 let exec_once t (parsed : Protocol.parsed) =
   let out = ref Json.Null in
-  let respond r = out := r in
-  (match parsed.body with
-  | Error msg ->
-    respond_counted t ~respond
-      (Protocol.error_response ~id:parsed.id ~kind:"bad_request"
-         ~stage:"serve.protocol" msg)
-  | Ok body -> (
-    match deadline_verdict ~enqueued_ns:(Obs.Clock.now_ns ()) body with
-    | `Expired item ->
-      respond_counted t ~respond (Protocol.with_id ~id:parsed.id item)
-    | `Run remaining_s -> (
-      match exec_item ?remaining_s t body with
-      | Json.Obj _ as item ->
-        respond_counted t ~respond (Protocol.with_id ~id:parsed.id item)
-      | other -> respond_counted t ~respond other)));
+  deliver t
+    (answer t ~enqueued_ns:(Obs.Clock.now_ns ()) parsed.body)
+    { id = parsed.id; respond = (fun r -> out := r) };
   !out
 
 let drain t =

@@ -12,11 +12,16 @@
     process has no sink, so the [stats] op always reports live span
     aggregates. Both are released by {!drain}.
 
+    Every request is one job, a flight, and one function turns its
+    parsed body into the reply (a parse error's [bad_request], an
+    expired deadline's refusal, or the executed op); each waiter gets
+    that reply under its own id.
+
     {b Single-flight coalescing} (on by default): when K in-flight
-    requests share a {!Protocol.body_key} — same pure op, same quantized
-    parameters — the engine executes the body once and fans the one
-    result (or the one typed error) out to all K waiters, each under its
-    own request id. Requests attach at submit time and detach when the
+    requests share a {!Protocol.body_key} — identical parsed bodies, every
+    float equal bit for bit — the engine executes the body once and fans
+    the one result (or the one typed error) out to all K waiters, each
+    under its own request id. Requests attach at submit time and detach when the
     leader's result is ready, so a storm of identical cold-cache solves
     costs one solver run. Coalescing shares only concurrent work; it
     caches nothing (the pulse cache does that). Counted in

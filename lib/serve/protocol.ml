@@ -192,69 +192,19 @@ let rec parse_body ?(depth = 0) json =
 
 (* ------------------------------------------------------- coalescing key *)
 
-(* Single-flight coalescing key: two requests with the same key are the
-   same deterministic computation on the same engine (the engine seed and
-   suite are engine-wide constants, so they are not part of the key), or
-   a read-only snapshot that concurrent requesters may share — [stats]
-   coalesces because every waiter was in flight when the snapshot was
-   taken, so handing all of them the same answer is linearizable.
-   [shutdown] is a control action and [batch] items execute inline under
-   their envelope, so neither coalesces. Floats are quantized at the
-   solver cache's 1e-9 quantum, so requests that the pulse cache would
-   treat as identical coalesce identically. *)
+(* Single-flight coalescing key: the exact value of the parsed body.
+   Marshal writes every float as its 8 IEEE bytes, so two bodies share a
+   key only when they are equal field for field with each float equal
+   bit for bit ([compare] would merge -0.0 with 0.0). Parsing has already
+   normalised what a request may omit (an absent mode is eff, a null
+   passes is no plan). [stats] coalesces because every waiter was in
+   flight when the snapshot was taken, so handing all of them the same
+   answer is linearizable. [shutdown] is a control action and [batch]
+   items execute inline under their envelope, so neither coalesces. *)
 let body_key (b : body) =
-  let module F = Cache.Fingerprint in
-  let budget fp =
-    let fp =
-      match b.budget with
-      | None -> F.opt F.int fp None
-      | Some { max_iterations; max_seconds } ->
-        F.opt F.int (F.opt F.float fp max_seconds) max_iterations
-    in
-    (* deadlines shape the derived budget and the admission verdict, so
-       requests with different deadlines are not interchangeable *)
-    F.opt F.float fp b.deadline_ms
-  in
-  (* custom pass plans fold into the key only when present, so every
-     pre-existing request produces exactly the key it always did (cache
-     fingerprints and cross-version coalescing are unchanged) — while two
-     requests with different plans can never coalesce or share a cache
-     entry *)
-  let with_passes fp = function
-    | None -> fp
-    | Some ps -> List.fold_left F.str (F.str fp "passes") ps
-  in
-  (* same fold-only-when-present discipline for the target ISA, under its
-     own marker: requests differing only in "isa" (or only in "passes")
-     can never share a key, and an absent field reproduces the legacy
-     bytes exactly. The raw JSON rendering is folded so even a
-     typed-wrong value ("isa": 42) gets a distinct key while it rides to
-     the engine's validator. *)
-  let with_isa fp = function
-    | None -> fp
-    | Some v -> F.str (F.str fp "isa") (Json.to_string v)
-  in
   match b.op with
   | Shutdown | Batch _ -> None
-  | Stats -> Some (F.key (budget (F.create "serve.stats.v1")))
-  | Pulses { target; coupling; passes } ->
-    let fp = F.create "serve.pulses.v1" in
-    let fp =
-      match target with
-      | Gate name -> F.str (F.str fp "gate") name
-      | Coords (x, y, z) -> F.floats (F.str fp "coords") [| x; y; z |]
-    in
-    Some (F.key (budget (with_passes (F.str fp coupling) passes)))
-  | Compile { bench; mode; pulses; passes; isa } ->
-    (* the mode folds as its plan name, the string it was parsed from *)
-    let mode = (Compiler.Passes.plan_of_mode mode).plan_name in
-    let fp = F.create "serve.compile.v1" in
-    Some
-      (F.key
-         (budget
-            (with_isa
-               (with_passes (F.bool (F.str (F.str fp bench) mode) pulses) passes)
-               isa)))
+  | Stats | Pulses _ | Compile _ -> Some (Marshal.to_string b [ Marshal.No_sharing ])
 
 let max_line_bytes = 1 lsl 20
 

@@ -89,15 +89,11 @@ val parse_line : ?max_bytes:int -> string -> parsed
 val op_name : op -> string
 
 (** [body_key b] — the single-flight coalescing key: [Some key] iff [b]
-    is a pure, deterministic op ([pulses], [compile]); two bodies with
-    the same key are interchangeable computations whose results (and
-    typed errors) can be fanned out to every concurrent requester. Built
-    on {!Cache.Fingerprint}, floats quantized at the pulse cache's
-    quantum. A custom ["passes"] plan or ["isa"] selection folds into
-    the key only when present, each under its own marker (legacy keys
-    are unchanged; distinct plans or targets never mix — and a plan can
-    never collide with an ISA, because the markers differ).
-    [shutdown]/[batch] return [None]. *)
+    may share one execution with every concurrent request of equal key
+    ([pulses], [compile], [stats]). The key is the exact value of [b],
+    every float by its bits: two requests coalesce only when their parsed
+    bodies are identical, so a waiter always gets the reply its own body
+    would produce. [shutdown]/[batch] return [None]. *)
 val body_key : body -> string option
 
 (** {1 Response builders} *)

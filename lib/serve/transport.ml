@@ -187,26 +187,6 @@ let rec flush_locked c =
   end;
   c.writable && (not c.fd_closed) && queued_bytes_locked c > 0
 
-(* append rendered bytes to the connection's bounded write queue and
-   optimistically write them out right here (the fd is nonblocking and
-   the lock excludes the event loop) — the common case costs one [write]
-   from the responding worker, no wakeup round-trip; anything already
-   queued (a previous partial write, a concurrent worker's response)
-   rides along in the same [write]. Only when the socket would block
-   does the event loop take over. *)
-let enqueue_out st c data =
-  Mutex.lock c.wlock;
-  let need_wake =
-    if c.fd_closed || not c.writable then false
-    else if overflow_locked st c data then true
-    else begin
-      Buffer.add_string c.wbuf data;
-      flush_locked c
-    end
-  in
-  Mutex.unlock c.wlock;
-  if need_wake then wake st
-
 let render c (json : Json.t) =
   match c.mode with
   | Binary -> Frame.encode (Json.to_string json)
@@ -231,43 +211,52 @@ let corrupt_frame c data =
   Robust.Counters.incr ~stage "fault_frame_corrupt";
   Bytes.to_string b
 
-(* the respond closure the engine calls from a worker domain. Like
-   [enqueue_out], but pipelining-aware: while this connection still has
-   [pending] requests, more responses are guaranteed to follow (every
-   submitted job responds exactly once), so small responses accumulate
-   and the final response of the burst — or the one that crosses
-   [batch_bytes] — flushes them all in one write *)
-let conn_respond st c json =
-  let data = render c json in
-  (* transport fault sites fire between render and enqueue: the engine
-     has done its work and accounting; only the wire delivery is harmed *)
-  let dropped, data =
-    if not (Robust.Fault.enabled ()) then (false, data)
-    else if Robust.Fault.fire_p "frame_drop" then begin
-      Robust.Counters.incr ~stage "fault_frame_drop";
-      (true, data)
-    end
-    else if Robust.Fault.fire_p "frame_corrupt" then (false, corrupt_frame c data)
-    else (false, data)
-  in
+(* append rendered bytes to the connection's bounded write queue and
+   optimistically write them out right here (the fd is nonblocking and
+   the lock excludes the event loop) — the common case costs one [write]
+   from the responding worker, no wakeup round-trip; anything already
+   queued (a previous partial write, a concurrent worker's response)
+   rides along in the same [write]. Only when the socket would block
+   does the event loop take over. [reply] marks one of the connection's
+   [pending] responses: it is counted off under the same lock (so the
+   retire sweep never sees the count drop before the bytes land), and
+   while more replies are pending the bytes park in [wbuf] until the
+   burst's last reply, or the one that crosses [batch_bytes], flushes
+   them all in one write. *)
+let enqueue st c ~reply data =
   Mutex.lock c.wlock;
-  c.pending <- c.pending - 1;
+  if reply then c.pending <- c.pending - 1;
   let need_wake =
     if c.fd_closed || not c.writable then false
-    else if dropped then
-      (* the frame vanishes, but responses parked for batching must still
-         flush when this was the burst's last pending response *)
-      if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
-      else flush_locked c
     else if overflow_locked st c data then true
     else begin
       Buffer.add_string c.wbuf data;
-      if c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
+      if reply && c.pending > 0 && Buffer.length c.wbuf < batch_bytes then false
       else flush_locked c
     end
   in
   Mutex.unlock c.wlock;
   if need_wake then wake st
+
+(* the respond closure the engine calls from a worker domain: every
+   submitted job responds exactly once, so the reply is batched against
+   the connection's pending count *)
+let conn_respond st c json =
+  let data = render c json in
+  (* transport fault sites fire between render and enqueue: the engine
+     has done its work and accounting; only the wire delivery is harmed.
+     A dropped frame enqueues no bytes, but replies parked for batching
+     must still flush when this was the burst's last pending reply. *)
+  let data =
+    if not (Robust.Fault.enabled ()) then data
+    else if Robust.Fault.fire_p "frame_drop" then begin
+      Robust.Counters.incr ~stage "fault_frame_drop";
+      ""
+    end
+    else if Robust.Fault.fire_p "frame_corrupt" then corrupt_frame c data
+    else data
+  in
+  enqueue st c ~reply:true data
 
 (* Admission control: a heavy op arriving while the engine queue is at
    capacity is shed right here — a typed [overloaded] costs one JSON
@@ -499,7 +488,7 @@ let idle_sweep st =
       (fun c ->
         if c.read_open && now -. c.last_rx > timeout then begin
           Robust.Counters.incr ~stage "idle_timeout";
-          enqueue_out st c
+          enqueue st c ~reply:false
             (render c
                (Protocol.error_item ~kind:"timeout" ~stage
                   (Printf.sprintf "connection idle for more than %gs; closing" timeout)));
@@ -688,43 +677,33 @@ let sockaddr = function
     | Ok ip -> Ok (Unix.ADDR_INET (ip, port)))
   | Unix_path path -> Ok (Unix.ADDR_UNIX path)
 
-let bind_listener = function
-  | Tcp (host, port) -> (
-    match resolve_host host with
-    | Error e -> Error e
-    | Ok ip -> (
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      try
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (ip, port));
-        Unix.listen fd 128;
-        let actual =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (a, p) -> Tcp (Unix.string_of_inet_addr a, p)
-          | _ -> Tcp (host, port)
-        in
-        Ok (fd, actual)
-      with Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error
-          (Printf.sprintf "bind tcp:%s:%d: %s" host port (Unix.error_message e))))
-  | Unix_path path -> (
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+let bind_listener addr =
+  match sockaddr addr with
+  | Error e -> Error e
+  | Ok sa -> (
+    let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+    let fail msg =
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error msg
+    in
     try
-      (match Unix.stat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path (* stale socket *)
-      | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      Unix.bind fd (Unix.ADDR_UNIX path);
+      (match addr with
+      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix_path path -> (
+        match Unix.stat path with
+        | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path (* stale socket *)
+        | _ -> failwith (Printf.sprintf "%s exists and is not a socket" path)
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()));
+      Unix.bind fd sa;
       Unix.listen fd 128;
-      Ok (fd, Unix_path path)
+      (* a TCP port 0 binds a kernel-assigned port: report the real one *)
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (a, p) -> Ok (fd, Tcp (Unix.string_of_inet_addr a, p))
+      | _ -> Ok (fd, addr)
     with
     | Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "bind unix:%s: %s" path (Unix.error_message e))
-    | Failure msg ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error msg)
+      fail (Printf.sprintf "bind %s: %s" (addr_to_string addr) (Unix.error_message e))
+    | Failure msg -> fail msg)
 
 (* ---------------------------------------------------------------- serve *)
 

@@ -3,8 +3,8 @@
    source (up to global phase), every lowered 2Q gate must come from the
    target's native set, per-gate synthesis must round-trip random SU(4)
    unitaries on every target, CNOT synthesis must hit the analytic
-   minimum per Weyl class, the serve fingerprint must keep "isa" and
-   "passes" keys disjoint (and legacy keys byte-identical), and the
+   minimum per Weyl class, the serve coalescing key must keep "isa" and
+   "passes" requests apart, and the
    negative paths must be typed bad_requests at stage "compiler.isa". *)
 
 open Numerics
@@ -277,19 +277,8 @@ let key_of line =
 
 let test_fingerprint () =
   let base = "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\"}" in
-  (* omitting the field reproduces the exact legacy key bytes *)
-  let module F = Cache.Fingerprint in
-  let legacy =
-    F.key
-      (F.opt F.float
-         (F.opt F.int
-            (F.bool (F.str (F.str (F.create "serve.compile.v1") "alu_1") "eff") false)
-            None)
-         None)
-  in
-  Alcotest.(check string) "legacy key bytes unchanged" legacy (key_of base);
   (* isa-only, passes-only and absent are three distinct keys — and the
-     same name under the two markers can never collide *)
+     same name in the two fields can never collide *)
   let with_isa = "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"isa\":\"to_can\"}" in
   let with_passes =
     "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_1\",\"passes\":[\"to_can\"]}"

@@ -335,8 +335,8 @@ let test_protocol_passes () =
    with
   | Error msg -> Alcotest.(check bool) "coords+passes rejected" true (contains msg "gate")
   | Ok _ -> Alcotest.fail "coords with passes accepted");
-  (* the plan folds into the coalescing key only when present: legacy
-     keys are unchanged, and distinct plans never share a key *)
+  (* the coalescing key is the parsed body: an explicit null plan is no
+     plan, and distinct plans never share a key *)
   let key line =
     match Serve.Protocol.parse_line line with
     | { Serve.Protocol.body = Ok b; _ } -> Serve.Protocol.body_key b
@@ -350,10 +350,17 @@ let test_protocol_passes () =
   let planned2 =
     "{\"v\":1,\"op\":\"compile\",\"bench\":\"alu_2\",\"passes\":[\"lower_3q\",\"template\",\"peephole\",\"mirroring\"]}"
   in
-  Alcotest.(check bool) "legacy = explicit-null key" true (key base = key with_null);
+  Alcotest.(check bool) "absent = explicit-null key" true (key base = key with_null);
   Alcotest.(check bool) "plan changes the key" true (key base <> key planned);
   Alcotest.(check bool) "distinct plans, distinct keys" true (key planned <> key planned2);
   Alcotest.(check bool) "same plan, same key" true (key planned = key planned);
+  (* floats key by their bits: -0.0 and 0.0 are different requests *)
+  let coords z =
+    Printf.sprintf "{\"v\":1,\"op\":\"pulses\",\"coords\":[0.5,0.25,%s]}" z
+  in
+  Alcotest.(check bool) "same coords, same key" true (key (coords "0.1") = key (coords "0.1"));
+  Alcotest.(check bool) "-0.0 keys apart from 0.0" true
+    (key (coords "0.0") <> key (coords "-0.0"));
   (* the mode is parsed once, into a typed value, and folded by its plan
      name: an absent mode is eff, and each mode keys apart *)
   let moded m =
@@ -876,6 +883,45 @@ let test_coalesce_differential () =
         r_off r_on)
     off on
 
+let test_coalesce_exact_key () =
+  (* two coords targets 2e-13 apart solve to different pulses, so they
+     must never share a flight: each reply must be the one its own body
+     gets from a fresh engine. The worker is held by a cold full compile
+     while both requests are submitted, so a shared key would coalesce. *)
+  disarm ();
+  Compiler.Synth.memo_clear ();
+  let line x =
+    Printf.sprintf "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"coords\":[%.17g,0.2,0.05]}" x
+  in
+  let lines = [ line 0.45; line (0.45 +. 2e-13) ] in
+  let eng = Serve.Engine.create ~workers:1 ~seed:7L () in
+  let lock = Mutex.create () in
+  let replies = Array.make 2 "" in
+  let plug =
+    Serve.Protocol.parse_line "{\"v\":1,\"op\":\"compile\",\"bench\":\"tof_5\",\"mode\":\"full\"}"
+  in
+  let parsed = List.map Serve.Protocol.parse_line lines in
+  Serve.Engine.submit eng plug ~respond:(fun _ -> ());
+  List.iteri
+    (fun i p ->
+      Serve.Engine.submit eng p ~respond:(fun r ->
+          Mutex.lock lock;
+          replies.(i) <- Robust.Json.to_string (strip_id r);
+          Mutex.unlock lock))
+    parsed;
+  Serve.Engine.drain eng;
+  List.iteri
+    (fun i l ->
+      let fresh = Serve.Engine.create ~workers:1 ~seed:7L () in
+      let own =
+        Robust.Json.to_string (strip_id (Serve.Engine.exec_once fresh (Serve.Protocol.parse_line l)))
+      in
+      Serve.Engine.drain fresh;
+      Alcotest.(check bool) ("ok reply: " ^ own) true (contains own "\"ok\":true");
+      Alcotest.(check string) (Printf.sprintf "request %d gets its own pulse" i) own replies.(i))
+    lines;
+  Alcotest.(check bool) "the two targets solve apart" true (replies.(0) <> replies.(1))
+
 (* ------------------------------------------- deadlines and supervision *)
 
 let test_deadline_expired_skips_solver () =
@@ -1047,6 +1093,7 @@ let () =
             test_coalesce_differential;
           Alcotest.test_case "drain fans out to waiters" `Quick
             test_coalesce_drain_waiters;
+          Alcotest.test_case "exact key, near coords" `Quick test_coalesce_exact_key;
         ] );
       ( "resilience",
         [
