@@ -5,8 +5,10 @@
    For each kernel (mul, expm, eig, apply_gate) and size n in {4, 16, 64}
    this first cross-checks that the SoA kernel agrees with the boxed seed
    implementation ([Numerics.Boxed]), then times both. A disagreement is a
-   hard error (exit 1). Also times the domain-parallel Haar sweep against
-   its 1-domain run and a small table2-style end-to-end compilation pass,
+   hard error (exit 1). Also times [Kak.decompose] on seeded Haar SU(4)s
+   (a reconstruction off by more than 1e-9 is a mismatch), the
+   domain-parallel Haar sweep against its 1-domain run and a small
+   table2-style end-to-end compilation pass,
    and writes everything as JSON (default: BENCH_numerics.json in the
    current directory). [--smoke] shrinks sizes and repetitions so the run
    fits in a test target. *)
@@ -132,6 +134,18 @@ let bench_apply_gate ~min_time rng ~nq n =
           State.apply_gate_arr ~n:nq st g);
   }
 
+(* microseconds per [Kak.decompose] over seeded Haar SU(4)s; every
+   decomposition must rebuild its input to 1e-9 *)
+let bench_kak ~min_time rng n =
+  let us = Array.init n (fun _ -> Quantum.Haar.su4 rng) in
+  Array.iteri
+    (fun i u ->
+      check (Printf.sprintf "kak reconstruct haar %d" i)
+        (Mat.equal ~tol:1e-9 (Weyl.Kak.reconstruct (Weyl.Kak.decompose u)) u))
+    us;
+  time ~min_time (fun () -> Array.iter (fun u -> ignore (Weyl.Kak.decompose u)) us)
+  /. float_of_int n
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let smoke = List.mem "--smoke" args in
@@ -163,6 +177,9 @@ let () =
       Printf.printf "%-11s n=%-3d boxed %10.3f us   soa %10.3f us   speedup %5.2fx\n%!"
         r.kernel r.n (1e6 *. r.boxed_s) (1e6 *. r.soa_s) (speedup r))
     rows;
+  let kak_n = if smoke then 50 else 500 in
+  let kak_s = bench_kak ~min_time rng kak_n in
+  Printf.printf "kak         n=%-3d haar su4 %10.3f us per decompose\n%!" kak_n (1e6 *. kak_s);
   (* domain-parallel Haar sweep: same seed, 1 domain vs default *)
   let xy = Microarch.Coupling.xy ~g:1.0 in
   let sweep_n = if smoke then 50 else 400 in
@@ -212,6 +229,7 @@ let () =
                       ("soa_us", Json.Num (1e6 *. r.soa_s)); ("speedup", Json.Num (speedup r));
                     ])
                 rows) );
+         ("kak", Json.Obj [ ("haar_su4", int kak_n); ("us_per_call", Json.Num (1e6 *. kak_s)) ]);
          ( "haar_sweep",
            Json.Obj
              [

@@ -407,14 +407,17 @@ let stage = "genashn"
 
 (* ------------------------------------------------- pulse-synthesis cache *)
 
-(* Canonical cache key: coupling normal-form coefficients + quantized Weyl
-   coordinates (quantum 1e-9, well below the 1e-6 strict class tolerance).
-   The version tag also pins the solver settings (ladder shape, tolerances):
-   bump it whenever those change. The optimal duration and subscheme are
-   deterministic functions of (h, coords), so they need not be keyed. *)
+(* Pulse-store key: the exact bits of the coupling normal-form
+   coefficients and the Weyl coordinates, the key of the class memo in
+   front of it. Two targets that agree to 1e-9 can still solve to
+   different pulses, so a coarser key would make a reply depend on what
+   the store already holds. The version tag also pins the solver settings
+   (ladder shape, tolerances): bump it whenever those change. The optimal
+   duration and subscheme are deterministic functions of (h, coords), so
+   they need not be keyed. *)
 let cache_fingerprint (h : Coupling.t) (c : Weyl.Coords.t) =
-  let fp = Cache.Fingerprint.create "genashn.pulse.v1" in
-  Cache.Fingerprint.(key (floats fp [| h.a; h.b; h.c; c.x; c.y; c.z |]))
+  let open Cache.Fingerprint in
+  key (Array.fold_left bits (create "genashn.pulse.v2") [| h.a; h.b; h.c; c.x; c.y; c.z |])
 
 let scheme_tag = function Tau.ND -> 0 | Tau.EA_same -> 1 | Tau.EA_opposite -> 2
 let scheme_of_tag = function 1 -> Tau.EA_same | 2 -> Tau.EA_opposite | _ -> Tau.ND
@@ -571,10 +574,10 @@ let solve_stored ?budget (h : Coupling.t) (coords : Weyl.Coords.t) =
 (* Process-wide memo in front of the pulse cache and the solver. A pulse
    depends only on the coupling and the target class, and a compiled
    program holds few distinct classes, so each class is solved (or
-   replayed) once. The key is the exact bits of (h, coords), not the
-   cache's 1e-9 fingerprint: two targets that agree to 1e-9 can still
-   solve to different pulses, and a hit must return the bytes the chain
-   behind it would. It also holds the pulse cache's install generation,
+   replayed) once. The key is the exact bits of (h, coords), as the
+   pulse store's is: two targets that agree to 1e-9 can still solve to
+   different pulses, and a hit must return the bytes the chain behind it
+   would. It also holds the pulse cache's install generation,
    so an entry filled under one installation (or none) never answers
    under another: under a cache, an entry is the cache's replay or the
    solve the cache just recorded.

@@ -107,9 +107,10 @@ val memo_clear : unit -> unit
 val solve_r : ?budget:Robust.Budget.t -> Coupling.t -> Gate.t -> result Robust.Outcome.t
 
 (** [cache_fingerprint h c] is the canonical pulse-cache key for steering
-    to class [c] under coupling [h]: a versioned tag over the quantized
-    (1e-9) normal-form coefficients and Weyl coordinates. The solver
-    settings are pinned by the version tag. *)
+    to class [c] under coupling [h]: a versioned tag over the exact IEEE
+    bits of the normal-form coefficients and Weyl coordinates, so a store
+    answers only the target it solved. The solver settings are pinned by
+    the version tag. *)
 val cache_fingerprint : Coupling.t -> Weyl.Coords.t -> string
 
 (** [reconstruct r] is [(a1 ⊗ a2) realized (b1 ⊗ b2)]; equals the target. *)

@@ -1,6 +1,7 @@
 (** Process-global pulse-synthesis cache (the persistence behind §4.5's
     gate-table reuse): solved genAshN pulses keyed by the canonical
-    fingerprint of (coupling normal form, quantized Weyl coordinates).
+    fingerprint of (coupling normal form, Weyl coordinates), both by
+    their exact bits.
 
     Entries are raw pulse parameters plus the solve verdict, encoded as a
     versioned binary record with float bits preserved exactly — a warm

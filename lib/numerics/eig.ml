@@ -116,42 +116,90 @@ let jacobi a0 =
   let (_ : float) = jacobi_into ~a ~v ~w in
   (w, v)
 
-let sort_eig (w, v) =
+(* [order] <- the permutation that sorts [w] ascending ([by_value]
+   compares [w] at two indices; the stdlib sort, so ties fall as they
+   always have), and column j of [dst] <- column [order.(j)] of [v] *)
+let sort_into ~w ~v ~order ~by_value ~dst =
   let n = Array.length w in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare w.(i) w.(j)) order;
-  let w' = Array.map (fun i -> w.(i)) order in
-  let v' = Mat.init n n (fun i j -> Mat.get v i order.(j)) in
-  (w', v')
+  for i = 0 to n - 1 do
+    order.(i) <- i
+  done;
+  Array.sort by_value order;
+  let vre = Mat.re_plane v and vim = Mat.im_plane v in
+  let dre = Mat.re_plane dst and dim = Mat.im_plane dst in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      dre.((i * n) + j) <- vre.((i * n) + order.(j));
+      dim.((i * n) + j) <- vim.((i * n) + order.(j))
+    done
+  done
 
 let hermitian m =
   let tol = 1e-8 *. (1.0 +. Mat.max_abs m) in
   if not (Mat.is_hermitian ~tol m) then invalid_arg "Eig.hermitian: not Hermitian";
-  sort_eig (jacobi m)
+  let w, v = jacobi m in
+  let n = Array.length w in
+  let order = Array.make n 0 and dst = Mat.create n n in
+  sort_into ~w ~v ~order ~by_value:(fun i j -> Float.compare w.(i) w.(j)) ~dst;
+  (Array.map (fun i -> w.(i)) order, dst)
 
-let symmetric_real m = sort_eig (jacobi m)
+type joint = {
+  mix : Mat.t;  (** cos t * a + sin t * b; destroyed by the eigensolve *)
+  vecs : Mat.t;  (** its eigenvectors, unsorted *)
+  w : float array;
+  order : int array;
+  by_value : int -> int -> int;
+  sorted : Mat.t;  (** the eigenvectors sorted by eigenvalue: the result *)
+  vt : Mat.t;
+  prod : Mat.t;
+  da : Mat.t;
+  db : Mat.t;
+}
 
-let is_joint_diagonalizer v a b =
+let joint_ws n =
+  let mat () = Mat.create n n in
+  let w = Array.make n 0.0 in
+  {
+    mix = mat ();
+    vecs = mat ();
+    w;
+    order = Array.make n 0;
+    by_value = (fun i j -> Float.compare w.(i) w.(j));
+    sorted = mat ();
+    vt = mat ();
+    prod = mat ();
+    da = mat ();
+    db = mat ();
+  }
+
+(* both products are formed before either is tested, so an armed
+   [mul_nan] fires at the same call counts whatever the verdict *)
+let joint_diagonalizes ws a b =
   let tol m = 1e-9 *. (1.0 +. Mat.max_abs m) in
-  let da = Mat.mul3 (Mat.transpose v) a v and db = Mat.mul3 (Mat.transpose v) b v in
-  offdiag_norm da <= tol a && offdiag_norm db <= tol b
+  Mat.transpose_into ~dst:ws.vt ws.sorted;
+  Mat.mul_into ~dst:ws.prod a ws.sorted;
+  Mat.mul_into ~dst:ws.da ws.vt ws.prod;
+  Mat.mul_into ~dst:ws.prod b ws.sorted;
+  Mat.mul_into ~dst:ws.db ws.vt ws.prod;
+  offdiag_norm ws.da <= tol a && offdiag_norm ws.db <= tol b
 
-let simultaneous_real a b =
-  (* Deterministic sequence of mixing angles; a generic angle separates the
-     joint spectrum of a commuting pair with probability 1. *)
-  let angles = [ 0.7853; 1.1234; 0.3141; 2.0345; 0.5555; 1.7771; 2.9113; 0.1000 ] in
-  let rec try_angles = function
-    | [] ->
-      failwith
-        (Robust.Err.to_string
-           (Robust.Err.Ill_conditioned
-              {
-                stage = "eig.simultaneous";
-                detail = "no mixing angle separated the joint spectrum";
-              }))
-    | t :: rest ->
-      let c = Mat.add (Mat.rsmul (cos t) a) (Mat.rsmul (sin t) b) in
-      let _, v = symmetric_real c in
-      if is_joint_diagonalizer v a b then v else try_angles rest
-  in
-  try_angles angles
+(* Deterministic sequence of mixing angles; a generic angle separates the
+   joint spectrum of a commuting pair with probability 1. *)
+let angles = [ 0.7853; 1.1234; 0.3141; 2.0345; 0.5555; 1.7771; 2.9113; 0.1000 ]
+
+let rec try_angles ws a b = function
+  | [] ->
+    failwith
+      (Robust.Err.to_string
+         (Robust.Err.Ill_conditioned
+            { stage = "eig.simultaneous"; detail = "no mixing angle separated the joint spectrum" }))
+  | t :: rest ->
+    Mat.scale_into ~dst:ws.mix (cos t) a;
+    Mat.scale_into ~dst:ws.prod (sin t) b;
+    Mat.add_into ~dst:ws.mix ws.mix ws.prod;
+    let (_ : float) = jacobi_into ~a:ws.mix ~v:ws.vecs ~w:ws.w in
+    sort_into ~w:ws.w ~v:ws.vecs ~order:ws.order ~by_value:ws.by_value ~dst:ws.sorted;
+    if joint_diagonalizes ws a b then ws.sorted else try_angles ws a b rest
+
+let simultaneous_real_into ws a b = try_angles ws a b angles
+let simultaneous_real a b = simultaneous_real_into (joint_ws (Mat.rows a)) a b

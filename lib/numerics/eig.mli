@@ -8,17 +8,27 @@
     @raise Invalid_argument if [m] is not square. *)
 val hermitian : Mat.t -> float array * Mat.t
 
-(** [symmetric_real m] diagonalizes a real symmetric matrix (given as a
-    complex matrix with zero imaginary parts): [m = v * diag(w) * vᵀ] with
-    [v] real orthogonal and [w] sorted ascending. *)
-val symmetric_real : Mat.t -> float array * Mat.t
-
 (** [simultaneous_real a b] finds a single real orthogonal [v] diagonalizing
-    the pair of commuting real symmetric matrices [a] and [b]:
-    [vᵀ a v] and [vᵀ b v] both diagonal. Retries over deterministic random
-    mixing angles to break degeneracies.
+    the pair of commuting real symmetric matrices [a] and [b] (given as
+    complex matrices with zero imaginary parts): [vᵀ a v] and [vᵀ b v]
+    both diagonal. Retries over deterministic mixing angles to break
+    degeneracies: for each angle [t] it diagonalizes
+    [cos t * a + sin t * b], sorts the eigenvectors by eigenvalue and
+    keeps them once they diagonalize both.
     @raise Failure if no mixing angle separates the joint spectrum. *)
 val simultaneous_real : Mat.t -> Mat.t -> Mat.t
+
+(** Buffers for {!simultaneous_real_into} on [n x n] pairs. *)
+type joint
+
+(** [joint_ws n] allocates the buffers for [n x n] pairs. *)
+val joint_ws : int -> joint
+
+(** [simultaneous_real_into ws a b] is {!simultaneous_real} on [ws]'s
+    buffers, with the same bits and the same kernel calls in the same
+    order; it allocates no matrix. The result is a buffer of [ws], valid
+    until its next use. *)
+val simultaneous_real_into : joint -> Mat.t -> Mat.t -> Mat.t
 
 (** [offdiag_norm m] is the Frobenius norm of the strictly off-diagonal part;
     useful for asserting diagonalization quality in tests. *)

@@ -297,15 +297,21 @@ let rsmul s m =
 
 let neg m = rsmul (-1.0) m
 
-let transpose m =
-  let dst = create m.cols m.rows in
+let transpose_into ~dst m =
+  if dst.rows <> m.cols || dst.cols <> m.rows then
+    invalid_arg "Mat.transpose_into: output shape mismatch";
+  check_no_alias "transpose_into" dst m;
   for i = 0 to m.rows - 1 do
     for j = 0 to m.cols - 1 do
       let k = (i * m.cols) + j and k' = (j * m.rows) + i in
       dst.re.(k') <- m.re.(k);
       dst.im.(k') <- m.im.(k)
     done
-  done;
+  done
+
+let transpose m =
+  let dst = create m.cols m.rows in
+  transpose_into ~dst m;
   dst
 
 let dagger m =
@@ -358,58 +364,70 @@ let apply m v =
       done;
       Cx.mk !sr !si)
 
-(* LU with partial pivoting; returns (lu, perm_sign) or None if singular. *)
-let lu_decompose m =
+(* LU with partial pivoting in [lu]'s planes. The pivot norm is
+   [Complex.norm] (hypot), the multiplier [Complex.div] and the update
+   [Complex.sub]/[Complex.mul], each written out term for term, so the
+   determinant has the bits of the boxed elimination. *)
+let det_into ~lu m =
   if m.rows <> m.cols then invalid_arg "Mat.det: non-square";
-  let n = m.rows in
-  let lu = copy m in
-  let sign = ref 1.0 in
-  let ok = ref true in
-  (try
-     for k = 0 to n - 1 do
-       (* pivot *)
-       let piv = ref k and best = ref (Cx.norm (get lu k k)) in
-       for i = k + 1 to n - 1 do
-         let v = Cx.norm (get lu i k) in
-         if v > !best then begin
-           best := v;
-           piv := i
-         end
-       done;
-       if !best < 1e-300 then begin
-         ok := false;
-         raise Exit
-       end;
-       if !piv <> k then begin
-         sign := -. !sign;
-         for j = 0 to n - 1 do
-           let t = get lu k j in
-           set lu k j (get lu !piv j);
-           set lu !piv j t
-         done
-       end;
-       let pivot = get lu k k in
-       for i = k + 1 to n - 1 do
-         let f = get lu i k /: pivot in
-         set lu i k f;
-         for j = k + 1 to n - 1 do
-           set lu i j (get lu i j -: (f *: get lu k j))
-         done
-       done
-     done
-   with Exit -> ());
-  if !ok then Some (lu, !sign) else None
-
-let det m =
-  match lu_decompose m with
-  | None -> Cx.zero
-  | Some (lu, sign) ->
-    let n = m.rows in
-    let d = ref (Cx.of_float sign) in
-    for i = 0 to n - 1 do
-      d := !d *: get lu i i
+  copy_into ~dst:lu m;
+  let n = m.rows and re = lu.re and im = lu.im in
+  let sign = ref 1.0 and singular = ref false and k = ref 0 in
+  while (not !singular) && !k < n do
+    let kk = !k in
+    let piv = ref kk and best = ref (Float.hypot re.((kk * n) + kk) im.((kk * n) + kk)) in
+    for i = kk + 1 to n - 1 do
+      let v = Float.hypot re.((i * n) + kk) im.((i * n) + kk) in
+      if v > !best then begin
+        best := v;
+        piv := i
+      end
     done;
-    !d
+    if !best < 1e-300 then singular := true
+    else begin
+      if !piv <> kk then begin
+        sign := -. !sign;
+        for j = 0 to n - 1 do
+          let a = (kk * n) + j and b = (!piv * n) + j in
+          let tr = re.(a) and ti = im.(a) in
+          re.(a) <- re.(b);
+          im.(a) <- im.(b);
+          re.(b) <- tr;
+          im.(b) <- ti
+        done
+      end;
+      let yr = re.((kk * n) + kk) and yi = im.((kk * n) + kk) in
+      let big = Float.abs yr >= Float.abs yi in
+      let r = if big then yi /. yr else yr /. yi in
+      let d = if big then yr +. (r *. yi) else yi +. (r *. yr) in
+      for i = kk + 1 to n - 1 do
+        let xr = re.((i * n) + kk) and xi = im.((i * n) + kk) in
+        let fr = if big then (xr +. (r *. xi)) /. d else ((r *. xr) +. xi) /. d in
+        let fi = if big then (xi -. (r *. xr)) /. d else ((r *. xi) -. xr) /. d in
+        re.((i * n) + kk) <- fr;
+        im.((i * n) + kk) <- fi;
+        for j = kk + 1 to n - 1 do
+          let kr = re.((kk * n) + j) and ki = im.((kk * n) + j) in
+          re.((i * n) + j) <- re.((i * n) + j) -. ((fr *. kr) -. (fi *. ki));
+          im.((i * n) + j) <- im.((i * n) + j) -. ((fr *. ki) +. (fi *. kr))
+        done
+      done;
+      incr k
+    end
+  done;
+  if !singular then Cx.zero
+  else begin
+    let dr = ref !sign and di = ref 0.0 in
+    for i = 0 to n - 1 do
+      let yr = re.((i * n) + i) and yi = im.((i * n) + i) in
+      let r = (!dr *. yr) -. (!di *. yi) in
+      di := (!dr *. yi) +. (!di *. yr);
+      dr := r
+    done;
+    Cx.mk !dr !di
+  end
+
+let det m = det_into ~lu:(create m.rows m.cols) m
 
 let inv m =
   if m.rows <> m.cols then invalid_arg "Mat.inv: non-square";
@@ -499,14 +517,18 @@ let phase_dist a b =
 let allclose_up_to_phase ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && phase_dist a b <= tol *. float_of_int a.rows
 
-let fix_det_su m =
+let fix_det_su_into ~lu ~dst m =
   if m.rows <> m.cols then invalid_arg "Mat.fix_det_su: non-square";
-  let n = m.rows in
-  let d = det m in
-  if Cx.norm d < 1e-12 then m
+  let d = det_into ~lu m in
+  if Cx.norm d < 1e-12 then copy_into ~dst m
   else
     (* multiply by exp(-i arg(det)/n) *)
-    smul (Cx.expi (-.Cx.arg d /. float_of_int n)) m
+    smul_into ~dst (Cx.expi (-.Cx.arg d /. float_of_int m.rows)) m
+
+let fix_det_su m =
+  let dst = create m.rows m.cols in
+  fix_det_su_into ~lu:(create m.rows m.cols) ~dst m;
+  dst
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

@@ -113,6 +113,9 @@ val neg : t -> t
 (** [transpose m] is the plain (unconjugated) transpose. *)
 val transpose : t -> t
 
+(** [transpose_into ~dst m] computes [dst <- transpose m]. *)
+val transpose_into : dst:t -> t -> unit
+
 (** [dagger m] is the conjugate transpose. *)
 val dagger : t -> t
 
@@ -127,6 +130,10 @@ val apply : t -> Cx.t array -> Cx.t array
 
 (** [det m] via LU with partial pivoting. *)
 val det : t -> Cx.t
+
+(** [det_into ~lu m] is [det m], eliminating in [lu] (same shape as [m],
+    overwritten) instead of a fresh copy. *)
+val det_into : lu:t -> t -> Cx.t
 
 (** [inv m] via Gauss-Jordan with partial pivoting.
     @raise Failure if singular. *)
@@ -164,6 +171,10 @@ val phase_dist : t -> t -> float
 (** [fix_det_su m] rescales a unitary by a global phase so its determinant
     becomes 1 (projects U(n) onto SU(n)). *)
 val fix_det_su : t -> t
+
+(** [fix_det_su_into ~lu ~dst m] computes [dst <- fix_det_su m], with
+    {!det_into} on [lu]. *)
+val fix_det_su_into : lu:t -> dst:t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

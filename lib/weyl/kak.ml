@@ -14,156 +14,288 @@ let pi2 = Float.pi /. 2.0
 let pi4 = Float.pi /. 4.0
 
 (* --------------------------------------------------------------------- *)
-(* Canonicalization state: invariant  u = l * Can v * r  throughout.     *)
+(* Constants.                                                             *)
 
-type state = { v : float array; mutable l : Mat.t; mutable r : Mat.t }
+(* The magic (Bell) basis M; its columns are Φ+ = (|00>+|11>)/√2,
+   iΨ+ = i(|01>+|10>)/√2, Ψ- = (|01>-|10>)/√2 and iΦ- = i(|00>-|11>)/√2.
+   Conjugating by M maps SU(2)⊗SU(2) onto SO(4) and diagonalizes every
+   canonical gate. *)
+let magic =
+  let r = 1.0 /. sqrt 2.0 in
+  let z = Cx.zero in
+  let c x = Cx.of_float (x *. r) in
+  let ci x = Cx.mk 0.0 (x *. r) in
+  Mat.of_arrays
+    [|
+      [| c 1.0; z; z; ci 1.0 |];
+      [| z; ci 1.0; c 1.0; z |];
+      [| z; ci 1.0; c (-1.0); z |];
+      [| c 1.0; z; z; ci (-1.0) |];
+    |]
 
-let pauli_pair = function
-  | 0 -> Quantum.Pauli.xx
-  | 1 -> Quantum.Pauli.yy
-  | 2 -> Quantum.Pauli.zz
-  | _ -> assert false
+let magic_dag = Mat.dagger magic
+let id4 = Mat.identity 4
+let pauli_pair = [| Quantum.Pauli.xx; Quantum.Pauli.yy; Quantum.Pauli.zz |]
+
+(* P ⊗ I, the correction of a flip by the Pauli P on qubit 0 *)
+let flip_corr p = Mat.kron (Quantum.Pauli.matrix_1q p) (Mat.identity 2)
+let flip_x = flip_corr Quantum.Pauli.X
+let flip_y = flip_corr Quantum.Pauli.Y
+let flip_z = flip_corr Quantum.Pauli.Z
+
+(* (w ⊗ w, (w ⊗ w)†), the corrections of a coordinate exchange by w *)
+let swap_corr w =
+  let ww = Mat.kron w w in
+  (ww, Mat.dagger ww)
+
+let swap_xy = swap_corr Quantum.Gates.s (* S: XX<->YY *)
+let swap_yz = swap_corr (Quantum.Gates.rx pi2) (* Rx(pi/2): YY<->ZZ *)
+let swap_xz = swap_corr Quantum.Gates.h (* H: XX<->ZZ *)
+
+(* --------------------------------------------------------------------- *)
+(* Workspace: every intermediate of one decomposition, one per domain.    *)
+
+type ws = {
+  busy : bool Atomic.t;  (** a decomposition is running on it *)
+  lu : Mat.t;  (** determinant elimination *)
+  usu : Mat.t;  (** the input scaled into SU(4) *)
+  um : Mat.t;  (** usu in the magic basis *)
+  m2 : Mat.t;  (** umᵀ um *)
+  re : Mat.t;  (** real part of m2, as a real matrix *)
+  im : Mat.t;  (** imaginary part of m2, as a real matrix *)
+  joint : Eig.joint;
+  pt : Mat.t;  (** pᵀ, for p the joint eigenvectors *)
+  dm : Mat.t;  (** pᵀ m2 p, then diag e^{i delta}, then the left factor *)
+  ddag : Mat.t;  (** diag e^{i delta}† *)
+  o1 : Mat.t;
+  prod : Mat.t;  (** inner product of each triple product *)
+  corr : Mat.t;  (** a shift's correction *)
+  delta : float array;
+  v : float array;  (** the coordinates being canonicalized *)
+  mutable l : Mat.t;
+  mutable r : Mat.t;
+  mutable spare : Mat.t;
+}
+
+let make_ws () =
+  let mat () = Mat.create 4 4 in
+  {
+    busy = Atomic.make false;
+    lu = mat ();
+    usu = mat ();
+    um = mat ();
+    m2 = mat ();
+    re = mat ();
+    im = mat ();
+    joint = Eig.joint_ws 4;
+    pt = mat ();
+    dm = mat ();
+    ddag = mat ();
+    o1 = mat ();
+    prod = mat ();
+    corr = mat ();
+    delta = Array.make 4 0.0;
+    v = Array.make 3 0.0;
+    l = mat ();
+    r = mat ();
+    spare = mat ();
+  }
+
+let key = Domain.DLS.new_key make_ws
+
+(* [f] on the calling domain's workspace; a second systhread of the domain
+   that enters while it is in use gets a fresh one, since a thread switch
+   inside [f] would otherwise let the two overwrite each other *)
+let with_ws f u =
+  let ws = Domain.DLS.get key in
+  if Atomic.compare_and_set ws.busy false true then (
+    match f ws u with
+    | d ->
+      Atomic.set ws.busy false;
+      d
+    | exception e ->
+      Atomic.set ws.busy false;
+      raise e)
+  else f (make_ws ()) u
+
+(* --------------------------------------------------------------------- *)
+(* Canonicalization: invariant  u = l * Can v * r  throughout.            *)
+
+(* l <- l m *)
+let mul_l ws m =
+  Mat.mul_into ~dst:ws.spare ws.l m;
+  let t = ws.l in
+  ws.l <- ws.spare;
+  ws.spare <- t
+
+(* r <- m r *)
+let mul_r ws m =
+  Mat.mul_into ~dst:ws.spare m ws.r;
+  let t = ws.r in
+  ws.r <- ws.spare;
+  ws.spare <- t
 
 (* v_j <- v_j + k*pi/2, with correction  r <- exp(i k pi/2 PP) r. *)
-let shift st j k =
+let shift ws j k =
   if k <> 0 then begin
     let theta = float_of_int k *. pi2 in
-    let corr =
-      Mat.add
-        (Mat.rsmul (cos theta) (Mat.identity 4))
-        (Mat.smul (Cx.mk 0.0 (sin theta)) (pauli_pair j))
-    in
-    st.v.(j) <- st.v.(j) +. theta;
-    st.r <- Mat.mul corr st.r
+    Mat.scale_into ~dst:ws.corr (cos theta) id4;
+    Mat.smul_into ~dst:ws.prod (Cx.mk 0.0 (sin theta)) pauli_pair.(j);
+    Mat.add_into ~dst:ws.corr ws.corr ws.prod;
+    ws.v.(j) <- ws.v.(j) +. theta;
+    mul_r ws ws.corr
   end
 
 (* Negate the two coordinates other than axis [p] by conjugating with the
    Pauli [p] on qubit 0:  C v = (P x I) C v_f (P x I). *)
-let flip st p =
-  let pm = Quantum.Pauli.matrix_1q p in
-  let corr = Mat.kron pm (Mat.identity 2) in
-  (match p with
-  | Quantum.Pauli.X ->
-    st.v.(1) <- -.st.v.(1);
-    st.v.(2) <- -.st.v.(2)
-  | Quantum.Pauli.Y ->
-    st.v.(0) <- -.st.v.(0);
-    st.v.(2) <- -.st.v.(2)
-  | Quantum.Pauli.Z ->
-    st.v.(0) <- -.st.v.(0);
-    st.v.(1) <- -.st.v.(1)
-  | Quantum.Pauli.I -> invalid_arg "Kak.flip: identity");
-  st.l <- Mat.mul st.l corr;
-  st.r <- Mat.mul corr st.r
-
-(* Exchange two coordinates via a local Clifford conjugation. *)
-let swap_coords st i j =
-  let open Quantum.Gates in
-  let apply w =
-    (* C v = (w ⊗ w)† C v_swapped (w ⊗ w) *)
-    let ww = Mat.kron w w in
-    st.l <- Mat.mul st.l (Mat.dagger ww);
-    st.r <- Mat.mul ww st.r;
-    let tmp = st.v.(i) in
-    st.v.(i) <- st.v.(j);
-    st.v.(j) <- tmp
+let flip ws p =
+  let v = ws.v in
+  let corr =
+    match p with
+    | Quantum.Pauli.X ->
+      v.(1) <- -.v.(1);
+      v.(2) <- -.v.(2);
+      flip_x
+    | Quantum.Pauli.Y ->
+      v.(0) <- -.v.(0);
+      v.(2) <- -.v.(2);
+      flip_y
+    | Quantum.Pauli.Z ->
+      v.(0) <- -.v.(0);
+      v.(1) <- -.v.(1);
+      flip_z
+    | Quantum.Pauli.I -> invalid_arg "Kak.flip: identity"
   in
-  match (min i j, max i j) with
-  | 0, 1 -> apply s (* S: XX<->YY *)
-  | 1, 2 -> apply (rx pi2) (* Rx(pi/2): YY<->ZZ *)
-  | 0, 2 -> apply h (* H: XX<->ZZ *)
-  | _ -> invalid_arg "Kak.swap_coords"
+  mul_l ws corr;
+  mul_r ws corr
 
-let canonicalize st =
+(* Exchange two coordinates via a local Clifford conjugation:
+   C v = (w ⊗ w)† C v_swapped (w ⊗ w). *)
+let swap_coords ws i j =
+  let ww, ww_dag =
+    match (min i j, max i j) with
+    | 0, 1 -> swap_xy
+    | 1, 2 -> swap_yz
+    | 0, 2 -> swap_xz
+    | _ -> invalid_arg "Kak.swap_coords"
+  in
+  mul_l ws ww_dag;
+  mul_r ws ww;
+  let tmp = ws.v.(i) in
+  ws.v.(i) <- ws.v.(j);
+  ws.v.(j) <- tmp
+
+let canonicalize ws =
+  let v = ws.v in
   (* 1. shift every coordinate into [-pi/4, pi/4] *)
   (* the tiny epsilon keeps an exact +pi/4 in place instead of bouncing it
      to -pi/4 and back through a flip *)
   for j = 0 to 2 do
-    let k = -.Float.round ((st.v.(j) -. 1e-12) /. pi2) in
-    shift st j (int_of_float k)
+    let k = -.Float.round ((v.(j) -. 1e-12) /. pi2) in
+    shift ws j (int_of_float k)
   done;
   (* 2. sort by descending absolute value *)
-  let byabs j = Float.abs st.v.(j) in
-  if byabs 0 < byabs 1 then swap_coords st 0 1;
-  if byabs 1 < byabs 2 then swap_coords st 1 2;
-  if byabs 0 < byabs 1 then swap_coords st 0 1;
+  let byabs j = Float.abs v.(j) in
+  if byabs 0 < byabs 1 then swap_coords ws 0 1;
+  if byabs 1 < byabs 2 then swap_coords ws 1 2;
+  if byabs 0 < byabs 1 then swap_coords ws 0 1;
   (* 3. make the two leading coordinates non-negative *)
-  if st.v.(0) < 0.0 && st.v.(1) < 0.0 then flip st Quantum.Pauli.Z
-  else if st.v.(0) < 0.0 then flip st Quantum.Pauli.Y
-  else if st.v.(1) < 0.0 then flip st Quantum.Pauli.X;
+  if v.(0) < 0.0 && v.(1) < 0.0 then flip ws Quantum.Pauli.Z
+  else if v.(0) < 0.0 then flip ws Quantum.Pauli.Y
+  else if v.(1) < 0.0 then flip ws Quantum.Pauli.X;
   (* 4. boundary rule: on the x = pi/4 face, z must be non-negative *)
-  if Float.abs (st.v.(0) -. pi4) < 1e-9 && st.v.(2) < 0.0 then begin
-    shift st 0 (-1);
-    flip st Quantum.Pauli.Y
+  if Float.abs (v.(0) -. pi4) < 1e-9 && v.(2) < 0.0 then begin
+    shift ws 0 (-1);
+    flip ws Quantum.Pauli.Y
   end
 
 (* --------------------------------------------------------------------- *)
 (* Raw decomposition in the magic basis.                                 *)
 
-let global_phase_split u =
-  (* u = e^{i a} u_su with det u_su = 1 *)
-  let usu = Mat.fix_det_su u in
-  (* ratio at the largest entry of u *)
-  let bi = ref 0 and bj = ref 0 and best = ref 0.0 in
-  for i = 0 to Mat.rows u - 1 do
-    for j = 0 to Mat.cols u - 1 do
-      let v = Cx.norm (Mat.get u i j) in
-      if v > !best then begin
-        best := v;
-        bi := i;
-        bj := j
-      end
-    done
-  done;
-  let phase = Cx.( /: ) (Mat.get u !bi !bj) (Mat.get usu !bi !bj) in
-  (phase, usu)
+(* [Mat.is_unitary ~tol:1e-7 u] on the workspace *)
+let is_unitary ws u =
+  Mat.dagger_into ~dst:ws.prod u;
+  Mat.mul_into ~dst:ws.o1 ws.prod u;
+  Mat.equal ~tol:1e-7 ws.o1 id4
+
+let sum4 d = 0.0 +. d.(0) +. d.(1) +. d.(2) +. d.(3)
 
 (* the decomposition proper, for a 4x4 unitary the caller has checked;
    counted as ("weyl", "decompose") so every decomposition that really
    runs shows in [Robust.Counters] *)
-let decompose_core u =
+let decompose_core ws u =
   Robust.Counters.incr ~stage:"weyl" "decompose";
-  let phase, usu = global_phase_split u in
-  let u' = Magic.to_magic usu in
-  let m2 = Mat.mul (Mat.transpose u') u' in
-  let re = Mat.init 4 4 (fun i j -> Cx.of_float (Cx.re (Mat.get m2 i j))) in
-  let im = Mat.init 4 4 (fun i j -> Cx.of_float (Cx.im (Mat.get m2 i j))) in
-  let p = Eig.simultaneous_real re im in
-  (* force det p = +1 so locals are tensor products *)
-  let p =
-    if Cx.re (Mat.det p) < 0.0 then
-      Mat.init 4 4 (fun i j -> if j = 0 then Cx.neg (Mat.get p i j) else Mat.get p i j)
-    else p
+  (* u = e^{i a} usu with det usu = 1; the phase is the ratio at u's
+     largest entry *)
+  Mat.fix_det_su_into ~lu:ws.lu ~dst:ws.usu u;
+  let ure = Mat.re_plane u and uim = Mat.im_plane u in
+  let bk = ref 0 and best = ref 0.0 in
+  for k = 0 to 15 do
+    let v = Float.hypot ure.(k) uim.(k) in
+    if v > !best then begin
+      best := v;
+      bk := k
+    end
+  done;
+  let phase =
+    Cx.( /: )
+      (Cx.mk ure.(!bk) uim.(!bk))
+      (Cx.mk (Mat.re_plane ws.usu).(!bk) (Mat.im_plane ws.usu).(!bk))
   in
-  let d = Mat.mul3 (Mat.transpose p) m2 p in
-  let delta = Array.init 4 (fun k -> Cx.arg (Mat.get d k k) /. 2.0) in
+  (* um = M† usu M, m2 = umᵀ um *)
+  Mat.mul_into ~dst:ws.prod ws.usu magic;
+  Mat.mul_into ~dst:ws.um magic_dag ws.prod;
+  Mat.transpose_into ~dst:ws.pt ws.um;
+  Mat.mul_into ~dst:ws.m2 ws.pt ws.um;
+  Array.blit (Mat.re_plane ws.m2) 0 (Mat.re_plane ws.re) 0 16;
+  Array.fill (Mat.im_plane ws.re) 0 16 0.0;
+  Array.blit (Mat.im_plane ws.m2) 0 (Mat.re_plane ws.im) 0 16;
+  Array.fill (Mat.im_plane ws.im) 0 16 0.0;
+  let p = Eig.simultaneous_real_into ws.joint ws.re ws.im in
+  (* force det p = +1 so locals are tensor products *)
+  if Cx.re (Mat.det_into ~lu:ws.lu p) < 0.0 then begin
+    let pre = Mat.re_plane p and pim = Mat.im_plane p in
+    for i = 0 to 3 do
+      pre.(4 * i) <- -.pre.(4 * i);
+      pim.(4 * i) <- -.pim.(4 * i)
+    done
+  end;
+  Mat.transpose_into ~dst:ws.pt p;
+  Mat.mul_into ~dst:ws.prod ws.m2 p;
+  Mat.mul_into ~dst:ws.dm ws.pt ws.prod;
+  let delta = ws.delta in
+  let dre = Mat.re_plane ws.dm and dim = Mat.im_plane ws.dm in
+  for k = 0 to 3 do
+    delta.(k) <- atan2 dim.(5 * k) dre.(5 * k) /. 2.0
+  done;
   (* fix the branch so that sum delta = 0 (mod 2pi): det O1 must be +1 *)
-  let sum = Array.fold_left ( +. ) 0.0 delta in
+  let sum = sum4 delta in
   if (int_of_float (Float.round (sum /. Float.pi)) mod 2 + 2) mod 2 = 1 then
     delta.(0) <- delta.(0) +. Float.pi;
-  let sum = Array.fold_left ( +. ) 0.0 delta in
-  let dbar = sum /. 4.0 in
-  let delta' = Array.map (fun dk -> dk -. dbar) delta in
+  let dbar = sum4 delta /. 4.0 in
   (* raw coordinates from the traceless spectrum *)
-  let x = (delta'.(2) +. delta'.(3)) /. 2.0 in
-  let y = (delta'.(0) +. delta'.(2)) /. 2.0 in
-  let z = (delta'.(1) +. delta'.(2)) /. 2.0 in
-  let delta_mat =
-    Mat.init 4 4 (fun i j -> if i = j then Cx.expi delta.(i) else Cx.zero)
-  in
-  let o1 = Mat.mul3 u' p (Mat.dagger delta_mat) in
-  let k1 = Magic.from_magic o1 in
-  let k2 = Magic.from_magic (Mat.transpose p) in
-  let st =
-    {
-      v = [| x; y; z |];
-      l = Mat.smul (Cx.( *: ) phase (Cx.expi dbar)) k1;
-      r = k2;
-    }
-  in
-  canonicalize st;
-  let coords = Coords.make st.v.(0) st.v.(1) st.v.(2) in
-  match (Quantum.Local.factor ~tol:1e-6 st.l, Quantum.Local.factor ~tol:1e-6 st.r) with
+  let d' k = delta.(k) -. dbar in
+  ws.v.(0) <- (d' 2 +. d' 3) /. 2.0;
+  ws.v.(1) <- (d' 0 +. d' 2) /. 2.0;
+  ws.v.(2) <- (d' 1 +. d' 2) /. 2.0;
+  (* o1 = um p diag(e^{i delta})† *)
+  Mat.zero_fill ws.dm;
+  for k = 0 to 3 do
+    dre.(5 * k) <- cos delta.(k) *. 1.0;
+    dim.(5 * k) <- sin delta.(k) *. 1.0
+  done;
+  Mat.dagger_into ~dst:ws.ddag ws.dm;
+  Mat.mul_into ~dst:ws.prod p ws.ddag;
+  Mat.mul_into ~dst:ws.o1 ws.um ws.prod;
+  (* back from the magic basis: k1 = M o1 M† (into dm), r = M pᵀ M† *)
+  Mat.mul_into ~dst:ws.prod ws.o1 magic_dag;
+  Mat.mul_into ~dst:ws.dm magic ws.prod;
+  Mat.mul_into ~dst:ws.prod ws.pt magic_dag;
+  Mat.mul_into ~dst:ws.r magic ws.prod;
+  Mat.smul_into ~dst:ws.l (Cx.( *: ) phase (Cx.expi dbar)) ws.dm;
+  canonicalize ws;
+  let coords = Coords.make ws.v.(0) ws.v.(1) ws.v.(2) in
+  match (Quantum.Local.factor ~tol:1e-6 ws.l, Quantum.Local.factor ~tol:1e-6 ws.r) with
   | Some (a1, a2), Some (b1, b2) -> { a1; a2; coords; b1; b2 }
   | _ -> failwith "Kak.decompose: locals failed to factor (numerical breakdown)"
 
@@ -172,8 +304,11 @@ let reconstruct { a1; a2; coords; b1; b2 } =
 
 let decompose u =
   if Mat.rows u <> 4 || Mat.cols u <> 4 then invalid_arg "Kak.decompose: need 4x4";
-  if not (Mat.is_unitary ~tol:1e-7 u) then failwith "Kak.decompose: input not unitary";
-  decompose_core u
+  with_ws
+    (fun ws u ->
+      if not (is_unitary ws u) then failwith "Kak.decompose: input not unitary";
+      decompose_core ws u)
+    u
 
 let coords_of u = (decompose u).coords
 
@@ -182,15 +317,19 @@ let decompose_r u =
     Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = "need a 4x4 matrix" })
   else if Mat.has_nan u then
     Error (Robust.Err.Nan_detected { stage = "kak"; site = "input" })
-  else if not (Mat.is_unitary ~tol:1e-7 u) then
-    Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = "input not unitary" })
   else
-    match decompose_core u with
-    | d -> Ok d
-    | exception Failure msg ->
-      Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = msg })
-    | exception Invalid_argument msg ->
-      Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = msg })
+    with_ws
+      (fun ws u ->
+        if not (is_unitary ws u) then
+          Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = "input not unitary" })
+        else
+          match decompose_core ws u with
+          | d -> Ok d
+          | exception Failure msg ->
+            Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = msg })
+          | exception Invalid_argument msg ->
+            Error (Robust.Err.Ill_conditioned { stage = "kak"; detail = msg }))
+      u
 
 let coords_of_r u = Result.map (fun d -> d.coords) (decompose_r u)
 

@@ -6,7 +6,17 @@
 
     with [(x, y, z)] in the canonical Weyl chamber ({!Coords.in_chamber}) and
     [a2, b1, b2] unitary; the global phase of [u] is folded into [a1] so the
-    factorization reproduces [u] exactly. *)
+    factorization reproduces [u] exactly.
+
+    Every intermediate of a decomposition (the SU(4) rescale, the magic
+    basis products, the joint eigensolve, the canonicalizing corrections)
+    lives in a preallocated workspace, one per domain ([Domain.DLS]), so a
+    call allocates no matrix but the four 2x2 locals it returns (plus a
+    few boxed scalars). It is safe across domains, each with its own
+    workspace, and across systhreads: a thread that enters while another
+    thread of its domain is inside a decomposition takes a fresh
+    workspace. The arithmetic is that of the boxed matrix operations it
+    replaced, in the same order, so the output bits are theirs. *)
 
 open Numerics
 

@@ -756,6 +756,34 @@ let test_pulses_reply_bytes () =
   Alcotest.(check string) "pinned reply bytes" pulses_reply_digest
     (Digest.to_hex (Digest.string (String.concat "\n" cold)))
 
+(* A store that holds one class answers a target 2e-13 away from it as
+   an engine with no store does: the store keys coordinates by their
+   exact bits, so a reply does not depend on what the store holds. *)
+let test_store_near_coords () =
+  disarm ();
+  let path = Filename.temp_file "reqisc_serve" ".rqcache" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  let reply ?cache line =
+    let eng = Serve.Engine.create ~workers:1 ?cache ~seed:7L () in
+    let r = Robust.Json.to_string (strip_id (Serve.Engine.exec_once eng (Serve.Protocol.parse_line line))) in
+    Serve.Engine.drain eng;
+    r
+  in
+  let store () =
+    match Cache.create ~path () with
+    | Error e -> Alcotest.failf "cannot open cache: %s" e
+    | Ok cache -> cache
+  in
+  let line c = Printf.sprintf "{\"v\":1,\"id\":1,\"op\":\"pulses\",\"coords\":%s}" c in
+  let stored = reply ~cache:(store ()) (line "[0.45,0.2,0.05]") in
+  let near = line "[0.4500000000002,0.2,0.05]" in
+  let from_store = reply ~cache:(store ()) near in
+  let no_store = reply near in
+  Alcotest.(check bool) ("ok reply: " ^ no_store) true (contains no_store "\"ok\":true");
+  Alcotest.(check bool) "the near target has its own pulse" false (stored = no_store);
+  Alcotest.(check string) "reopened store = no store" no_store from_store
+
 (* run a K-request storm behind the plugs and hand back the storm
    responses (the plug responses are dropped) *)
 let run_storm ?(storm_line = storm_line) ~stormers () =
@@ -1084,6 +1112,7 @@ let () =
           Alcotest.test_case "solver fault" `Quick test_server_solver_fault;
           Alcotest.test_case "shutdown drains" `Quick test_server_shutdown_drains;
           Alcotest.test_case "pulses reply bytes" `Quick test_pulses_reply_bytes;
+          Alcotest.test_case "store near coords" `Quick test_store_near_coords;
         ] );
       ( "coalescing",
         [

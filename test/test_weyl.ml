@@ -145,6 +145,151 @@ let test_chamber_membership () =
   Alcotest.(check bool) "unsorted" false (ok 0.2 0.5 0.0);
   Alcotest.(check bool) "negative z at x=pi/4" false (ok pi4 0.3 (-0.2))
 
+(* ----------------------------------------------------------------- bits *)
+
+(* The ensemble whose decompositions are pinned bit for bit: 500 seeded
+   Haar SU(4)s, the named gates, the chamber faces (x = pi/4 with z < 0,
+   the identity, local-only inputs, SWAP * g) and every 2Q gate of the
+   pauli-eff benchmark programs compiled under plan eff. *)
+let bits_ensemble () =
+  let r = Rng.create 35L in
+  let haar = List.init 500 (fun _ -> Haar.su4 r) in
+  let named =
+    [ Gates.cnot; Gates.cz; Gates.swap; Gates.iswap; Gates.sqisw; Gates.b_gate; Gates.cphase 0.9 ]
+  in
+  let can x y z = Weyl.Kak.canonical (Weyl.Coords.make x y z) in
+  let local () = Mat.kron (Haar.su2 r) (Haar.su2 r) in
+  let dress u = Mat.mul3 (local ()) u (local ()) in
+  let faces =
+    [
+      can pi4 0.3 (-0.2);
+      dress (can pi4 0.3 (-0.2));
+      can pi4 0.1 (-0.05);
+      Mat.identity 4;
+      local ();
+      local ();
+      Mat.kron Gates.h Gates.s;
+      Mat.mul Gates.swap (can 0.6 0.3 0.1);
+      Mat.mul Gates.swap (can 0.2 0.1 (-0.05));
+      Mat.mul Gates.swap Gates.cnot;
+      Mat.mul Gates.swap (Haar.su4 r);
+    ]
+  in
+  let pauli =
+    List.concat_map
+      (fun name ->
+        let prog =
+          (List.find
+             (fun (b : Benchmarks.Suite.bench) -> b.name = name)
+             (Benchmarks.Suite.suite ()))
+            .program
+        in
+        match
+          Compiler.Passes.compile_plan
+            ~plan:(Compiler.Passes.plan_of_mode Compiler.Passes.Eff)
+            (Rng.create 1L) prog
+        with
+        | Error e -> Alcotest.failf "compile %s: %s" name (Robust.Err.to_string e)
+        | Ok (out, _) ->
+          List.filter_map
+            (fun (g : Gate.t) -> if Gate.is_2q g then Some g.mat else None)
+            out.Compiler.Passes.circuit.Circuit.gates)
+      [ "qaoa_8"; "qaoa_10"; "pf_6"; "pf_10"; "uccsd_8"; "uccsd_12" ]
+  in
+  haar @ named @ faces @ pauli
+
+(* every returned float's IEEE bits: a1, a2, b1, b2, coords *)
+let add_kak_bits b (d : Weyl.Kak.t) =
+  let fl x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)) in
+  let mat m =
+    for i = 0 to Mat.rows m - 1 do
+      for j = 0 to Mat.cols m - 1 do
+        fl (Mat.get_re m i j);
+        fl (Mat.get_im m i j)
+      done
+    done
+  in
+  mat d.a1;
+  mat d.a2;
+  mat d.b1;
+  mat d.b2;
+  fl d.coords.x;
+  fl d.coords.y;
+  fl d.coords.z
+
+let md5_of_kaks ds =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter (add_kak_bits b) ds;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let kak_bits us = md5_of_kaks (List.map Weyl.Kak.decompose us)
+
+(* recorded before the decomposition moved onto a per-domain workspace;
+   that rewrite must leave every bit where it was *)
+let ensemble_bits = "1e8ca6a15295b3f59dc50197306d6114"
+
+let test_bits_pinned () =
+  Robust.Fault.configure None;
+  let us = bits_ensemble () in
+  Alcotest.(check int) "ensemble size" 851 (List.length us);
+  Alcotest.(check string) "kak bits" ensemble_bits (kak_bits us)
+
+(* the verdict of [decompose_r] on one Haar matrix with a fault site armed
+   for its first k calls: [mul_nan] poisons the first products, and
+   [jacobi_stall] stops the first k mixing angles' eigensolves after one
+   sweep, so the angle that succeeds (or none) depends on the call order *)
+let test_bits_fault_verdicts () =
+  let u = Haar.su4 (Rng.create 36L) in
+  let verdict site k =
+    Robust.Fault.configure (Some (Printf.sprintf "%s:%d" site k));
+    match Weyl.Kak.decompose_r u with
+    | Ok d -> Printf.sprintf "%s:%d ok %s" site k (md5_of_kaks [ d ])
+    | Error e -> Printf.sprintf "%s:%d %s" site k (Robust.Err.to_string e)
+  in
+  let got site =
+    Fun.protect ~finally:(fun () -> Robust.Fault.configure None) (fun () ->
+        List.init 8 (fun i -> verdict site (i + 1)))
+  in
+  Alcotest.(check (list string))
+    "mul_nan"
+    (List.init 8 (fun i -> Printf.sprintf "mul_nan:%d kak: ill-conditioned: input not unitary" (i + 1)))
+    (got "mul_nan");
+  Alcotest.(check (list string))
+    "jacobi_stall"
+    [
+      "jacobi_stall:1 ok a601152a18e16b947e707aaf3e4890a5";
+      "jacobi_stall:2 ok e495ca1c54b932239d23e7c15c92b0bf";
+      "jacobi_stall:3 ok 948026d9abef95fa0b07ce422a88125d";
+      "jacobi_stall:4 ok 081e3dd02e54d8f198f9f61934f75162";
+      "jacobi_stall:5 ok 0602aafd0eb7599e63f341c8f168940c";
+      "jacobi_stall:6 ok 0b803fbcf57bd6cf28718b36d0cfcb30";
+      "jacobi_stall:7 ok 733abb41675279a279dc22e52ea45a23";
+      "jacobi_stall:8 kak: ill-conditioned: eig.simultaneous: ill-conditioned: no mixing angle \
+       separated the joint spectrum";
+    ]
+    (got "jacobi_stall")
+
+(* Two domains, then two systhreads of one domain, decompose the ensemble
+   at once: each must read the serial bits. The threads repeat it so the
+   tick thread preempts one inside a decomposition. *)
+let test_bits_concurrent () =
+  Robust.Fault.configure None;
+  let us = bits_ensemble () in
+  let serial = kak_bits us in
+  List.iteri
+    (fun i got -> Alcotest.(check string) (Printf.sprintf "domain %d" i) serial got)
+    (Par.parallel_map ~domains:2 (fun _ -> kak_bits us) [ 0; 1 ]);
+  let passes = 4 in
+  let got = Array.make_matrix 2 passes "" in
+  let run t () = for p = 0 to passes - 1 do got.(t).(p) <- kak_bits us done in
+  List.iter Thread.join (List.init 2 (fun t -> Thread.create (run t) ()));
+  Array.iteri
+    (fun t row ->
+      Array.iteri
+        (fun p g -> Alcotest.(check string) (Printf.sprintf "thread %d pass %d" t p) serial g)
+        row)
+    got
+
 let qcheck_tests =
   let arb_seed = QCheck.make QCheck.Gen.(map Int64.of_int (int_bound 1000000)) in
   [
@@ -190,5 +335,11 @@ let () =
           Alcotest.test_case "involution" `Quick test_mirror_involution;
         ] );
       ("chamber", [ Alcotest.test_case "membership" `Quick test_chamber_membership ]);
+      ( "bits",
+        [
+          Alcotest.test_case "pinned ensemble" `Quick test_bits_pinned;
+          Alcotest.test_case "fault verdicts" `Quick test_bits_fault_verdicts;
+          Alcotest.test_case "domains and threads" `Quick test_bits_concurrent;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
