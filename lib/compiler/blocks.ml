@@ -91,7 +91,56 @@ let block_unitary b =
 let count_2q b = List.fold_left (fun acc g -> if Gate.is_2q g then acc + 1 else acc) 0 b.gates
 let to_circuit n blocks = Circuit.create n (List.concat_map (fun b -> b.gates) blocks)
 
+(* Matrices as keys by the exact bits of their planes: 0.0 and -0.0 are
+   different keys, as they are to the KAK (its [atan2]s tell them apart).
+   Neither function allocates. *)
+module Exact = Hashtbl.Make (struct
+  type t = Mat.t
+
+  let same_bits (x : float array) (y : float array) =
+    let n = Array.length x in
+    Array.length y = n
+    &&
+    let i = ref 0 in
+    while !i < n && Int64.bits_of_float x.(!i) = Int64.bits_of_float y.(!i) do
+      incr i
+    done;
+    !i = n
+
+  let equal a b =
+    same_bits (Mat.re_plane a) (Mat.re_plane b) && same_bits (Mat.im_plane a) (Mat.im_plane b)
+
+  let mix h (p : float array) =
+    let h = ref h in
+    for i = 0 to Array.length p - 1 do
+      let b = Int64.bits_of_float p.(i) in
+      h := (!h * 31) + Int64.to_int (Int64.logxor b (Int64.shift_right_logical b 32))
+    done;
+    !h
+
+  let hash m = mix (mix 0 (Mat.re_plane m)) (Mat.im_plane m)
+end)
+
+let kak_table gates =
+  let table = Exact.create 64 in
+  if not (Robust.Fault.enabled ()) then
+    List.iter
+      (fun (g : Gate.t) -> Option.iter (fun d -> Exact.replace table g.mat d) g.kak)
+      gates;
+  fun u ->
+    (* an armed fault site may poison a decomposition, and each call must
+       reach the kernels it counts: no entry is read or kept *)
+    if Robust.Fault.enabled () then Weyl.Kak.decompose u
+    else
+      match Exact.find_opt table u with
+      | Some d -> d
+      | None ->
+        let d = Weyl.Kak.decompose u in
+        Exact.add table u d;
+        d
+
 let fuse_2q (c : Circuit.t) =
+  let kak = kak_table c.gates in
   let blocks = collect ~w:2 c in
   let gates =
     List.concat_map
@@ -103,7 +152,7 @@ let fuse_2q (c : Circuit.t) =
           if Mat.equal ~tol:1e-11 u (Mat.identity 2) then [] else [ Gate.one_q q u ]
         | [ a; bq ] ->
           let u = block_unitary b in
-          let d = Weyl.Kak.decompose u in
+          let d = kak u in
           if Weyl.Coords.norm1 d.coords < 1e-9 then begin
             (* the block is local after fusion: emit two 1Q gates *)
             let g1 = Mat.mul d.a1 d.b1 and g2 = Mat.mul d.a2 d.b2 in

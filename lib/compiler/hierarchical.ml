@@ -8,32 +8,37 @@ let w = 3
 let m_th = 4
 let rounds = 2
 
+(* [`Smaller gates] when the template search found fewer SU(4)s,
+   [`No_gain] when it found none, [`Failed] when it could not run *)
 let resynthesize lib block =
   let k = Blocks.count_2q block in
   let u = Blocks.block_unitary block in
   let qarr = Array.of_list block.Blocks.qubits in
-  if List.length block.Blocks.qubits > w then None
+  if List.length block.Blocks.qubits > w then `No_gain
   else if Robust.Fault.enabled () && Robust.Fault.fire "hier_fail" then
     (* fault site "hier_fail": approximate resynthesis unavailable — the
        caller must fall back to the block's exact gates *)
-    None
-  else if Mat.has_nan u then None
+    `Failed
+  else if Mat.has_nan u then `Failed
   else begin
     let e = Template.template_entry lib ~max_gates:(min (k - 1) 7) u in
     match e.Template.best with
     | Some gates when List.length (List.filter Gate.is_2q gates) < k ->
-      Some (List.map (Gate.remap (fun q -> qarr.(q))) gates)
-    | _ -> None
+      `Smaller (List.map (Gate.remap (fun q -> qarr.(q))) gates)
+    | _ -> `No_gain
   end
 
 (* Resynthesis must never abort a compile: any numerical breakdown inside
    the template search degrades to keeping the block's original gates. *)
 let resynthesize_safe lib block =
   match resynthesize lib block with
-  | Some gates ->
+  | `Smaller gates ->
     Robust.Counters.incr ~stage "resynth_ok";
     Some gates
-  | None ->
+  | `No_gain ->
+    Robust.Counters.incr ~stage "no_gain";
+    None
+  | `Failed ->
     Robust.Counters.incr ~stage "fallback";
     None
   | exception _ ->

@@ -8,6 +8,7 @@ let run ?(r = default_threshold) (c : Circuit.t) =
   (* wire_of.(logical) = current physical wire *)
   let wire_of = Array.init c.n (fun i -> i) in
   let mirrored = ref 0 in
+  let kak = Blocks.kak_table c.gates in
   let out = ref [] in
   List.iter
     (fun (g : Gate.t) ->
@@ -19,11 +20,11 @@ let run ?(r = default_threshold) (c : Circuit.t) =
         let coords = d.Weyl.Kak.coords in
         let wires = [| wire_of.(a); wire_of.(b) |] in
         if Weyl.Coords.norm1 coords <= r && Weyl.Coords.norm1 coords > 1e-12 then begin
-          (* execute SWAP . g instead and swap the logical wires; the new
-             matrix gets the one fresh KAK of this pass *)
+          (* execute SWAP . g instead and swap the logical wires; each
+             distinct new matrix is decomposed once in this pass *)
           incr mirrored;
           let m = Mat.mul Quantum.Gates.swap g.mat in
-          out := Gate.make_kak "su4*" wires m (Weyl.Kak.decompose m) :: !out;
+          out := Gate.make_kak "su4*" wires m (kak m) :: !out;
           let t = wire_of.(a) in
           wire_of.(a) <- wire_of.(b);
           wire_of.(b) <- t

@@ -107,6 +107,7 @@ let variants lib u =
 
 let run lib (c : Circuit.t) =
   let blocks = Blocks.collect ~w:3 c in
+  let kak = Blocks.kak_table c.gates in
   let out = ref [] in
   (* global pair of the last emitted su4, used to steer variant choice *)
   let last_pair = ref None in
@@ -123,7 +124,7 @@ let run lib (c : Circuit.t) =
         List.iter emit b.gates
       | [ a; bq ] ->
         let u = Blocks.block_unitary b in
-        let d = Weyl.Kak.decompose u in
+        let d = kak u in
         if Weyl.Coords.norm1 d.coords < 1e-9 then begin
           emit (Gate.one_q a (Mat.mul d.a1 d.b1));
           emit (Gate.one_q bq (Mat.mul d.a2 d.b2))

@@ -131,7 +131,7 @@ type plan = {
   tr_idx : int array;  (** [tr_idx.(x * spect + s)]: full index of local x, spectator s *)
 }
 
-let plan ~n ~qubits =
+let build_plan ~n ~qubits =
   let qs = Array.of_list qubits in
   let k = Array.length qs in
   (* bit of qubit q inside an n-bit index (qubit 0 = MSB) *)
@@ -186,6 +186,36 @@ let plan ~n ~qubits =
     done
   done;
   { dim; sub; spect; cols; loc; tr_idx }
+
+(* A qubit list on n <= 3 wires read as base-4 digits q + 1: every
+   nonempty list of at most 3 wires gets its own code below 64. A list
+   with a qubit off the wires, or longer than 3, gets 0, which no plan
+   uses. *)
+let rec plan_code n acc = function
+  | [] -> acc
+  | q :: rest ->
+    if q < 0 || q >= n || acc >= 16 then 0 else plan_code n ((acc * 4) + q + 1) rest
+
+(* The 20 plans of n <= 3 (every ordered list of distinct wires), built
+   once and never written again, so every domain may read them. *)
+let prebuilt =
+  Array.init 4 (fun n ->
+      let table = Array.make 64 None in
+      let rec fill qubits =
+        if qubits <> [] then
+          table.(plan_code n 0 qubits) <- Some (build_plan ~n ~qubits);
+        if List.length qubits < n then
+          for q = 0 to n - 1 do
+            if not (List.mem q qubits) then fill (qubits @ [ q ])
+          done
+      in
+      fill [];
+      table)
+
+let plan ~n ~qubits =
+  match if n >= 1 && n <= 3 then prebuilt.(n).(plan_code n 0 qubits) else None with
+  | Some pl -> pl
+  | None -> build_plan ~n ~qubits
 
 let check_gate op pl g =
   if Mat.rows g <> pl.sub || Mat.cols g <> pl.sub then

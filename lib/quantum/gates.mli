@@ -88,7 +88,11 @@ val embed : n:int -> qubits:int list -> Mat.t -> Mat.t
 type plan
 
 (** [plan ~n ~qubits] is the plan of [embed ~n ~qubits]; it raises
-    [Invalid_argument] on a qubit out of range or repeated. *)
+    [Invalid_argument] on a qubit out of range or repeated. For [n <= 3]
+    it returns one of the 20 plans built at module initialisation (one
+    per ordered list of distinct wires), which are never written again,
+    so a lookup allocates nothing and is safe from any domain; any other
+    [n] builds a fresh plan. *)
 val plan : n:int -> qubits:int list -> plan
 
 (** [apply_left_into pl ~dst g p] computes [dst <- embed g · p] for

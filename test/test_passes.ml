@@ -373,29 +373,6 @@ let test_memo_two_domains () =
 
 let decompositions () = Robust.Counters.get ~stage:"weyl" "decompose"
 
-(* Each 2Q gate is decomposed once. On uccsd_8 under eff: once per block
-   [fuse_2q] fuses (79 blocks, no local ones), once per mirrored gate
-   (its matrix is new) and once per solver class check, which only a
-   memo miss runs. Every other reader takes the KAK the gate carries. *)
-let test_decompositions_once () =
-  Robust.Fault.configure None;
-  Microarch.Genashn.memo_clear ();
-  let solve_runs () = Robust.Counters.get ~stage:"genashn" "solve_run" in
-  let d0 = decompositions () and s0 = solve_runs () in
-  let out, stats = compile_default Passes.Eff "uccsd_8" in
-  let outcomes = Reqisc.pulse_outcomes Reqisc.xy_coupling out.Passes.circuit in
-  let fused =
-    (List.find (fun (s : Passes.pass_stat) -> s.Passes.pass = "phoenix_to_su4") stats)
-      .Passes.count_2q
-  in
-  let n = decompositions () - d0 and class_checks = solve_runs () - s0 in
-  Alcotest.(check int) "one pulse per gate" (Circuit.count_2q out.Passes.circuit)
-    (List.length outcomes);
-  Alcotest.(check int) "fused + mirrored + class checks"
-    (fused + out.Passes.mirrored + class_checks)
-    n;
-  Alcotest.(check int) "decompositions" 86 n
-
 let bits_of_float b x = Printf.bprintf b "%Lx," (Int64.bits_of_float x)
 
 let bits_of_mat b m =
@@ -406,11 +383,111 @@ let bits_of_mat b m =
     done
   done
 
+let mat_bits m =
+  let b = Buffer.create 512 in
+  bits_of_mat b m;
+  Buffer.contents b
+
 let kak_bits (d : Weyl.Kak.t) =
   let b = Buffer.create 512 in
   List.iter (bits_of_float b) [ d.coords.x; d.coords.y; d.coords.z ];
   List.iter (bits_of_mat b) [ d.a1; d.a2; d.b1; d.b2 ];
   Buffer.contents b
+
+(* the exact bits of every 2Q matrix in [gates], once each *)
+let distinct_2q gates =
+  List.sort_uniq compare
+    (List.filter_map (fun (g : Gate.t) -> if Gate.is_2q g then Some (mat_bits g.mat) else None) gates)
+
+(* Each distinct 2Q unitary is decomposed once per pass that makes it. On
+   uccsd_8 under eff: once per distinct exact block unitary [fuse_2q]
+   fuses that no input gate carries a KAK for (79 blocks, no local ones,
+   on 11 matrices, one of them CNOT's), once per distinct mirrored matrix
+   (SWAP · g, new to the pass) and once per solver class check, which
+   only a memo miss runs. Every other reader takes the KAK the gate
+   carries. *)
+let test_decompositions_once () =
+  Robust.Fault.configure None;
+  Microarch.Genashn.memo_clear ();
+  let solve_runs () = Robust.Counters.get ~stage:"genashn" "solve_run" in
+  let d0 = decompositions () and s0 = solve_runs () in
+  let out, _ = compile_default Passes.Eff "uccsd_8" in
+  let outcomes = Reqisc.pulse_outcomes Reqisc.xy_coupling out.Passes.circuit in
+  let n = decompositions () - d0 and class_checks = solve_runs () - s0 in
+  let fused =
+    let plan = Passes.plan_of_mode Passes.Eff in
+    (fst
+       (Expect.ok
+          (Passes.compile_plan ~stop_after:"phoenix_to_su4" ~plan (Rng.create 1L)
+             (suite_program "uccsd_8"))))
+      .Passes.circuit.Circuit.gates
+  in
+  let fused_bits = distinct_2q fused in
+  let mirrored_bits =
+    distinct_2q
+      (List.filter (fun (g : Gate.t) -> g.label = "su4*") out.Passes.circuit.Circuit.gates)
+  in
+  let new_mirrored = List.filter (fun m -> not (List.mem m fused_bits)) mirrored_bits in
+  (* a block that is one CX in wire order fuses to the very matrix
+     [Gate.cx] carries a KAK for *)
+  let carried = List.map mat_bits Quantum.Gates.[ cnot; cz; swap; iswap ] in
+  let new_fused = List.filter (fun m -> not (List.mem m carried)) fused_bits in
+  Alcotest.(check int) "one pulse per gate" (Circuit.count_2q out.Passes.circuit)
+    (List.length outcomes);
+  Alcotest.(check int) "new fused + new mirrored + class checks"
+    (List.length new_fused + List.length new_mirrored + class_checks)
+    n;
+  Alcotest.(check int) "decompositions" 16 n
+
+(* Armed fault sites bypass the table: fusing uccsd_8 with [jacobi_stall]
+   armed decomposes every fused block, so the sites fire at the calls
+   they fire at with no table *)
+let test_fault_bypass () =
+  let plan = Passes.plan_of_mode Passes.Eff in
+  Robust.Fault.configure (Some "jacobi_stall:1");
+  let d0 = decompositions () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Robust.Fault.configure None)
+      (fun () ->
+        Passes.compile_plan ~stop_after:"phoenix_to_su4" ~plan (Rng.create 1L)
+          (suite_program "uccsd_8"))
+  in
+  let n = decompositions () - d0 in
+  let fused = Circuit.count_2q (fst (Expect.ok r)).Passes.circuit in
+  Alcotest.(check int) "one decomposition per fused block" fused n;
+  Alcotest.(check int) "fused blocks" 79 n
+
+(* Two matrices that differ only in the sign of a zero are two keys:
+   diag(1, 1, 1, -1 - 0i) is CZ to float [=], but its KAK has other bits *)
+let test_signed_zero () =
+  Robust.Fault.configure None;
+  let u = Quantum.Gates.cz in
+  let v = Mat.copy u in
+  Mat.set_parts v 3 3 (-1.0) (-0.0);
+  Alcotest.(check bool) "equal as floats" true (Mat.get_im u 3 3 = Mat.get_im v 3 3);
+  let du = Weyl.Kak.decompose u and dv = Weyl.Kak.decompose v in
+  Alcotest.(check bool) "different kak bits" false (kak_bits du = kak_bits dv);
+  let kak = Blocks.kak_table [] in
+  let d0 = decompositions () in
+  let ku = kak u and kv = kak v in
+  Alcotest.(check int) "two decompositions" 2 (decompositions () - d0);
+  Alcotest.(check string) "u's bits" (kak_bits du) (kak_bits ku);
+  Alcotest.(check string) "v's bits" (kak_bits dv) (kak_bits kv);
+  let d1 = decompositions () in
+  Alcotest.(check bool) "an exact repeat shares the record" true (kak (Mat.copy u) == ku);
+  Alcotest.(check int) "no decomposition for the repeat" 0 (decompositions () - d1);
+  (* a gate carrying v's KAK fuses to CZ's exact bits (a block sum starts
+     at +0.0), which must not take v's KAK *)
+  let g = Gate.make_kak "su4" [| 0; 1 |] v dv in
+  let d2 = decompositions () in
+  let fused = Blocks.fuse_2q (Circuit.create 2 [ g ]) in
+  Alcotest.(check int) "the fused block is decomposed" 1 (decompositions () - d2);
+  match fused.Circuit.gates with
+  | [ { Gate.kak = Some d; mat; _ } ] ->
+    Alcotest.(check string) "fused matrix" (mat_bits u) (mat_bits mat);
+    Alcotest.(check string) "fused kak bits" (kak_bits du) (kak_bits d)
+  | _ -> Alcotest.fail "expected one fused gate carrying its KAK"
 
 (* one gate's pulse instruction as bytes: tau, drives, delta and the
    pre/post matrices *)
@@ -459,6 +536,47 @@ let test_carried_bits () =
             (Option.is_none (Gate.dagger g).kak))
       twoq;
     Alcotest.(check (list string)) (name ^ " pulse bits") (pulses bare) (pulses twoq)
+  in
+  List.iter (check Passes.Eff) [ "qaoa_8"; "qaoa_10"; "pf_6"; "pf_10"; "uccsd_8"; "uccsd_12" ];
+  List.iter (check Passes.Full) [ "tof_5"; "mult_2"; "encoding_3" ]
+
+(* Every pass output of the perfbench programs, under their perfbench
+   plans: each 2Q gate that carries a KAK carries exactly the bits a fresh
+   decomposition of its matrix gives, and gates with the same exact
+   matrix carry one shared record *)
+let test_carried_kak_bits () =
+  Robust.Fault.configure None;
+  let check_gates where gates =
+    let seen = Hashtbl.create 64 in
+    List.iter
+      (fun (g : Gate.t) ->
+        match g.kak with
+        | Some d when Gate.is_2q g ->
+          let what = Printf.sprintf "%s %s" where (Gate.to_string g) in
+          Alcotest.(check string) (what ^ " kak bits")
+            (kak_bits (Weyl.Kak.decompose g.mat))
+            (kak_bits d);
+          let key = mat_bits g.mat in
+          (match Hashtbl.find_opt seen key with
+          | Some d' -> Alcotest.(check bool) (what ^ " shares its record") true (d == d')
+          | None -> Hashtbl.add seen key d)
+        | _ -> ())
+      gates
+  in
+  let check mode name =
+    let plan = Passes.plan_of_mode mode in
+    List.iter
+      (fun (p : Pass.t) ->
+        let where = name ^ "/" ^ p.Pass.name in
+        match
+          Passes.compile_plan ~stop_after:p.Pass.name ~plan (Rng.create 1L) (suite_program name)
+        with
+        | Ok (out, _) -> check_gates where out.Passes.circuit.Circuit.gates
+        | Error _ when List.mem p.Pass.name [ "lower_3q"; "template" ] ->
+          (* a Pauli program has no circuit before [phoenix_to_su4] *)
+          ()
+        | Error e -> Alcotest.failf "%s: %s" where (Robust.Err.to_string e))
+      plan.Passes.passes
   in
   List.iter (check Passes.Eff) [ "qaoa_8"; "qaoa_10"; "pf_6"; "pf_10"; "uccsd_8"; "uccsd_12" ];
   List.iter (check Passes.Full) [ "tof_5"; "mult_2"; "encoding_3" ]
@@ -519,6 +637,9 @@ let () =
         [
           Alcotest.test_case "decompositions once" `Quick test_decompositions_once;
           Alcotest.test_case "carried bits" `Slow test_carried_bits;
+          Alcotest.test_case "carried kak bits" `Quick test_carried_kak_bits;
+          Alcotest.test_case "signed zero" `Quick test_signed_zero;
+          Alcotest.test_case "fault bypass" `Quick test_fault_bypass;
         ] );
       ("props", List.map (QCheck_alcotest.to_alcotest ~long:false) props);
     ]

@@ -175,13 +175,19 @@ let test_plan_kernels () =
               ([ 1; n - 1; 0 ], Gates.ccx);
             ]
         in
+        (* with [three], every order of three wires: each prebuilt plan of
+           n <= 3 is checked *)
+        let orders3 =
+          if n <> 3 then []
+          else List.map (fun qs -> (qs, Haar.unitary r 8)) [ [ 0; 2; 1 ]; [ 1; 0; 2 ]; [ 2; 1; 0 ] ]
+        in
         let cx20 = Gate.cx 2 0 in
         let zeros =
           (if n >= 3 then [ (Array.to_list cx20.Gate.qubits, cx20.Gate.mat) ] else [])
-          @ [ ([ 1; 0 ], Gates.cnot); ([ 0; 1 ], Gates.cnot) ]
+          @ if n >= 2 then [ ([ 1; 0 ], Gates.cnot); ([ 0; 1 ], Gates.cnot) ] else []
         in
-        List.map (fun (qs, g) -> (n, qs, g)) (one @ two @ three @ zeros))
-      [ 2; 3; 4 ]
+        List.map (fun (qs, g) -> (n, qs, g)) (one @ two @ three @ orders3 @ zeros))
+      [ 1; 2; 3; 4 ]
   in
   List.iter
     (fun (n, qs, g) ->
@@ -215,6 +221,8 @@ let test_plan_rejects () =
   in
   raises "qubit out of range" (fun () -> Gates.plan ~n:2 ~qubits:[ 2 ]);
   raises "repeated qubit" (fun () -> Gates.plan ~n:3 ~qubits:[ 1; 1 ]);
+  raises "too many qubits" (fun () -> Gates.plan ~n:3 ~qubits:[ 0; 1; 2; 0 ]);
+  raises "negative qubit" (fun () -> Gates.plan ~n:1 ~qubits:[ -1 ]);
   let pl = Gates.plan ~n:2 ~qubits:[ 0 ] in
   let m = Mat.identity 4 in
   raises "gate size" (fun () -> Gates.apply_left_into pl ~dst:(Mat.create 4 4) Gates.cnot m);

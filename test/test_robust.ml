@@ -411,6 +411,23 @@ let test_hier_fallback () =
         Alcotest.(check bool) "fallback counted" true
           (Robust.Counters.get ~stage:"compiler.hier" "fallback" >= 1))
 
+(* unarmed, a block whose search finds nothing smaller is a no-gain
+   verdict, not a fallback: only a fault, a NaN or an exception is *)
+let test_hier_no_gain () =
+  disarm ();
+  Robust.Counters.reset ();
+  let tof_5 =
+    (List.find (fun (b : Benchmarks.Suite.bench) -> b.name = "tof_5") (Benchmarks.Suite.suite ()))
+      .program
+  in
+  let plan = Compiler.Passes.plan_of_mode Compiler.Passes.Full in
+  (match Compiler.Passes.compile_plan ~plan (Rng.create 1L) tof_5 with
+  | Error e -> Alcotest.fail (Robust.Err.to_string e)
+  | Ok _ -> ());
+  let hier name = Robust.Counters.get ~stage:"compiler.hier" name in
+  Alcotest.(check bool) "no_gain counted" true (hier "no_gain" >= 1);
+  Alcotest.(check int) "no fallback" 0 (hier "fallback")
+
 let test_pipeline_under_faults () =
   (* all sites armed at once: compilation plus per-gate pulse synthesis must
      still only produce structured outcomes *)
@@ -487,6 +504,7 @@ let () =
       ( "compiler",
         [
           Alcotest.test_case "hier fallback" `Quick test_hier_fallback;
+          Alcotest.test_case "hier no gain" `Quick test_hier_no_gain;
           Alcotest.test_case "pipeline under faults" `Quick test_pipeline_under_faults;
           Alcotest.test_case "pulses_r never aborts" `Quick test_pulses_r_never_aborts;
         ] );
